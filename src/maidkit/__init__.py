@@ -32,24 +32,15 @@ from .core import (
     validate,
 )
 from .analysis import (
-    BlockCache,
-    ColliderPolicy,
     EdgeMode,
     FirstEdge,
     InteriorDecisions,
     Path,
     PathQuery,
-    back_door_path,
     check_path,
     collider_blocked,
     d_separated,
-    directed_decision_free_path,
-    directed_effective_path,
-    directed_effective_path_avoiding,
-    effective_path,
     find_path,
-    front_door_indirect_path,
-    invalidate_cache,
 )
 from .patterns import (
     DetectionMode,
@@ -93,29 +84,26 @@ from .semantics import (
 from .maidfile import MaidParseError, parse_maidfile, render_maidfile
 from .fixtures import card_game, fixture, principal_agent
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "BlockCache", "ColliderPolicy", "CyclicGraphError", "DecisionRule",
-    "DetectionMode", "Diagnostic", "EdgeMode", "EdgeNotFoundError", "FirstEdge",
-    "InteriorDecisions", "IterationRecord", "LeafMetric", "Maid", "MaidError",
-    "MaidParseError", "Node", "NodeKind", "NotADecisionError", "Path",
-    "PathQuery", "PatternInstance", "PatternKind", "PatternReport",
-    "PhaseOutcome", "ScaleGuardError", "SimplificationResult",
-    "UnknownAgentError", "UnknownNodeError", "ValidationError",
-    "VerificationReport", "all_effective", "ancestors", "back_door_path",
-    "best_response_gap", "card_game", "chance_row", "check_instance",
-    "check_path", "collider_blocked", "constant_rule",
-    "convert_decision_to_chance", "d_separated", "decision_is_effective",
-    "descendants", "direct_effect", "directed_decision_free_path",
-    "directed_effective_path", "directed_effective_path_avoiding",
-    "effective_path", "enumerate_patterns", "expected_utility",
-    "find_equilibrium_small", "find_path", "fixture",
-    "front_door_indirect_path", "identification_phase",
-    "invalidate_cache", "is_fully_parameterized", "is_motivated_bruteforce",
-    "joint_probability", "leaf_metric", "manipulation", "parent_configs",
-    "parse_maidfile", "principal_agent", "remove_edge", "render_maidfile",
-    "retract_edges", "reveal_deny", "rule_from_function", "rule_from_rows",
-    "signaling", "simplify", "strip_parameters", "uniform_profile",
-    "uniform_rule", "utility_value", "validate", "verify_simplification",
+    "CyclicGraphError", "DecisionRule", "DetectionMode", "Diagnostic",
+    "EdgeMode", "EdgeNotFoundError", "FirstEdge", "InteriorDecisions",
+    "IterationRecord", "LeafMetric", "Maid", "MaidError", "MaidParseError",
+    "Node", "NodeKind", "NotADecisionError", "Path", "PathQuery",
+    "PatternInstance", "PatternKind", "PatternReport", "PhaseOutcome",
+    "ScaleGuardError", "SimplificationResult", "UnknownAgentError",
+    "UnknownNodeError", "ValidationError", "VerificationReport",
+    "all_effective", "ancestors", "best_response_gap", "card_game",
+    "chance_row", "check_instance", "check_path", "collider_blocked",
+    "constant_rule", "convert_decision_to_chance", "d_separated",
+    "decision_is_effective", "descendants", "direct_effect",
+    "enumerate_patterns", "expected_utility", "find_equilibrium_small",
+    "find_path", "fixture", "identification_phase", "is_fully_parameterized",
+    "is_motivated_bruteforce", "joint_probability", "leaf_metric",
+    "manipulation", "parent_configs", "parse_maidfile", "principal_agent",
+    "remove_edge", "render_maidfile", "retract_edges", "reveal_deny",
+    "rule_from_function", "rule_from_rows", "signaling", "simplify",
+    "strip_parameters", "uniform_profile", "uniform_rule", "utility_value",
+    "validate", "verify_simplification",
 ]

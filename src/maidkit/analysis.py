@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .core import Maid, MaidError, descendants
@@ -39,11 +39,6 @@ class FirstEdge(enum.Enum):
 class InteriorDecisions(enum.Enum):
     FORBID_ALL = "forbid_all"
     REQUIRE_EFFECTIVE = "require_effective"
-
-
-class ColliderPolicy(enum.Enum):
-    STANDARD = "standard"
-    COLLIDERS_OPEN = "colliders_open"
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,6 @@ class PathQuery:
     interior_decisions: InteriorDecisions = InteriorDecisions.REQUIRE_EFFECTIVE
     avoid: frozenset[str] = frozenset()
     blocking_set: frozenset[str] = frozenset()
-    collider_policy: ColliderPolicy = ColliderPolicy.STANDARD
     require_collider: bool = False
 
     def __post_init__(self) -> None:
@@ -107,53 +101,10 @@ class PathQuery:
             raise MaidError("avoid set must not contain the path endpoints")
 
 
-# -- collider memoization ---------------------------------------------------
-
-
-@dataclass
-class BlockCache:
-    """Memo table for collider-blocking queries.
-
-    Keys are (collider node, sorted blocking set). Entries are valid only
-    for the edge structure they were computed on; a query against a
-    structurally different graph discards the table and advances
-    ``generation``. ``hits`` and ``misses`` exist for instrumentation.
-    """
-
-    entries: dict[tuple[str, tuple[str, ...]], bool] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    generation: int = 0
-    edges_seen: tuple[tuple[str, str], ...] | None = None
-
-
-def invalidate_cache(cache: BlockCache) -> BlockCache:
-    """Drop all memoized entries and advance the generation stamp."""
-    cache.entries.clear()
-    cache.generation += 1
-    cache.edges_seen = None
-    return cache
-
-
-def collider_blocked(maid: Maid, b: str, w: Iterable[str],
-                     cache: BlockCache | None = None) -> bool:
+def collider_blocked(maid: Maid, b: str, w: Iterable[str]) -> bool:
     """True iff converging arrows at ``b`` block a path given ``w``: neither
     ``b`` nor any descendant of ``b`` is conditioned on."""
-    wset = frozenset(w)
-    if cache is None:
-        return descendants(maid, b).isdisjoint(wset)
-    if cache.edges_seen != maid.edges:
-        if cache.edges_seen is not None:
-            invalidate_cache(cache)
-        cache.edges_seen = maid.edges
-    key = (b, tuple(sorted(wset)))
-    if key in cache.entries:
-        cache.hits += 1
-        return cache.entries[key]
-    cache.misses += 1
-    result = descendants(maid, b).isdisjoint(wset)
-    cache.entries[key] = result
-    return result
+    return descendants(maid, b).isdisjoint(w)
 
 
 # -- d-separation -----------------------------------------------------------
@@ -181,23 +132,21 @@ def d_separated(maid: Maid, x: str, y: str, w: Iterable[str],
 
 def _reaches_any(maid: Maid, x: str, targets: frozenset[str], w: frozenset[str],
                  enabled: frozenset[tuple[str, str]] | None) -> bool:
-    """Bayes-ball reachability from ``x`` to any of ``targets`` given ``w``."""
+    """Bayes-ball reachability from ``x`` to any of ``targets`` given ``w``.
+
+    The mask is tested only on the edges the ball actually crosses.
+    """
     if x in targets:
         return True
-    children: dict[str, list[str]] = {n: [] for n in maid.nodes}
-    parents: dict[str, list[str]] = {n: [] for n in maid.nodes}
-    for tail, head in maid.edges:
-        if enabled is not None and (tail, head) not in enabled:
-            continue
-        children[tail].append(head)
-        parents[head].append(tail)
+    children = maid._children_map
+    parents = maid._parents_map
 
     in_anw = set(w)
     stack = list(w)
     while stack:
         n = stack.pop()
         for p in parents[n]:
-            if p not in in_anw:
+            if p not in in_anw and (enabled is None or (p, n) in enabled):
                 in_anw.add(p)
                 stack.append(p)
 
@@ -213,19 +162,17 @@ def _reaches_any(maid: Maid, x: str, targets: frozenset[str], w: frozenset[str],
         seen.add((n, from_child))
         if n in targets:
             return True
-        if from_child:
-            if n not in w:
-                for p in parents[n]:
+        # Up to the parents: through a non-conditioned node entered from a
+        # child, or through a collider that is conditioned on or has a
+        # conditioned descendant.
+        if (n not in w) if from_child else (n in in_anw):
+            for p in parents[n]:
+                if enabled is None or (p, n) in enabled:
                     frontier.append((p, up))
-                for c in children[n]:
+        if n not in w:
+            for c in children.get(n, ()):
+                if enabled is None or (n, c) in enabled:
                     frontier.append((c, down))
-        else:
-            if n not in w:
-                for c in children[n]:
-                    frontier.append((c, down))
-            if n in in_anw:
-                for p in parents[n]:
-                    frontier.append((p, up))
     return False
 
 
@@ -233,8 +180,7 @@ def _reaches_any(maid: Maid, x: str, targets: frozenset[str], w: frozenset[str],
 
 
 def find_path(maid: Maid, query: PathQuery,
-              effectiveness: Mapping[str, bool] | None = None,
-              cache: BlockCache | None = None) -> Path | None:
+              effectiveness: Mapping[str, bool] | None = None) -> Path | None:
     """Depth-first search for the lexicographically first simple path
     satisfying ``query``, or None.
 
@@ -246,10 +192,11 @@ def find_path(maid: Maid, query: PathQuery,
     maid.node(query.target)
     eff = effectiveness if effectiveness is not None else {d: True for d in maid.decisions}
     undirected = query.edge_mode is EdgeMode.UNDIRECTED
-    sorted_parents = {n: tuple(sorted(nd.parents)) for n, nd in maid.nodes.items()}
+    children = maid._children_map
+    sorted_parents = maid._parents_map
 
     def moves(node: str) -> Iterator[tuple[str, str]]:
-        for c in maid.children(node):
+        for c in children.get(node, ()):
             yield c, FORWARD
         if undirected:
             for p in sorted_parents[node]:
@@ -270,9 +217,7 @@ def find_path(maid: Maid, query: PathQuery,
             if not eff.get(node, False):
                 return False
         if is_collider:
-            if query.collider_policy is ColliderPolicy.COLLIDERS_OPEN:
-                return True
-            return not collider_blocked(maid, node, query.blocking_set, cache)
+            return not collider_blocked(maid, node, query.blocking_set)
         return node not in query.blocking_set
 
     path_nodes: list[str] = [query.source]
@@ -343,8 +288,7 @@ def check_path(maid: Maid, path: Path, query: PathQuery,
             if not eff.get(node, False):
                 return False
         if is_collider:
-            if query.collider_policy is ColliderPolicy.STANDARD and \
-                    collider_blocked(maid, node, query.blocking_set):
+            if collider_blocked(maid, node, query.blocking_set):
                 return False
         elif node in query.blocking_set:
             return False
@@ -363,7 +307,7 @@ def _first_edge_matches(rule: FirstEdge, direction: str) -> bool:
 
 # -- query builders ----------------------------------------------------------
 #
-# Pattern detection and the boolean helpers below must agree on query
+# Pattern detection and instance auditing must agree on query
 # construction, so the queries are built in exactly one place.
 
 
@@ -397,53 +341,3 @@ def effective_query(x: str, y: str, w: Iterable[str] = ()) -> PathQuery:
                      first_edge=FirstEdge.ANY,
                      interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
                      blocking_set=frozenset(w))
-
-
-# -- boolean wrappers ---------------------------------------------------------
-
-
-def directed_decision_free_path(maid: Maid, x: str, y: str) -> bool:
-    """Is there a directed path from x to y with no decision node interior?"""
-    return find_path(maid, decision_free_query(x, y)) is not None
-
-
-def directed_effective_path(maid: Maid, x: str, y: str,
-                            effectiveness: Mapping[str, bool] | None = None,
-                            cache: BlockCache | None = None) -> bool:
-    """Is there a directed path from x to y on which every interior decision
-    is effective?"""
-    return find_path(maid, directed_effective_query(x, y), effectiveness, cache) is not None
-
-
-def directed_effective_path_avoiding(maid: Maid, x: str, y: str, avoid: Iterable[str],
-                                     effectiveness: Mapping[str, bool] | None = None,
-                                     cache: BlockCache | None = None) -> bool:
-    """Like :func:`directed_effective_path`, but the path must not visit any
-    node in ``avoid``."""
-    return find_path(maid, directed_effective_query(x, y, avoid), effectiveness, cache) is not None
-
-
-def back_door_path(maid: Maid, x: str, y: str, w: Iterable[str],
-                   effectiveness: Mapping[str, bool] | None = None,
-                   cache: BlockCache | None = None) -> bool:
-    """Is there an active path from x to y whose first edge points into x,
-    unblocked given ``w``, with effective interior decisions?"""
-    return find_path(maid, back_door_query(x, y, w), effectiveness, cache) is not None
-
-
-def front_door_indirect_path(maid: Maid, x: str, y: str, w: Iterable[str],
-                             effectiveness: Mapping[str, bool] | None = None,
-                             cache: BlockCache | None = None) -> bool:
-    """Is there an active path from x to y whose first edge points out of x,
-    containing converging arrows somewhere, unblocked given ``w``, with
-    effective interior decisions?"""
-    return find_path(maid, front_door_query(x, y, w), effectiveness, cache) is not None
-
-
-def effective_path(maid: Maid, x: str, y: str, w: Iterable[str] = (),
-                   effectiveness: Mapping[str, bool] | None = None,
-                   cache: BlockCache | None = None) -> bool:
-    """Is there an active path from x to y (either first-edge direction),
-    unblocked given ``w``, with effective interior decisions? Omitting ``w``
-    means an empty blocking set."""
-    return find_path(maid, effective_query(x, y, w), effectiveness, cache) is not None

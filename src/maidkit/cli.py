@@ -268,9 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MaidParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MaidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

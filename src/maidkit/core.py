@@ -136,9 +136,9 @@ class Node:
 class Maid:
     """An influence diagram over a fixed set of agents.
 
-    Derived indexes (children, topological order, descendant sets) are
-    computed lazily and cached; they are safe to share because the value
-    never mutates.
+    Derived indexes (children, sorted parents, topological order,
+    descendant sets) are computed lazily and cached; they are safe to share
+    because the value never mutates.
     """
 
     agents: frozenset[str]
@@ -195,6 +195,12 @@ class Maid:
                 if p in self.nodes:
                     acc.setdefault(p, []).append(node_id)
         return {k: tuple(sorted(v)) for k, v in acc.items()}
+
+    @cached_property
+    def _parents_map(self) -> dict[str, tuple[str, ...]]:
+        # Every node, with its parents that resolve to nodes, ascending.
+        return {node_id: tuple(sorted(p for p in node.parents if p in self.nodes))
+                for node_id, node in self.nodes.items()}
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -292,9 +298,6 @@ class Maid:
         table = dict(self.nodes)
         table[node.id] = node
         return Maid(agents=self.agents, nodes=table)
-
-
-EffectivenessMap = dict  # decision id -> bool
 
 
 def all_effective(maid: Maid) -> dict[str, bool]:
@@ -442,6 +445,9 @@ def validate(maid: Maid) -> list[Diagnostic]:
             else:
                 for r in range(rows):
                     row = node.cpt[r * k:(r + 1) * k]
+                    if any(not math.isfinite(v) for v in row):
+                        out.append(Diagnostic(node_id, "cpt-finite",
+                                              f"row {r} contains a non-finite probability"))
                     if any(v < 0 for v in row):
                         out.append(Diagnostic(node_id, "cpt-nonnegative",
                                               f"row {r} contains a negative probability"))

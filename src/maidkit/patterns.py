@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .analysis import (
-    BlockCache,
     Path,
     back_door_query,
     check_path,
@@ -104,15 +103,14 @@ def _require_decision(maid: Maid, d: str) -> None:
 
 
 def _downstream_decisions(maid: Maid, d: str,
-                          effectiveness: Mapping[str, bool] | None,
-                          cache: BlockCache | None) -> list[tuple[str, Path]]:
+                          effectiveness: Mapping[str, bool] | None) -> list[tuple[str, Path]]:
     """Decisions reachable from ``d`` by a directed decision-free path,
     ascending by id, each with its witness."""
     out = []
     for n in maid.decisions:
         if n == d:
             continue
-        p = find_path(maid, decision_free_query(d, n), effectiveness, cache)
+        p = find_path(maid, decision_free_query(d, n), effectiveness)
         if p is not None:
             out.append((n, p))
     return out
@@ -123,13 +121,12 @@ def _downstream_decisions(maid: Maid, d: str,
 
 def direct_effect(maid: Maid, d: str,
                   effectiveness: Mapping[str, bool] | None = None,
-                  mode: DetectionMode = DetectionMode.ALL,
-                  cache: BlockCache | None = None) -> list[PatternInstance]:
+                  mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
     """One instance per own utility that ``d`` reaches decision-free."""
     _require_decision(maid, d)
     out: list[PatternInstance] = []
     for u in maid.utilities_of(maid.nodes[d].owner):
-        p = find_path(maid, decision_free_query(d, u), effectiveness, cache)
+        p = find_path(maid, decision_free_query(d, u), effectiveness)
         if p is None:
             continue
         out.append(PatternInstance(kind=PatternKind.DIRECT_EFFECT, decision=d, u=u,
@@ -141,23 +138,22 @@ def direct_effect(maid: Maid, d: str,
 
 def manipulation(maid: Maid, d: str,
                  effectiveness: Mapping[str, bool] | None = None,
-                 mode: DetectionMode = DetectionMode.ALL,
-                 cache: BlockCache | None = None) -> list[PatternInstance]:
+                 mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
     """Instances (n, u, u') where a downstream decision n carries ``d``'s
     influence to an own utility u, while ``d`` retains a route to n's
     utility u' that bypasses n (the lever it manipulates with)."""
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d, effectiveness, cache):
+    for n, d_to_n in _downstream_decisions(maid, d, effectiveness):
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
-            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness, cache)
+            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness)
             if n_to_u is None:
                 continue
             for u_prime in maid.utilities_of(n_owner):
                 lever = find_path(maid, directed_effective_query(d, u_prime, avoid=(n,)),
-                                  effectiveness, cache)
+                                  effectiveness)
                 if lever is None:
                     continue
                 out.append(PatternInstance(
@@ -171,8 +167,7 @@ def manipulation(maid: Maid, d: str,
 
 def signaling(maid: Maid, d: str,
               effectiveness: Mapping[str, bool] | None = None,
-              mode: DetectionMode = DetectionMode.ALL,
-              cache: BlockCache | None = None) -> list[PatternInstance]:
+              mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
     """Instances (n, u, u', a) where an ancestor a of ``d`` carries
     information about n's utility u' that n cannot see directly, and ``d``
     sits on an active route a .. u through which revealing it pays off.
@@ -185,21 +180,20 @@ def signaling(maid: Maid, d: str,
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     desc_d = descendants(maid, d)
     out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d, effectiveness, cache):
+    for n, d_to_n in _downstream_decisions(maid, d, effectiveness):
         w_prime = frozenset(maid.parents(n)) - desc_d
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
-            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness, cache)
+            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness)
             if n_to_u is None:
                 continue
             for u_prime in maid.utilities_of(n_owner):
                 for a in sorted(ancestors(maid, d) - {d}):
-                    back = find_path(maid, back_door_query(a, u_prime, w_prime),
-                                     effectiveness, cache)
+                    back = find_path(maid, back_door_query(a, u_prime, w_prime), effectiveness)
                     if back is None:
                         continue
                     w = frozenset(maid.parents(d)) - descendants(maid, a)
-                    a_to_u = find_path(maid, effective_query(a, u, w), effectiveness, cache)
+                    a_to_u = find_path(maid, effective_query(a, u, w), effectiveness)
                     if a_to_u is None:
                         continue
                     out.append(PatternInstance(
@@ -215,35 +209,28 @@ def signaling(maid: Maid, d: str,
 
 def reveal_deny(maid: Maid, d: str,
                 effectiveness: Mapping[str, bool] | None = None,
-                mode: DetectionMode = DetectionMode.ALL,
-                cache: BlockCache | None = None,
-                literal_blocking: bool = False) -> list[PatternInstance]:
+                mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
     """Instances (n, u, u') where ``d`` starts a front-door path with
     converging arrows to n's utility u', so acting can open or close an
     information channel n would otherwise rely on.
 
-    The blocking set is all parents of n. With ``literal_blocking`` the
-    parents of n that are descendants of ``d`` are excluded instead; the
-    first converging node of any front-door path out of ``d`` is itself a
-    descendant of ``d``, so under that variant no opener can be in the
-    blocking set and the detector can never fire. It is kept for study.
+    The blocking set is all parents of n. Excluding the parents of n that
+    descend from ``d`` would silence the detector: the first converging
+    node of any front-door path out of ``d`` is itself a descendant of
+    ``d``, so no opener could then be in the blocking set.
     """
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
-    desc_d = descendants(maid, d)
     out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d, effectiveness, cache):
+    for n, d_to_n in _downstream_decisions(maid, d, effectiveness):
         w_rev = frozenset(maid.parents(n))
-        if literal_blocking:
-            w_rev -= desc_d
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
-            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness, cache)
+            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness)
             if n_to_u is None:
                 continue
             for u_prime in maid.utilities_of(n_owner):
-                front = find_path(maid, front_door_query(d, u_prime, w_rev),
-                                  effectiveness, cache)
+                front = find_path(maid, front_door_query(d, u_prime, w_rev), effectiveness)
                 if front is None:
                     continue
                 out.append(PatternInstance(
@@ -256,27 +243,23 @@ def reveal_deny(maid: Maid, d: str,
 
 
 def decision_is_effective(maid: Maid, d: str,
-                          effectiveness: Mapping[str, bool] | None = None,
-                          cache: BlockCache | None = None,
-                          literal_reveal_blocking: bool = False) -> bool:
+                          effectiveness: Mapping[str, bool] | None = None) -> bool:
     """Does any pattern hold for ``d``? Detectors run cheapest first and
     short-circuit on the first witness."""
     first = DetectionMode.FIRST_WITNESS
-    if direct_effect(maid, d, effectiveness, first, cache):
+    if direct_effect(maid, d, effectiveness, first):
         return True
-    if manipulation(maid, d, effectiveness, first, cache):
+    if manipulation(maid, d, effectiveness, first):
         return True
-    if signaling(maid, d, effectiveness, first, cache):
+    if signaling(maid, d, effectiveness, first):
         return True
-    return bool(reveal_deny(maid, d, effectiveness, first, cache,
-                            literal_blocking=literal_reveal_blocking))
+    return bool(reveal_deny(maid, d, effectiveness, first))
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
-def enumerate_patterns(maid: Maid, original: bool = False,
-                       literal_reveal_blocking: bool = False) -> PatternReport:
+def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
     """Every pattern instance per decision of ``maid``.
 
     By default the graph is first simplified to a fixpoint and detectors
@@ -290,20 +273,18 @@ def enumerate_patterns(maid: Maid, original: bool = False,
     else:
         from .simplify import simplify
 
-        result = simplify(maid, literal_reveal_blocking=literal_reveal_blocking)
+        result = simplify(maid)
         graph, flags = result.final, dict(result.effectiveness)
-    cache = BlockCache()
     instances: dict[str, tuple[PatternInstance, ...]] = {}
     for d in maid.decisions:
         if not flags.get(d, False) or not graph.nodes[d].is_decision:
             instances[d] = ()
             continue
         found: list[PatternInstance] = []
-        found.extend(direct_effect(graph, d, flags, DetectionMode.ALL, cache))
-        found.extend(manipulation(graph, d, flags, DetectionMode.ALL, cache))
-        found.extend(signaling(graph, d, flags, DetectionMode.ALL, cache))
-        found.extend(reveal_deny(graph, d, flags, DetectionMode.ALL, cache,
-                                 literal_blocking=literal_reveal_blocking))
+        found.extend(direct_effect(graph, d, flags, DetectionMode.ALL))
+        found.extend(manipulation(graph, d, flags, DetectionMode.ALL))
+        found.extend(signaling(graph, d, flags, DetectionMode.ALL))
+        found.extend(reveal_deny(graph, d, flags, DetectionMode.ALL))
         instances[d] = tuple(found)
     return PatternReport(instances=instances, effectiveness=flags)
 
@@ -312,8 +293,7 @@ def enumerate_patterns(maid: Maid, original: bool = False,
 
 
 def check_instance(maid: Maid, instance: PatternInstance,
-                   effectiveness: Mapping[str, bool] | None = None,
-                   literal_reveal_blocking: bool = False) -> bool:
+                   effectiveness: Mapping[str, bool] | None = None) -> bool:
     """Re-verify an instance against the graph it was reported on.
 
     Rebuilds the query each witness must satisfy from the instance
@@ -326,15 +306,14 @@ def check_instance(maid: Maid, instance: PatternInstance,
     if maid.nodes[instance.u].owner != maid.nodes[d].owner:
         return False
     witnesses = dict(instance.witness_paths)
-    queries = _expected_queries(maid, instance, literal_reveal_blocking)
+    queries = _expected_queries(maid, instance)
     if queries is None or set(witnesses) != set(queries):
         return False
     return all(check_path(maid, witnesses[name], query, effectiveness)
                for name, query in queries.items())
 
 
-def _expected_queries(maid: Maid, instance: PatternInstance,
-                      literal_reveal_blocking: bool) -> dict[str, object] | None:
+def _expected_queries(maid: Maid, instance: PatternInstance) -> dict[str, object] | None:
     d, n, u, u_prime, a = (instance.decision, instance.n, instance.u,
                            instance.u_prime, instance.a)
     if instance.kind is PatternKind.DIRECT_EFFECT:
@@ -356,8 +335,5 @@ def _expected_queries(maid: Maid, instance: PatternInstance,
         base["a_to_u_prime_back_door"] = back_door_query(a, u_prime, w_prime)
         base["a_to_u_effective"] = effective_query(a, u, w)
         return base
-    w_rev = frozenset(maid.parents(n))
-    if literal_reveal_blocking:
-        w_rev -= descendants(maid, d)
-    base["d_to_u_prime_front_door"] = front_door_query(d, u_prime, w_rev)
+    base["d_to_u_prime_front_door"] = front_door_query(d, u_prime, frozenset(maid.parents(n)))
     return base

@@ -64,7 +64,8 @@ class DecisionRule:
             if len(row) != len(self.domain):
                 raise MaidError(f"{self.decision}: row {i} has {len(row)} entries, "
                                 f"expected {len(self.domain)}")
-            if any(v < 0 for v in row) or abs(sum(row) - 1.0) > PROB_TOL:
+            # Written so that NaN fails both comparisons.
+            if any(not v >= 0 for v in row) or not abs(sum(row) - 1.0) <= PROB_TOL:
                 raise MaidError(f"{self.decision}: row {i} is not a distribution")
 
     def config_index(self, parent_values: Sequence[str]) -> int:
@@ -84,7 +85,10 @@ class DecisionRule:
         return all(any(v == 1.0 for v in row) for row in self.rows)
 
 
-def _rule_shape(maid: Maid, d: str) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...], tuple[str, ...]]:
+_RuleShape = tuple[tuple[str, ...], tuple[tuple[str, ...], ...], tuple[str, ...]]
+
+
+def _rule_shape(maid: Maid, d: str) -> _RuleShape:
     node = maid.node(d)
     if not node.is_decision:
         raise NotADecisionError(f"{d!r} is not a decision node")
@@ -97,6 +101,15 @@ def _rule_shape(maid: Maid, d: str) -> tuple[tuple[str, ...], tuple[tuple[str, .
     return node.parents, tuple(pdoms), node.domain
 
 
+def _pure_rule(d: str, shape: _RuleShape, picks: Iterable[int]) -> DecisionRule:
+    """The pure rule that takes action index ``picks[i]`` in the i-th parent
+    configuration of a rule of the given shape."""
+    parents, pdoms, domain = shape
+    k = len(domain)
+    rows = tuple(tuple(1.0 if i == a else 0.0 for i in range(k)) for a in picks)
+    return DecisionRule(d, parents, pdoms, domain, rows)
+
+
 def uniform_rule(maid: Maid, d: str) -> DecisionRule:
     parents, pdoms, domain = _rule_shape(maid, d)
     k = len(domain)
@@ -106,25 +119,26 @@ def uniform_rule(maid: Maid, d: str) -> DecisionRule:
 
 
 def constant_rule(maid: Maid, d: str, action: str) -> DecisionRule:
-    parents, pdoms, domain = _rule_shape(maid, d)
+    shape = _rule_shape(maid, d)
+    _, pdoms, domain = shape
     if action not in domain:
         raise MaidError(f"{d}: {action!r} is not in the domain")
-    row = tuple(1.0 if v == action else 0.0 for v in domain)
     n_rows = math.prod(len(dd) for dd in pdoms)
-    return DecisionRule(d, parents, pdoms, domain, tuple(row for _ in range(n_rows)))
+    return _pure_rule(d, shape, [domain.index(action)] * n_rows)
 
 
 def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
     """Build a pure rule from a callable mapping a parent-value tuple to an
     action in the decision's domain."""
-    parents, pdoms, domain = _rule_shape(maid, d)
-    rows = []
+    shape = _rule_shape(maid, d)
+    _, pdoms, domain = shape
+    picks = []
     for config in itertools.product(*pdoms):
         action = choose(config)
         if action not in domain:
             raise MaidError(f"{d}: {action!r} is not in the domain")
-        rows.append(tuple(1.0 if v == action else 0.0 for v in domain))
-    return DecisionRule(d, parents, pdoms, domain, tuple(rows))
+        picks.append(domain.index(action))
+    return _pure_rule(d, shape, picks)
 
 
 def rule_from_rows(maid: Maid, d: str, rows: Iterable[Iterable[float]]) -> DecisionRule:
@@ -337,7 +351,9 @@ def _best_pure_response(maid: Maid, space: _JointSpace,
                         profile: Mapping[str, DecisionRule], agent: str,
                         max_profiles: int = MAX_PURE_PROFILES) -> tuple[float, dict[str, DecisionRule]]:
     """Value and rules of the best joint pure deviation of one agent's
-    decisions, holding everyone else fixed. Ties keep the incumbent rules."""
+    decisions, holding everyone else fixed. Ties keep the incumbent rules;
+    a lone decision keeps its incumbent's most likely action in parent
+    configurations that have zero probability."""
     decisions = maid.decisions_of(agent)
     if not decisions:
         return expected_utility(maid, profile, agent), {}
@@ -345,34 +361,30 @@ def _best_pure_response(maid: Maid, space: _JointSpace,
 
     if len(decisions) == 1:
         d = decisions[0]
-        node = maid.nodes[d]
         incumbent = profile[d]
-        parents, pdoms, domain = _rule_shape(maid, d)
+        shape = _rule_shape(maid, d)
+        _, pdoms, domain = shape
         by_config: dict[tuple[int, ...], dict[int, float]] = {}
         for ((config, action),), s in cells.items():
             by_config.setdefault(config, {})[action] = \
                 by_config.get(config, {}).get(action, 0.0) + s
-        rows = []
+        picks = []
         best_total = 0.0
-        for config in itertools.product(*(range(len(dd)) for dd in pdoms)):
-            idx = 0
-            for c, dd in zip(config, pdoms):
-                idx = idx * len(dd) + c
+        # Parent configurations in row order, last parent varying fastest.
+        configs = itertools.product(*(range(len(dd)) for dd in pdoms))
+        for current_row, config in zip(incumbent.rows, configs):
+            current_action = max(range(len(domain)), key=lambda a: current_row[a])
             options = by_config.get(config)
             if not options:
-                rows.append(incumbent.rows[idx])
+                picks.append(current_action)
                 continue
             top = max(options.values())
             best_total += top
-            current_row = incumbent.rows[idx]
-            current_action = max(range(len(domain)), key=lambda a: current_row[a])
             if options.get(current_action, -math.inf) >= top - _TIE_EPS:
-                chosen = current_action
+                picks.append(current_action)
             else:
-                chosen = min(a for a, v in options.items() if v >= top - _TIE_EPS)
-            rows.append(tuple(1.0 if i == chosen else 0.0 for i in range(len(domain))))
-        rule = DecisionRule(d, parents, pdoms, domain, tuple(rows))
-        return best_total, {d: rule}
+                picks.append(min(a for a, v in options.items() if v >= top - _TIE_EPS))
+        return best_total, {d: _pure_rule(d, shape, picks)}
 
     space_desc = _pure_response_space(maid, decisions)
     n = _count_joint_pure(space_desc)
@@ -382,14 +394,12 @@ def _best_pure_response(maid: Maid, space: _JointSpace,
     incumbent_rules = {d: profile[d] for d in decisions}
     best_value = _profile_value_from_cells(cells, decisions, incumbent_rules, space)
     best_rules = incumbent_rules
+    shapes = {d: _rule_shape(maid, d) for d in decisions}
     choice_spaces = [itertools.product(range(k), repeat=len(configs))
                      for _, configs, k in space_desc]
     for joint in itertools.product(*choice_spaces):
-        rules = {}
-        for (d, configs, k), picks in zip(space_desc, joint):
-            parents, pdoms, domain = _rule_shape(maid, d)
-            rows = tuple(tuple(1.0 if i == a else 0.0 for i in range(k)) for a in picks)
-            rules[d] = DecisionRule(d, parents, pdoms, domain, rows)
+        rules = {d: _pure_rule(d, shapes[d], picks)
+                 for (d, _, _), picks in zip(space_desc, joint)}
         value = _profile_value_from_cells(cells, decisions, rules, space)
         if value > best_value + _TIE_EPS:
             best_value = value
@@ -441,15 +451,11 @@ def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
     agents = sorted({maid.nodes[d].owner for d in decisions})
     rng = random.Random(seed)
     space = _JointSpace(maid)
+    shapes = {d: _rule_shape(maid, d) for d in decisions}
 
     profile: dict[str, DecisionRule] = {}
     for d, configs, k in space_desc:
-        parents, pdoms, domain = _rule_shape(maid, d)
-        rows = []
-        for _ in configs:
-            pick = rng.randrange(k)
-            rows.append(tuple(1.0 if i == pick else 0.0 for i in range(k)))
-        profile[d] = DecisionRule(d, parents, pdoms, domain, tuple(rows))
+        profile[d] = _pure_rule(d, shapes[d], [rng.randrange(k) for _ in configs])
 
     for _ in range(max_rounds):
         changed = False
@@ -469,11 +475,8 @@ def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
     choice_spaces = [itertools.product(range(k), repeat=len(configs))
                      for _, configs, k in space_desc]
     for joint in itertools.product(*choice_spaces):
-        candidate = {}
-        for (d, configs, k), picks in zip(space_desc, joint):
-            parents, pdoms, domain = _rule_shape(maid, d)
-            rows = tuple(tuple(1.0 if i == a else 0.0 for i in range(k)) for a in picks)
-            candidate[d] = DecisionRule(d, parents, pdoms, domain, rows)
+        candidate = {d: _pure_rule(d, shapes[d], picks)
+                     for (d, _, _), picks in zip(space_desc, joint)}
         if all(best_response_gap(maid, candidate, agent) <= tol for agent in agents):
             return candidate
     return None

@@ -27,7 +27,7 @@ from .core import (
     remove_edge,
     validate,
 )
-from .analysis import BlockCache, d_separated, invalidate_cache
+from .analysis import d_separated
 from .patterns import decision_is_effective
 
 
@@ -79,9 +79,7 @@ def _ordered(items: Sequence[str], rng: random.Random | None) -> list[str]:
 
 
 def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
-                         cache: BlockCache | None = None,
-                         rng: random.Random | None = None,
-                         literal_reveal_blocking: bool = False) -> PhaseOutcome:
+                         rng: random.Random | None = None) -> PhaseOutcome:
     """Repeatedly demote pattern-free decisions until a full pass over the
     remaining decisions demotes nothing.
 
@@ -98,15 +96,12 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
         for d in _ordered(maid.decisions, rng):
             if not eff.get(d, False):
                 continue
-            if decision_is_effective(maid, d, eff, cache=cache,
-                                     literal_reveal_blocking=literal_reveal_blocking):
+            if decision_is_effective(maid, d, eff):
                 continue
             eff[d] = False
             for p in maid.parents(d):
                 removed.append((p, d))
             maid = convert_decision_to_chance(maid, d)
-            if cache is not None:
-                invalidate_cache(cache)
             eliminated.append(d)
             changed = True
             changed_any = True
@@ -116,7 +111,7 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
                         eliminated=tuple(eliminated), removed_edges=tuple(removed))
 
 
-def retract_edges(maid: Maid, cache: BlockCache | None = None,
+def retract_edges(maid: Maid,
                   rng: random.Random | None = None) -> tuple[Maid, tuple[tuple[str, str], ...], bool]:
     """Remove information edges whose source tells the observing decision's
     owner nothing about their payoff.
@@ -156,13 +151,10 @@ def retract_edges(maid: Maid, cache: BlockCache | None = None,
     removed = tuple(e for e in info_edges if e in disabled)
     for p, d in removed:
         maid = remove_edge(maid, p, d)
-    if removed and cache is not None:
-        invalidate_cache(cache)
     return maid, removed, bool(removed)
 
 
-def simplify(maid: Maid, order_seed: int | None = None,
-             literal_reveal_blocking: bool = False) -> SimplificationResult:
+def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
     """Alternate identification and retraction until neither changes the
     graph. The final graph, the order of every removal, and the surviving
     participation flags are all reported.
@@ -174,7 +166,6 @@ def simplify(maid: Maid, order_seed: int | None = None,
     if diagnostics:
         raise ValidationError(diagnostics)
     rng = random.Random(order_seed) if order_seed is not None else None
-    cache = BlockCache()
     original = maid
     eff: dict[str, bool] = dict(all_effective(maid))
     eliminated_all: list[str] = []
@@ -187,11 +178,10 @@ def simplify(maid: Maid, order_seed: int | None = None,
         if iterations > bound:
             raise MaidError("simplification did not reach a fixed point within "
                             "the structural bound")
-        phase = identification_phase(maid, eff, cache=cache, rng=rng,
-                                     literal_reveal_blocking=literal_reveal_blocking)
+        phase = identification_phase(maid, eff, rng=rng)
         maid = phase.maid
         eff = dict(phase.effectiveness)
-        maid, pruned, pruned_changed = retract_edges(maid, cache=cache, rng=rng)
+        maid, pruned, pruned_changed = retract_edges(maid, rng=rng)
         trace.append(IterationRecord(index=iterations, eliminated=phase.eliminated,
                                      conversion_removed_edges=phase.removed_edges,
                                      pruned_edges=pruned))

@@ -13,7 +13,6 @@ each claim and are asserted exactly as stated:
  07 d-separation agrees with trail enumeration on every triple (200 DAGs)
  08 removing an edge never creates a pattern instance (100 graphs)
  09 analysis of card-game(100) stays under 1 s with sane growth
- 10 the collider cache hits, invalidates, and stays transparent
 """
 from __future__ import annotations
 
@@ -23,18 +22,13 @@ import random
 import time
 
 from maidkit import (
-    BlockCache,
     NodeKind,
     card_game,
     d_separated,
-    direct_effect,
     enumerate_patterns,
     is_motivated_bruteforce,
     leaf_metric,
-    manipulation,
     remove_edge,
-    reveal_deny,
-    signaling,
     simplify,
     verify_simplification,
 )
@@ -219,36 +213,3 @@ def test_09_scaling():
     print(f"PASS 09 scaling: n=100 in {t_large * 1000:.0f} ms, "
           f"{t_large / t_small:.1f}x the n=25 time")
 
-
-def test_10_cache_behavior(card1, pa, cascade, pennies, sig_min):
-    from maidkit import collider_blocked
-
-    # Identical queries hit; the first sight of a changed edge structure
-    # discards the table.
-    cache = BlockCache()
-    collider_blocked(card1, "B", {"U_A"}, cache)
-    assert (cache.hits, cache.misses) == (0, 1)
-    collider_blocked(card1, "B", {"U_A"}, cache)
-    assert (cache.hits, cache.misses) == (1, 1)
-    generation = cache.generation
-    smaller = remove_edge(card1, "A", "B")
-    collider_blocked(smaller, "B", {"U_A"}, cache)
-    assert cache.generation == generation + 1
-    assert (cache.hits, cache.misses) == (1, 2)
-
-    # With and without a cache, every detector reports the same instances
-    # on the fixtures and on random graphs.
-    fixtures = [card1, pa, cascade, pennies, sig_min]
-    randoms = [helpers.random_structure_maid(random.Random(s)) for s in range(30)]
-    compared = 0
-    total_hits = 0
-    for maid in fixtures + randoms:
-        shared = BlockCache()
-        for d in maid.decisions:
-            for detector in (direct_effect, manipulation, signaling, reveal_deny):
-                assert detector(maid, d, cache=shared) == detector(maid, d)
-                compared += 1
-        total_hits += shared.hits
-    assert total_hits > 0
-    print(f"PASS 10 cache: hit/miss/invalidate counters behave, "
-          f"{compared} detector runs identical with and without the cache")

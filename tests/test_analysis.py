@@ -5,22 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maidkit import (
-    BlockCache,
     MaidError,
     Path,
     PathQuery,
-    back_door_path,
     check_path,
     collider_blocked,
     convert_decision_to_chance,
     d_separated,
-    directed_decision_free_path,
-    directed_effective_path,
-    directed_effective_path_avoiding,
-    effective_path,
     find_path,
-    front_door_indirect_path,
-    invalidate_cache,
     remove_edge,
     simplify,
 )
@@ -134,63 +126,66 @@ def test_d_separation_is_symmetric(seed):
 # -- directed and effective path queries ----------------------------------------
 
 
+def _found(maid, query, effectiveness=None) -> bool:
+    return find_path(maid, query, effectiveness) is not None
+
+
 def test_directed_decision_free_paths(pa, card1):
-    assert directed_decision_free_path(pa, "P1", "D1")
-    assert directed_decision_free_path(pa, "r0", "P2")  # r0 -> r1 -> P2
+    assert _found(pa, decision_free_query("P1", "D1"))
+    assert _found(pa, decision_free_query("r0", "P2"))  # r0 -> r1 -> P2
     # every route from A to U_A passes through the decision B
-    assert not directed_decision_free_path(card1, "A", "U_A")
-    assert directed_decision_free_path(card1, "B", "U_A")
+    assert not _found(card1, decision_free_query("A", "U_A"))
+    assert _found(card1, decision_free_query("B", "U_A"))
 
 
 def test_directed_effective_paths_respect_flags(pa):
-    assert directed_effective_path(pa, "D1", "U_P2")
+    assert _found(pa, directed_effective_query("D1", "U_P2"))
     # with D2 ineffective the route through D2 closes, but the chance
     # route D1 -> r1 -> P2 -> U_P2 stays open
     flags = {"P1": True, "P2": True, "D1": True, "D2": False}
-    assert directed_effective_path(pa, "D1", "U_P2", flags)
+    assert _found(pa, directed_effective_query("D1", "U_P2"), flags)
     # closing P2 as well cuts the last interior decision
     flags2 = {"P1": True, "P2": False, "D1": True, "D2": False}
-    assert not directed_effective_path(pa, "D1", "U_P2", flags2)
+    assert not _found(pa, directed_effective_query("D1", "U_P2"), flags2)
 
 
 def test_avoid_set_excludes_interior_nodes(pa):
-    assert directed_effective_path_avoiding(pa, "P1", "U_D1", avoid={"D1"})
-    assert directed_effective_path_avoiding(pa, "r0", "U_P1", avoid={"r1"})
-    assert not directed_effective_path_avoiding(pa, "r0", "U_P1", avoid={"P1"})
+    assert _found(pa, directed_effective_query("P1", "U_D1", avoid={"D1"}))
+    assert _found(pa, directed_effective_query("r0", "U_P1", avoid={"r1"}))
+    assert not _found(pa, directed_effective_query("r0", "U_P1", avoid={"P1"}))
     # avoiding the only downstream decision leaves A with no route to U_B
     card = helpers.cascade_maid()
-    assert directed_effective_path_avoiding(card, "dA", "uB", avoid=set())
-    assert not directed_effective_path_avoiding(card, "dA", "uA", avoid={"nB"})
+    assert _found(card, directed_effective_query("dA", "uB", avoid=set()))
+    assert not _found(card, directed_effective_query("dA", "uA", avoid={"nB"}))
 
 
 def test_back_door_paths(pa):
     # endpoint membership in the blocking set does not block
-    assert back_door_path(pa, "P1", "U_P2", {"P1"})
+    assert _found(pa, back_door_query("P1", "U_P2", {"P1"}))
     # a root has no incoming edge to start a back-door path
-    assert not back_door_path(pa, "r0", "U_P1", set())
-    assert not back_door_path(pa, "type", "U_D1", set())
+    assert not _found(pa, back_door_query("r0", "U_P1", set()))
+    assert not _found(pa, back_door_query("type", "U_D1", set()))
 
 
 def test_front_door_paths_require_a_collider(pa):
-    assert front_door_indirect_path(pa, "P1", "U_P2", {"r1", "P1"})
     witness = find_path(pa, front_door_query("P1", "U_P2", {"r1", "P1"}))
     assert str(witness) == "P1 -> D1 <- type -> D2 -> U_P2"
     # a purely directed chain has no collider, so it cannot count
-    assert not front_door_indirect_path(pa, "r0", "r1", set())
+    assert not _found(pa, front_door_query("r0", "r1", set()))
 
 
 def test_effective_path_with_blocking(pa, card1):
-    assert effective_path(pa, "r0", "U_P2", set())
+    assert _found(pa, effective_query("r0", "U_P2", set()))
     # observing r1 opens the collider r0 -> r1 <- D1, so {r1, P1} does not
     # cut r0 off; adding D1 closes that detour too
-    assert effective_path(pa, "r0", "U_P2", {"r1", "P1"})
-    assert not effective_path(pa, "r0", "U_P2", {"r1", "P1", "D1"})
-    assert effective_path(card1, "J", "U_A", set())
+    assert _found(pa, effective_query("r0", "U_P2", {"r1", "P1"}))
+    assert not _found(pa, effective_query("r0", "U_P2", {"r1", "P1", "D1"}))
+    assert _found(card1, effective_query("J", "U_A", set()))
     # with A out of play the route via C keeps J connected to U_A
     flags = {"A": False, "B": True, "C": True}
-    assert effective_path(card1, "J", "U_A", set(), effectiveness=flags)
+    assert _found(card1, effective_query("J", "U_A", set()), flags)
     flags2 = {"A": False, "B": True, "C": False}
-    assert not effective_path(card1, "J", "U_A", set(), effectiveness=flags2)
+    assert not _found(card1, effective_query("J", "U_A", set()), flags2)
 
 
 def test_collider_blocked_descendant_rule(pa):
@@ -262,40 +257,10 @@ def test_first_edge_constraints(pa):
     assert path2 is not None and path2.step_directions[0] == "->"
 
 
-# -- memoization ------------------------------------------------------------------
+# -- determinism ------------------------------------------------------------------
 
 
-def test_cache_hits_and_invalidation(pa):
-    cache = BlockCache()
-    assert not collider_blocked(pa, "D1", frozenset({"r1"}), cache)
-    assert cache.misses == 1 and cache.hits == 0
-    assert not collider_blocked(pa, "D1", frozenset({"r1"}), cache)
-    assert cache.hits == 1
-    generation = cache.generation
-    invalidate_cache(cache)
-    assert cache.generation == generation + 1
-    assert not collider_blocked(pa, "D1", frozenset({"r1"}), cache)
-    assert cache.misses == 2
-
-
-def test_cache_detects_structural_change(pa):
-    cache = BlockCache()
-    collider_blocked(pa, "D1", frozenset({"r1"}), cache)
-    smaller = remove_edge(pa, "D1", "r1")
-    assert collider_blocked(smaller, "D1", frozenset({"r1"}), cache)
-    assert cache.misses == 2  # the stale entry was dropped, not reused
-
-
-def test_cache_is_transparent(pa, card1):
-    for maid in (pa, card1):
-        cache = BlockCache()
-        for d in maid.decisions:
-            for u in maid.utilities:
-                q = effective_query(d, u)
-                assert find_path(maid, q, cache=cache) == find_path(maid, q)
-
-
-def test_simplification_results_do_not_depend_on_cache_reuse(card1, pa):
+def test_simplification_is_deterministic(card1, pa):
     for maid in (card1, pa):
         a = simplify(maid)
         b = simplify(maid)

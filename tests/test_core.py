@@ -14,6 +14,7 @@ from maidkit import (
     EdgeNotFoundError,
     UnknownAgentError,
     UnknownNodeError,
+    ValidationError,
     all_effective,
     ancestors,
     chance_row,
@@ -22,6 +23,7 @@ from maidkit import (
     is_fully_parameterized,
     parent_configs,
     remove_edge,
+    simplify,
     strip_parameters,
     utility_value,
     validate,
@@ -174,6 +176,20 @@ def test_validate_parameter_rules():
     assert _single("cpt-nonnegative", diags)[0].node == "c3"
     assert _single("table-arity", diags)[0].node == "u"
     assert _single("table-finite", diags)[0].node == "u2"
+
+
+def test_validate_rejects_nan_probabilities():
+    # NaN compares False both ways, so it slips past the sign and sum checks.
+    nan = float("nan")
+    maid = Maid.build(agents=["p"], nodes=[
+        Node.chance("c", domain=("a", "b"), cpt=(nan, nan)),
+        Node.decision("d", owner="p", domain=("a", "b"), parents=("c",)),
+        Node.utility("u", owner="p", parents=("d",), table=(1.0, 0.0)),
+    ])
+    diags = validate(maid)
+    assert [(d.node, d.rule) for d in diags] == [("c", "cpt-finite")]
+    with pytest.raises(ValidationError):
+        simplify(maid)
 
 
 def test_convert_decision_to_chance(card1):

@@ -249,24 +249,6 @@ def test_effectiveness_flags_mask_interior_decisions(pa):
     assert signaling(pa, "D1", flags) == []
 
 
-def test_literal_reveal_blocking_never_fires(pa, card1, cascade, sig_min):
-    # The first converging node on any front-door path out of d descends
-    # from d, so excluding descendants of d from the blocking set leaves
-    # every such collider closed.
-    for maid in (pa, card1, cascade, sig_min):
-        for d in maid.decisions:
-            assert reveal_deny(maid, d, literal_blocking=True) == []
-
-
-def test_literal_blocking_drops_reveal_instances(pa):
-    report = enumerate_patterns(pa, original=True, literal_reveal_blocking=True)
-    found = keys(report.all_instances())
-    assert not any(k[0] == "reveal_deny" for k in found)
-    # Everything else is untouched.
-    expected = {k for ks in PA_EXPECTED.values() for k in ks if k[0] != "reveal_deny"}
-    assert found == expected
-
-
 # -- auditing -------------------------------------------------------------------
 
 

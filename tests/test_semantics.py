@@ -81,6 +81,14 @@ def test_rule_validation(card1):
         uniform_rule(card1, "J")
 
 
+def test_rule_rejects_nan_rows(card1):
+    nan = float("nan")
+    with pytest.raises(MaidError, match="not a distribution"):
+        rule_from_rows(card1, "C", [(nan, nan, nan)] * 3)
+    with pytest.raises(MaidError, match="not a distribution"):
+        rule_from_rows(card1, "C", [(1.0, 0.0, 0.0), (nan, 0.5, 0.5), (0.0, 0.0, 1.0)])
+
+
 def test_profiles_are_structure_bound(card1):
     # A rule snapshots the parent list it was built against; after pruning,
     # the same decision has different parents and the old rule is rejected.
