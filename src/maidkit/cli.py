@@ -2,9 +2,11 @@
 
 Subcommands: validate, patterns, simplify, verify, bench, fixture,
 export-dot. Exit codes: 0 success (or verification pass), 1 validation or
-verification failure, 2 usage or file syntax error. All output is
-deterministic for identical inputs and seeds, except the wall_time_ms
-field of bench.
+verification failure, 2 usage, file syntax or other library error, and
+any internal error, which prints the one line
+``error: internal error: <Type>: <message>`` instead of a traceback. All
+output is deterministic for identical inputs and seeds, except the
+wall_time_ms field of bench.
 """
 from __future__ import annotations
 
@@ -270,6 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MaidError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug or a resource limit, never a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

@@ -391,7 +391,9 @@ def strip_parameters(maid: Maid) -> Maid:
 
 def validate(maid: Maid) -> list[Diagnostic]:
     """Check every structural invariant; an empty list means the graph is
-    well formed. Diagnostics are ordered by node id, then rule."""
+    well formed. Diagnostics come node by node in id order, each node's in
+    the order its rules are checked below; the acyclicity diagnostic, which
+    names no node, comes last."""
     out: list[Diagnostic] = []
 
     for node_id in sorted(maid.nodes):

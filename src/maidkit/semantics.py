@@ -23,8 +23,9 @@ from .core import (
     MaidError,
     NotADecisionError,
     PROB_TOL,
+    ValidationError,
     is_fully_parameterized,
-    parent_configs,
+    validate,
 )
 
 MAX_JOINT_STATES = 2_000_000
@@ -101,6 +102,10 @@ def _rule_shape(maid: Maid, d: str) -> _RuleShape:
     return node.parents, tuple(pdoms), node.domain
 
 
+def _n_rows(parent_domains: Sequence[Sequence[str]]) -> int:
+    return math.prod(len(dom) for dom in parent_domains)
+
+
 def _pure_rule(d: str, shape: _RuleShape, picks: Iterable[int]) -> DecisionRule:
     """The pure rule that takes action index ``picks[i]`` in the i-th parent
     configuration of a rule of the given shape."""
@@ -114,8 +119,7 @@ def uniform_rule(maid: Maid, d: str) -> DecisionRule:
     parents, pdoms, domain = _rule_shape(maid, d)
     k = len(domain)
     row = tuple(1.0 / k for _ in range(k))
-    n_rows = math.prod(len(dd) for dd in pdoms)
-    return DecisionRule(d, parents, pdoms, domain, tuple(row for _ in range(n_rows)))
+    return DecisionRule(d, parents, pdoms, domain, tuple(row for _ in range(_n_rows(pdoms))))
 
 
 def constant_rule(maid: Maid, d: str, action: str) -> DecisionRule:
@@ -123,8 +127,7 @@ def constant_rule(maid: Maid, d: str, action: str) -> DecisionRule:
     _, pdoms, domain = shape
     if action not in domain:
         raise MaidError(f"{d}: {action!r} is not in the domain")
-    n_rows = math.prod(len(dd) for dd in pdoms)
-    return _pure_rule(d, shape, [domain.index(action)] * n_rows)
+    return _pure_rule(d, shape, [domain.index(action)] * _n_rows(pdoms))
 
 
 def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
@@ -170,12 +173,19 @@ def _check_profile(maid: Maid, profile: Mapping[str, DecisionRule],
 
 class _JointSpace:
     """Precomputed scaffolding for enumerating joint assignments of the
-    non-utility nodes as tuples of domain indexes."""
+    non-utility nodes as tuples of domain indexes.
+
+    Building one is the precondition of every numeric evaluation: the graph
+    must pass :func:`validate` (so every probability and payoff is finite)
+    and be fully parameterized.
+    """
 
     def __init__(self, maid: Maid, max_states: int = MAX_JOINT_STATES):
+        diagnostics = validate(maid)
+        if diagnostics:
+            raise ValidationError(diagnostics)
         if not is_fully_parameterized(maid):
             raise MaidError("numeric evaluation requires a fully parameterized graph")
-        self.maid = maid
         self.order = tuple(n for n in maid.topological_order
                            if not maid.nodes[n].is_utility)
         self.pos = {n: i for i, n in enumerate(self.order)}
@@ -184,27 +194,20 @@ class _JointSpace:
         if self.n_states > max_states:
             raise ScaleGuardError(f"joint state space has {self.n_states} states "
                                   f"(limit {max_states})")
-        self.chance_factors = []
-        for c in maid.chance_nodes:
-            node = maid.nodes[c]
-            self.chance_factors.append((self.pos[c], len(node.domain), node.cpt,
-                                        tuple(self.pos[p] for p in node.parents),
-                                        tuple(len(maid.nodes[p].domain) for p in node.parents)))
-        self.decision_inputs = {}
-        for d in maid.decisions:
-            node = maid.nodes[d]
-            self.decision_inputs[d] = (self.pos[d],
-                                       tuple(self.pos[p] for p in node.parents),
-                                       tuple(len(maid.nodes[p].domain) for p in node.parents))
-        self.utility_readers = {}
+
+        def inputs(node):
+            return (tuple(self.pos[p] for p in node.parents),
+                    tuple(len(maid.nodes[p].domain) for p in node.parents))
+
+        self.chance_factors = [(self.pos[c], len(maid.nodes[c].domain), maid.nodes[c].cpt,
+                                *inputs(maid.nodes[c])) for c in maid.chance_nodes]
+        self.decision_inputs = {d: (self.pos[d], *inputs(maid.nodes[d]))
+                                for d in maid.decisions}
+        # Each agent's payoff tables, in the order of maid.utilities.
+        self.utility_readers: dict[str, list] = {agent: [] for agent in maid.agents}
         for u in maid.utilities:
             node = maid.nodes[u]
-            self.utility_readers[u] = (node.table,
-                                       tuple(self.pos[p] for p in node.parents),
-                                       tuple(len(maid.nodes[p].domain) for p in node.parents))
-
-    def states(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(len(d)) for d in self.domains))
+            self.utility_readers[node.owner].append((node.table, *inputs(node)))
 
     @staticmethod
     def _row(state: tuple[int, ...], positions: tuple[int, ...],
@@ -233,17 +236,30 @@ class _JointSpace:
                 return 0.0
         return w
 
+    def weighted_states(self, profile: Mapping[str, DecisionRule],
+                        skip: frozenset[str] = frozenset()
+                        ) -> Iterator[tuple[tuple[int, ...], float]]:
+        """Every state whose chance weight times rule weight (decisions in
+        ``skip`` left out) is non-zero, with that weight, first node varying
+        slowest."""
+        for state in itertools.product(*(range(len(d)) for d in self.domains)):
+            w = self.chance_weight(state)
+            if w == 0.0:
+                continue
+            w *= self.rule_weight(state, profile, skip)
+            if w != 0.0:
+                yield state, w
+
     def utility_total(self, state: tuple[int, ...], agent: str) -> float:
         total = 0.0
-        for u in self.maid.utilities_of(agent):
-            table, ppos, prad = self.utility_readers[u]
+        for table, ppos, prad in self.utility_readers[agent]:
             total += table[self._row(state, ppos, prad)]
         return total
 
-    def decision_observation(self, state: tuple[int, ...], d: str) -> tuple[tuple[int, ...], int]:
-        """(parent-config index tuple, chosen-action index) of ``d`` in a state."""
-        pos, ppos, _ = self.decision_inputs[d]
-        return tuple(state[p] for p in ppos), state[pos]
+    def decision_observation(self, state: tuple[int, ...], d: str) -> tuple[int, int]:
+        """(rule row index, chosen-action index) of ``d`` in a state."""
+        pos, ppos, prad = self.decision_inputs[d]
+        return self._row(state, ppos, prad), state[pos]
 
 
 # -- probabilities and utilities -------------------------------------------------
@@ -277,13 +293,7 @@ def expected_utility(maid: Maid, profile: Mapping[str, DecisionRule],
         raise MaidError(f"unknown agent: {agent!r}")
     space = _JointSpace(maid)
     total = 0.0
-    for state in space.states():
-        w = space.chance_weight(state)
-        if w == 0.0:
-            continue
-        w *= space.rule_weight(state, profile)
-        if w == 0.0:
-            continue
+    for state, w in space.weighted_states(profile):
         total += w * space.utility_total(state, agent)
     return total
 
@@ -293,118 +303,87 @@ def expected_utility(maid: Maid, profile: Mapping[str, DecisionRule],
 
 def _response_cells(space: _JointSpace, profile: Mapping[str, DecisionRule],
                     decisions: tuple[str, ...], agent: str) -> dict:
-    """Aggregate opponent-weighted utility by the (observation, action) tuple
-    of each deviating decision.
+    """Aggregate opponent-weighted utility by the (row, action) tuple of each
+    deviating decision.
 
     The resulting table S satisfies: the expected utility of any behavior at
     ``decisions`` (others fixed) is the S-weighted sum of the probabilities
     that behavior assigns to each cell.
     """
-    skip = frozenset(decisions)
     cells: dict[tuple, float] = {}
-    for state in space.states():
-        w = space.chance_weight(state)
-        if w == 0.0:
-            continue
-        w *= space.rule_weight(state, profile, skip=skip)
-        if w == 0.0:
-            continue
-        value = w * space.utility_total(state, agent)
+    for state, w in space.weighted_states(profile, skip=frozenset(decisions)):
         key = tuple(space.decision_observation(state, d) for d in decisions)
-        cells[key] = cells.get(key, 0.0) + value
+        cells[key] = cells.get(key, 0.0) + w * space.utility_total(state, agent)
     return cells
 
 
 def _profile_value_from_cells(cells: dict, decisions: tuple[str, ...],
-                              rules: Mapping[str, DecisionRule],
-                              space: _JointSpace) -> float:
+                              rules: Mapping[str, DecisionRule]) -> float:
     total = 0.0
     for key, s in cells.items():
         prob = 1.0
-        for d, (config, action) in zip(decisions, key):
-            _, _, prad = space.decision_inputs[d]
-            idx = 0
-            for c, r in zip(config, prad):
-                idx = idx * r + c
-            prob *= rules[d].rows[idx][action]
+        for d, (row, action) in zip(decisions, key):
+            prob *= rules[d].rows[row][action]
             if prob == 0.0:
                 break
         total += prob * s
     return total
 
 
-def _pure_response_space(maid: Maid, decisions: tuple[str, ...]) -> list[tuple[str, list, int]]:
-    """Per decision: (id, parent config list, action count); used to size and
-    enumerate the joint pure deviation space."""
-    out = []
-    for d in decisions:
-        configs = list(parent_configs(maid, d))
-        out.append((d, configs, len(maid.nodes[d].domain)))
-    return out
-
-
-def _count_joint_pure(space_desc: list[tuple[str, list, int]]) -> int:
-    return math.prod(k ** len(configs) for _, configs, k in space_desc)
+def _pure_profiles(shapes: Mapping[str, _RuleShape], max_profiles: int,
+                   space_name: str) -> Iterator[dict[str, DecisionRule]]:
+    """Every joint pure profile of the decisions in ``shapes``, the first
+    decision's picks varying slowest. Raises :class:`ScaleGuardError` at
+    once when there are more than ``max_profiles``."""
+    sizes = [(len(domain), _n_rows(pdoms)) for _, pdoms, domain in shapes.values()]
+    n = math.prod(k ** rows for k, rows in sizes)
+    if n > max_profiles:
+        raise ScaleGuardError(f"{space_name} has {n} members (limit {max_profiles})")
+    choices = [itertools.product(range(k), repeat=rows) for k, rows in sizes]
+    return ({d: _pure_rule(d, shape, picks) for (d, shape), picks in zip(shapes.items(), joint)}
+            for joint in itertools.product(*choices))
 
 
 def _best_pure_response(maid: Maid, space: _JointSpace,
                         profile: Mapping[str, DecisionRule], agent: str,
-                        max_profiles: int = MAX_PURE_PROFILES) -> tuple[float, dict[str, DecisionRule]]:
-    """Value and rules of the best joint pure deviation of one agent's
-    decisions, holding everyone else fixed. Ties keep the incumbent rules;
-    a lone decision keeps its incumbent's most likely action in parent
-    configurations that have zero probability."""
+                        max_profiles: int = MAX_PURE_PROFILES
+                        ) -> tuple[float, float, dict[str, DecisionRule]]:
+    """The value of one agent's incumbent rules, and the value and rules of
+    their best joint pure deviation, holding everyone else fixed. The agent
+    must own a decision. Ties keep the incumbent rules; a lone decision
+    keeps its incumbent's most likely action in parent configurations that
+    have zero probability."""
     decisions = maid.decisions_of(agent)
-    if not decisions:
-        return expected_utility(maid, profile, agent), {}
     cells = _response_cells(space, profile, decisions, agent)
+    incumbent = {d: profile[d] for d in decisions}
+    current = _profile_value_from_cells(cells, decisions, incumbent)
 
     if len(decisions) == 1:
         d = decisions[0]
-        incumbent = profile[d]
-        shape = _rule_shape(maid, d)
-        _, pdoms, domain = shape
-        by_config: dict[tuple[int, ...], dict[int, float]] = {}
-        for ((config, action),), s in cells.items():
-            by_config.setdefault(config, {})[action] = \
-                by_config.get(config, {}).get(action, 0.0) + s
+        by_row: dict[int, dict[int, float]] = {}
+        for ((row, action),), s in cells.items():
+            by_row.setdefault(row, {})[action] = s
         picks = []
-        best_total = 0.0
-        # Parent configurations in row order, last parent varying fastest.
-        configs = itertools.product(*(range(len(dd)) for dd in pdoms))
-        for current_row, config in zip(incumbent.rows, configs):
-            current_action = max(range(len(domain)), key=lambda a: current_row[a])
-            options = by_config.get(config)
-            if not options:
-                picks.append(current_action)
-                continue
-            top = max(options.values())
-            best_total += top
-            if options.get(current_action, -math.inf) >= top - _TIE_EPS:
-                picks.append(current_action)
-            else:
-                picks.append(min(a for a, v in options.items() if v >= top - _TIE_EPS))
-        return best_total, {d: _pure_rule(d, shape, picks)}
+        best = 0.0
+        for row, incumbent_row in enumerate(incumbent[d].rows):
+            keep = max(range(len(incumbent_row)), key=incumbent_row.__getitem__)
+            options = by_row.get(row)
+            if options:
+                top = max(options.values())
+                best += top
+                if options.get(keep, -math.inf) < top - _TIE_EPS:
+                    keep = min(a for a, v in options.items() if v >= top - _TIE_EPS)
+            picks.append(keep)
+        return current, best, {d: _pure_rule(d, _rule_shape(maid, d), picks)}
 
-    space_desc = _pure_response_space(maid, decisions)
-    n = _count_joint_pure(space_desc)
-    if n > max_profiles:
-        raise ScaleGuardError(f"joint pure deviation space for agent {agent!r} has "
-                              f"{n} members (limit {max_profiles})")
-    incumbent_rules = {d: profile[d] for d in decisions}
-    best_value = _profile_value_from_cells(cells, decisions, incumbent_rules, space)
-    best_rules = incumbent_rules
+    best, best_rules = current, incumbent
     shapes = {d: _rule_shape(maid, d) for d in decisions}
-    choice_spaces = [itertools.product(range(k), repeat=len(configs))
-                     for _, configs, k in space_desc]
-    for joint in itertools.product(*choice_spaces):
-        rules = {d: _pure_rule(d, shapes[d], picks)
-                 for (d, _, _), picks in zip(space_desc, joint)}
-        value = _profile_value_from_cells(cells, decisions, rules, space)
-        if value > best_value + _TIE_EPS:
-            best_value = value
-            best_rules = rules
-    return best_value, best_rules
+    for rules in _pure_profiles(shapes, max_profiles,
+                                f"joint pure deviation space for agent {agent!r}"):
+        value = _profile_value_from_cells(cells, decisions, rules)
+        if value > best + _TIE_EPS:
+            best, best_rules = value, rules
+    return current, best, best_rules
 
 
 def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
@@ -415,14 +394,10 @@ def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
     _check_profile(maid, profile)
     if agent not in maid.agents:
         raise MaidError(f"unknown agent: {agent!r}")
-    decisions = maid.decisions_of(agent)
-    if not decisions:
-        return 0.0
     space = _JointSpace(maid)
-    cells = _response_cells(space, profile, decisions, agent)
-    current = _profile_value_from_cells(cells, decisions,
-                                        {d: profile[d] for d in decisions}, space)
-    best, _ = _best_pure_response(maid, space, profile, agent)
+    if not maid.decisions_of(agent):
+        return 0.0
+    current, best, _ = _best_pure_response(maid, space, profile, agent)
     return best - current
 
 
@@ -440,51 +415,41 @@ def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
     every joint pure profile is checked in lexicographic order. The size of
     the pure profile space is guarded.
     """
-    _require_parameterized(maid)
+    space = _JointSpace(maid)
     decisions = maid.decisions
     if not decisions:
         return {}
-    space_desc = _pure_response_space(maid, decisions)
-    n = _count_joint_pure(space_desc)
-    if n > max_profiles:
-        raise ScaleGuardError(f"pure profile space has {n} members (limit {max_profiles})")
+    shapes = {d: _rule_shape(maid, d) for d in decisions}
+    candidates = _pure_profiles(shapes, max_profiles, "pure profile space")
     agents = sorted({maid.nodes[d].owner for d in decisions})
     rng = random.Random(seed)
-    space = _JointSpace(maid)
-    shapes = {d: _rule_shape(maid, d) for d in decisions}
 
     profile: dict[str, DecisionRule] = {}
-    for d, configs, k in space_desc:
-        profile[d] = _pure_rule(d, shapes[d], [rng.randrange(k) for _ in configs])
+    for d, shape in shapes.items():
+        _, pdoms, domain = shape
+        picks = [rng.randrange(len(domain)) for _ in range(_n_rows(pdoms))]
+        profile[d] = _pure_rule(d, shape, picks)
 
     for _ in range(max_rounds):
         changed = False
         for agent in agents:
-            owned = maid.decisions_of(agent)
-            cells = _response_cells(space, profile, owned, agent)
-            current = _profile_value_from_cells(cells, owned,
-                                                {d: profile[d] for d in owned}, space)
-            best, rules = _best_pure_response(maid, space, profile, agent,
-                                              max_profiles=max_profiles)
+            current, best, rules = _best_pure_response(maid, space, profile, agent,
+                                                       max_profiles=max_profiles)
             if best > current + tol:
                 profile.update(rules)
                 changed = True
         if not changed:
             return profile
 
-    choice_spaces = [itertools.product(range(k), repeat=len(configs))
-                     for _, configs, k in space_desc]
-    for joint in itertools.product(*choice_spaces):
-        candidate = {d: _pure_rule(d, shapes[d], picks)
-                     for (d, _, _), picks in zip(space_desc, joint)}
-        if all(best_response_gap(maid, candidate, agent) <= tol for agent in agents):
+    def stable(candidate, agent):
+        current, best, _ = _best_pure_response(maid, space, candidate, agent,
+                                               max_profiles=max_profiles)
+        return best - current <= tol
+
+    for candidate in candidates:
+        if all(stable(candidate, agent) for agent in agents):
             return candidate
     return None
-
-
-def _require_parameterized(maid: Maid) -> None:
-    if not is_fully_parameterized(maid):
-        raise MaidError("numeric evaluation requires a fully parameterized graph")
 
 
 # -- motivation --------------------------------------------------------------------
@@ -507,30 +472,21 @@ def is_motivated_bruteforce(maid: Maid, d: str,
     if d in others:
         raise MaidError(f"others must not contain a rule for {d!r}")
     _check_profile(maid, others, exclude=frozenset((d,)))
-    agent = node.owner
     space = _JointSpace(maid)
-    skip = frozenset((d,))
 
-    value: dict[tuple[tuple[int, ...], int], float] = {}
-    mass: dict[tuple[tuple[int, ...], int], float] = {}
-    for state in space.states():
-        w = space.chance_weight(state)
-        if w == 0.0:
-            continue
-        w *= space.rule_weight(state, others, skip=skip)
-        if w == 0.0:
-            continue
+    value: dict[tuple[int, int], float] = {}
+    mass: dict[tuple[int, int], float] = {}
+    for state, w in space.weighted_states(others, skip=frozenset((d,))):
         key = space.decision_observation(state, d)
         mass[key] = mass.get(key, 0.0) + w
-        value[key] = value.get(key, 0.0) + w * space.utility_total(state, agent)
+        value[key] = value.get(key, 0.0) + w * space.utility_total(state, node.owner)
 
-    configs = {config for config, _ in mass}
-    for config in configs:
+    for row in {row for row, _ in mass}:
         conditional = []
         for action in range(len(node.domain)):
-            m = mass.get((config, action), 0.0)
+            m = mass.get((row, action), 0.0)
             if m > 0.0:
-                conditional.append(value[(config, action)] / m)
+                conditional.append(value[(row, action)] / m)
         if conditional and max(conditional) - min(conditional) > tol:
             return True
     return False
@@ -580,7 +536,7 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     original game (eliminated decisions become uniform, surviving rules are
     lifted over their original parent lists), and measure every agent's
     best-response gap in the original game."""
-    _require_parameterized(maid)
+    _JointSpace(maid)  # an invalid original fails before the search starts
     simplified = result.final
     eq = find_equilibrium_small(simplified, seed=seed, tol=tol)
     if eq is None:

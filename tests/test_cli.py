@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from maidkit import render_maidfile
+from maidkit import Maid, Node, render_maidfile
+from maidkit import cli
 from maidkit.cli import main
 
 CYCLIC = """
@@ -145,6 +146,33 @@ def test_simplify_prints_graph_without_out(capsys, card_path):
     _, out, _ = run(capsys, "simplify", card_path)
     assert "chance A {" in out
     assert "iterations: 2" in out
+
+
+def test_simplify_long_chain_prints_no_traceback(capsys, tmp_path):
+    # D -> X0 -> ... -> X2999 -> U is deep enough to exhaust Python's stack
+    # in a recursive path search; the CLI must still answer in one line.
+    nodes = [Node.decision("D", owner="a", domain=("f", "t"))]
+    prev = "D"
+    for i in range(3000):
+        nodes.append(Node.chance(f"X{i}", domain=("f", "t"), parents=(prev,)))
+        prev = f"X{i}"
+    nodes.append(Node.utility("U", owner="a", parents=(prev,)))
+    path = tmp_path / "chain.maid"
+    path.write_text(render_maidfile(Maid.build(agents=["a"], nodes=nodes)))
+    code, _, err = run(capsys, "simplify", str(path))
+    assert "Traceback" not in err
+    assert code == 0 or (code == 2 and err.startswith("error: ")
+                         and err.count("\n") == 1)
+
+
+def test_internal_errors_exit_2_in_one_line(capsys, card_path, monkeypatch):
+    def boom(args):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(cli, "_cmd_validate", boom)
+    code, out, err = run(capsys, "validate", card_path)
+    assert code == 2 and out == ""
+    assert err == "error: internal error: RuntimeError: unexpected state\n"
 
 
 # -- verify -----------------------------------------------------------------------

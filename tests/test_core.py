@@ -178,6 +178,21 @@ def test_validate_parameter_rules():
     assert _single("table-finite", diags)[0].node == "u2"
 
 
+def test_validate_diagnostic_order():
+    # Within a node, diagnostics follow the order the rules are checked in,
+    # not the rule names; the cycle diagnostic comes after every node's.
+    lone = Maid.build(agents=["p"], nodes=[
+        Node(id="c", kind=NodeKind.CHANCE, owner="p", domain=("only",), parents=()),
+    ])
+    assert [d.rule for d in validate(lone)] == ["owner-forbidden", "domain-size"]
+    loop = Maid.build(agents=["p"], nodes=[
+        Node.chance("a", domain=("x",), parents=("b",)),
+        Node.chance("b", domain=("x", "y"), parents=("a",)),
+    ])
+    assert [(d.node, d.rule) for d in validate(loop)] == [("a", "domain-size"),
+                                                          (None, "acyclic")]
+
+
 def test_validate_rejects_nan_probabilities():
     # NaN compares False both ways, so it slips past the sign and sum checks.
     nan = float("nan")

@@ -87,7 +87,9 @@ def golden_line(maid) -> str:
 
 def two_decision_game(rng: random.Random) -> Maid:
     """One agent owns two decisions, so its best response is a joint
-    deviation over both rules; a second agent plays alongside."""
+    deviation over both rules; a second agent plays alongside. D2 does not
+    see c, so D1 can pass c on to it: simplify still eliminates D1, and on
+    some seeds verification reports fail. The record pins that as well."""
     def row(k):
         raw = [rng.random() + 0.05 for _ in range(k)]
         return tuple(v / sum(raw) for v in raw)

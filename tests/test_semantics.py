@@ -10,13 +10,13 @@ import itertools
 import pytest
 
 from maidkit import (
-    DecisionRule,
     Maid,
     MaidError,
     Node,
     NotADecisionError,
     ScaleGuardError,
     SimplificationResult,
+    ValidationError,
     best_response_gap,
     constant_rule,
     convert_decision_to_chance,
@@ -32,8 +32,6 @@ from maidkit import (
     uniform_rule,
     verify_simplification,
 )
-
-import helpers
 
 TOL = 1e-9
 
@@ -140,6 +138,20 @@ def test_numeric_evaluation_requires_parameters(pa):
         expected_utility(pa, uniform_profile(pa), "agent")
     with pytest.raises(MaidError, match="parameterized"):
         find_equilibrium_small(pa)
+
+
+@pytest.mark.parametrize("payoff", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_payoffs_are_rejected(pennies, payoff):
+    # A non-finite payoff would otherwise reach the best-response search.
+    broken = pennies.with_node(Node.utility("U_X", owner="x", parents=("X", "Y"),
+                                            table=(payoff, 0.0, 0.0, 1.0)))
+    uni = uniform_profile(broken)
+    with pytest.raises(ValidationError, match="table-finite"):
+        find_equilibrium_small(broken)
+    with pytest.raises(ValidationError, match="table-finite"):
+        best_response_gap(broken, uni, "x")
+    with pytest.raises(ValidationError, match="table-finite"):
+        expected_utility(broken, uni, "y")
 
 
 # -- best response -----------------------------------------------------------------
@@ -268,6 +280,15 @@ def test_pure_profile_guard():
     wide = Maid.build(agents=["z"], nodes=roots + [d, u])
     with pytest.raises(ScaleGuardError, match="profile space"):
         find_equilibrium_small(wide)
+    # Two decisions of one agent that each see four coins: 2^16 pure rules
+    # apiece, so their joint deviations outnumber the limit.
+    pair = [Node.decision(name, owner="z", domain=("f", "t"),
+                          parents=tuple(f"x{i:02d}" for i in range(4)))
+            for name in ("d1", "d2")]
+    u2 = Node.utility("u", owner="z", parents=("d1", "d2"), table=(0.0, 1.0, 1.0, 0.0))
+    twin = Maid.build(agents=["z"], nodes=roots[:4] + pair + [u2])
+    with pytest.raises(ScaleGuardError, match="joint pure deviation space for agent 'z'"):
+        best_response_gap(twin, uniform_profile(twin), "z")
 
 
 # -- tree sizes --------------------------------------------------------------------
