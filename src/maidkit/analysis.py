@@ -2,11 +2,12 @@
 
 Two families of operations live here. The first is d-separation in the
 Bayes-ball formulation, with an optional edge mask so callers can test
-independence on a subgraph without materializing it. The second is an
-exhaustive search for a witness path satisfying a conjunction of
-constraints: edge orientation, a first-edge direction, per-interior rules
-for decision nodes, a blocking set interpreted as in any Bayesian network,
-and optionally the presence of converging arrows somewhere on the path.
+independence on a subgraph without materializing it. The second is a
+search for the lexicographically first witness path satisfying a
+conjunction of constraints: edge orientation, a first-edge direction,
+per-interior rules for decision nodes, a blocking set interpreted as in any
+Bayesian network, and optionally the presence of converging arrows
+somewhere on the path.
 
 Witness paths are simple (no node repeats). Endpoints are exempt from all
 interior rules: membership of an endpoint in the blocking set never blocks
@@ -17,7 +18,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import Maid, MaidError, descendants
 
@@ -179,130 +181,232 @@ def _reaches_any(maid: Maid, x: str, targets: frozenset[str], w: frozenset[str],
 # -- witness path search ------------------------------------------------------
 
 
+def _step_rule(maid: Maid, query: PathQuery, effectiveness: Mapping[str, bool] | None
+               ) -> Callable[[str, str | None, str], bool]:
+    """The first-edge and interior rules of ``query`` as one predicate,
+    which :func:`find_path` and :func:`check_path` both judge paths by.
+
+    ``step_ok(node, arrived, leaving)`` says whether a path that entered
+    ``node`` by a step in direction ``arrived`` may leave it by a step in
+    direction ``leaving``. ``arrived`` is None at the source, where only the
+    first-edge rule applies. A missing ``effectiveness`` map treats every
+    decision as effective.
+    """
+    nodes = maid.nodes
+    first_edge = query.first_edge
+    forbid_decisions = query.interior_decisions is InteriorDecisions.FORBID_ALL
+    blocking = query.blocking_set
+
+    def step_ok(node: str, arrived: str | None, leaving: str) -> bool:
+        if arrived is None:
+            return (first_edge is FirstEdge.ANY
+                    or (leaving == FORWARD) == (first_edge is FirstEdge.OUT_OF_SOURCE))
+        if nodes[node].is_decision and (forbid_decisions or (
+                effectiveness is not None and not effectiveness.get(node, False))):
+            return False
+        if arrived == FORWARD and leaving == BACKWARD:
+            return not collider_blocked(maid, node, blocking)
+        return node not in blocking
+
+    return step_ok
+
+
 def find_path(maid: Maid, query: PathQuery,
               effectiveness: Mapping[str, bool] | None = None) -> Path | None:
-    """Depth-first search for the lexicographically first simple path
-    satisfying ``query``, or None.
+    """The lexicographically first simple path satisfying ``query``, or None.
 
     Neighbor order is children ascending, then parents ascending, so the
     witness returned for a given graph and query never changes. A missing
     ``effectiveness`` map treats every decision as effective.
+
+    The search is depth-first with an explicit stack, so no path is too
+    long for it. A directed query expands each node at most once and costs
+    O(V + E). An undirected query that has tried 2E moves and has to back
+    up marks the states (node, arrival direction, collider seen) from which
+    some walk obeying the query reaches the target, in one O(V + E) pass
+    backward from the target, and from then on steps only into those; a
+    query no walk satisfies costs O(V + E). Walks may repeat nodes, so a
+    query that some walk satisfies but few simple paths do can still take
+    long.
+
+    Raises :class:`~maidkit.core.CyclicGraphError` on a graph with a
+    directed cycle, where expanding a node once would not be exact.
     """
     maid.node(query.source)
     maid.node(query.target)
-    eff = effectiveness if effectiveness is not None else {d: True for d in maid.decisions}
-    undirected = query.edge_mode is EdgeMode.UNDIRECTED
+    maid.topological_order  # raises CyclicGraphError
+    step_ok = _step_rule(maid, query, effectiveness)
+    if query.edge_mode is EdgeMode.DIRECTED_ONLY:
+        found = _directed_search(maid, query, step_ok, frozenset((query.target,)))
+        return found.get(query.target)
+    return _undirected_search(maid, query, step_ok)
+
+
+def decision_free_paths(maid: Maid, x: str, targets: Iterable[str]) -> dict[str, Path]:
+    """For each of ``targets`` other than ``x`` that has one, the witness
+    ``find_path(maid, decision_free_query(x, target))`` returns, all from
+    one O(V + E) search."""
+    maid.node(x)
+    wanted = frozenset(targets) - {x}
+    for t in wanted - maid.nodes.keys():
+        maid.node(t)  # raises UnknownNodeError
+    if not wanted:
+        return {}
+    maid.topological_order  # raises CyclicGraphError
+    # The rules of a decision-free query do not depend on its target.
+    query = decision_free_query(x, min(wanted))
+    return _directed_search(maid, query, _step_rule(maid, query, None), wanted)
+
+
+def _directed_search(maid: Maid, query: PathQuery,
+                     step_ok: Callable[[str, str | None, str], bool],
+                     targets: frozenset[str]) -> dict[str, Path]:
+    """Depth-first search from ``query.source`` along edge directions, in
+    :func:`find_path`'s neighbor order, expanding each node at most once;
+    the path by which it first reaches each of ``targets``.
+
+    On a DAG that path is :func:`find_path`'s witness: the nodes on the
+    current path are ancestors of the node being expanded, so they never
+    limit what it reaches, and with every step forward the interior rules
+    depend on the node alone. A node once expanded without reaching a
+    target therefore never leads to it later.
+    """
     children = maid._children_map
-    sorted_parents = maid._parents_map
+    avoid = query.avoid
+    found: dict[str, Path] = {}
+    # A directed path has no converging arrows.
+    if query.require_collider or not step_ok(query.source, None, FORWARD):
+        return found
+    path = [query.source]
+    seen = {query.source}
+    stack = [iter(children.get(query.source, ()))]
+    while stack:
+        for nxt in stack[-1]:
+            if nxt in seen or nxt in avoid:
+                continue
+            seen.add(nxt)
+            if nxt in targets:
+                found[nxt] = Path(tuple(path) + (nxt,), (FORWARD,) * len(path))
+                if len(found) == len(targets):
+                    return found
+            if step_ok(nxt, FORWARD, FORWARD):
+                path.append(nxt)
+                stack.append(iter(children.get(nxt, ())))
+                break
+        else:
+            stack.pop()
+            path.pop()
+    return found
+
+
+def _undirected_search(maid: Maid, query: PathQuery,
+                       step_ok: Callable[[str, str | None, str], bool]) -> Path | None:
+    children = maid._children_map
+    parents = maid._parents_map
+    target, avoid = query.target, query.avoid
 
     def moves(node: str) -> Iterator[tuple[str, str]]:
-        for c in children.get(node, ()):
-            yield c, FORWARD
-        if undirected:
-            for p in sorted_parents[node]:
-                yield p, BACKWARD
+        return chain(zip(children.get(node, ()), repeat(FORWARD)),
+                     zip(parents[node], repeat(BACKWARD)))
 
-    def first_edge_ok(direction: str) -> bool:
-        if query.first_edge is FirstEdge.INTO_SOURCE:
-            return direction == BACKWARD
-        if query.first_edge is FirstEdge.OUT_OF_SOURCE:
-            return direction == FORWARD
-        return True
-
-    def interior_ok(node: str, is_collider: bool) -> bool:
-        nd = maid.nodes[node]
-        if nd.is_decision:
-            if query.interior_decisions is InteriorDecisions.FORBID_ALL:
-                return False
-            if not eff.get(node, False):
-                return False
-        if is_collider:
-            return not collider_blocked(maid, node, query.blocking_set)
-        return node not in query.blocking_set
-
-    path_nodes: list[str] = [query.source]
-    path_dirs: list[str] = []
+    path = [query.source]
+    dirs: list[str] = []
+    # Whether the path so far has converging arrows, or needs none.
+    collider_seen = [not query.require_collider]
     on_path = {query.source}
-
-    def extend(colliders_seen: int) -> Path | None:
-        cur = path_nodes[-1]
-        for nxt, direction in moves(cur):
-            if nxt in on_path or nxt in query.avoid:
+    live: set[tuple[str, str, bool]] | None = None
+    # The live states cost a pass over every edge, so they are marked only
+    # once the search has tried as many moves as the graph has edge ends.
+    moves_before_pruning = 2 * len(maid.edges)
+    stack = [moves(query.source)]
+    while stack:
+        cur = path[-1]
+        arrived = dirs[-1] if dirs else None
+        for nxt, leaving in stack[-1]:
+            moves_before_pruning -= 1
+            if nxt in on_path or nxt in avoid or not step_ok(cur, arrived, leaving):
                 continue
-            if not path_dirs and not first_edge_ok(direction):
+            seen = collider_seen[-1] or (arrived == FORWARD and leaving == BACKWARD)
+            if nxt == target:
+                if seen:
+                    return Path(tuple(path) + (nxt,), tuple(dirs) + (leaving,))
                 continue
-            n_colliders = colliders_seen
-            if path_dirs:
-                is_collider = path_dirs[-1] == FORWARD and direction == BACKWARD
-                if not interior_ok(cur, is_collider):
-                    continue
-                if is_collider:
-                    n_colliders += 1
-            if nxt == query.target:
-                if query.require_collider and n_colliders == 0:
-                    continue
-                return Path(tuple(path_nodes) + (nxt,), tuple(path_dirs) + (direction,))
-            path_nodes.append(nxt)
-            path_dirs.append(direction)
+            if live is not None and (nxt, leaving, seen) not in live:
+                continue
+            path.append(nxt)
+            dirs.append(leaving)
+            collider_seen.append(seen)
             on_path.add(nxt)
-            found = extend(n_colliders)
-            if found is not None:
-                return found
-            on_path.discard(nxt)
-            path_dirs.pop()
-            path_nodes.pop()
-        return None
+            stack.append(moves(nxt))
+            break
+        else:
+            stack.pop()
+            if dirs:
+                on_path.discard(path.pop())
+                dirs.pop()
+                collider_seen.pop()
+                if live is None and moves_before_pruning < 0:
+                    live = _live_states(maid, query, step_ok)
+    return None
 
-    return extend(0)
+
+def _live_states(maid: Maid, query: PathQuery,
+                 step_ok: Callable[[str, str | None, str], bool]
+                 ) -> set[tuple[str, str, bool]]:
+    """The states (node, arrival direction, collider seen) from which some
+    walk obeying ``query`` reaches its target, by one pass backward from
+    the target. Every simple continuation of a path is such a walk, so the
+    search loses no witness by entering only these states.
+
+    Walks never enter the source, the target or an avoided node on the way.
+    """
+    children = maid._children_map
+    parents = maid._parents_map
+    closed = query.avoid | {query.source, query.target}
+    seen_before = (False, True) if query.require_collider else (True,)
+    todo = [(query.target, FORWARD, True), (query.target, BACKWARD, True)]
+    live = set(todo)
+    while todo:
+        node, leaving, seen = todo.pop()
+        # The neighbors from which a step in direction ``leaving`` enters node.
+        for prev in parents[node] if leaving == FORWARD else children.get(node, ()):
+            if prev in closed:
+                continue
+            for arrived in (FORWARD, BACKWARD):
+                collider = arrived == FORWARD and leaving == BACKWARD
+                for before in seen_before:
+                    state = (prev, arrived, before)
+                    if ((before or collider) == seen and state not in live
+                            and step_ok(prev, arrived, leaving)):
+                        live.add(state)
+                        todo.append(state)
+    return live
 
 
 def check_path(maid: Maid, path: Path, query: PathQuery,
                effectiveness: Mapping[str, bool] | None = None) -> bool:
     """Verify a concrete path against a query without searching.
 
-    Re-derives every constraint (edge existence, orientation, first-edge
-    direction, interior rules, blocking, collider requirement) so test
-    suites can audit witnesses independently of :func:`find_path`.
+    Checks edge existence, orientation, the avoid set and the collider
+    requirement, and judges every step by the same first-edge and interior
+    rules :func:`find_path` searches with.
     """
-    eff = effectiveness if effectiveness is not None else {d: True for d in maid.decisions}
     if path.nodes[0] != query.source or path.nodes[-1] != query.target:
         return False
     for tail, head in path.edges():
         if not maid.has_edge(tail, head):
             return False
-    if query.edge_mode is EdgeMode.DIRECTED_ONLY and BACKWARD in path.step_directions:
-        return False
-    if not _first_edge_matches(query.first_edge, path.step_directions[0]):
+    dirs = path.step_directions
+    if query.edge_mode is EdgeMode.DIRECTED_ONLY and BACKWARD in dirs:
         return False
     if any(n in query.avoid for n in path.nodes):
         return False
-    saw_collider = False
-    for i in range(1, len(path.nodes) - 1):
-        node = path.nodes[i]
-        is_collider = path.step_directions[i - 1] == FORWARD and path.step_directions[i] == BACKWARD
-        saw_collider = saw_collider or is_collider
-        nd = maid.nodes[node]
-        if nd.is_decision:
-            if query.interior_decisions is InteriorDecisions.FORBID_ALL:
-                return False
-            if not eff.get(node, False):
-                return False
-        if is_collider:
-            if collider_blocked(maid, node, query.blocking_set):
-                return False
-        elif node in query.blocking_set:
-            return False
-    if query.require_collider and not saw_collider:
+    step_ok = _step_rule(maid, query, effectiveness)
+    if not all(step_ok(node, arrived, leaving)
+               for node, arrived, leaving in zip(path.nodes, (None,) + dirs, dirs)):
         return False
-    return True
-
-
-def _first_edge_matches(rule: FirstEdge, direction: str) -> bool:
-    if rule is FirstEdge.INTO_SOURCE:
-        return direction == BACKWARD
-    if rule is FirstEdge.OUT_OF_SOURCE:
-        return direction == FORWARD
-    return True
+    return not query.require_collider or any(
+        a == FORWARD and b == BACKWARD for a, b in zip(dirs, dirs[1:]))
 
 
 # -- query builders ----------------------------------------------------------

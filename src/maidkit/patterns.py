@@ -27,6 +27,7 @@ from .analysis import (
     Path,
     back_door_query,
     check_path,
+    decision_free_paths,
     decision_free_query,
     directed_effective_query,
     effective_query,
@@ -102,18 +103,10 @@ def _require_decision(maid: Maid, d: str) -> None:
         raise NotADecisionError(f"{d!r} is not a decision node")
 
 
-def _downstream_decisions(maid: Maid, d: str,
-                          effectiveness: Mapping[str, bool] | None) -> list[tuple[str, Path]]:
+def _downstream_decisions(maid: Maid, d: str) -> list[tuple[str, Path]]:
     """Decisions reachable from ``d`` by a directed decision-free path,
     ascending by id, each with its witness."""
-    out = []
-    for n in maid.decisions:
-        if n == d:
-            continue
-        p = find_path(maid, decision_free_query(d, n), effectiveness)
-        if p is not None:
-            out.append((n, p))
-    return out
+    return sorted(decision_free_paths(maid, d, maid.decisions).items())
 
 
 # -- the four detectors -------------------------------------------------------
@@ -145,7 +138,7 @@ def manipulation(maid: Maid, d: str,
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d, effectiveness):
+    for n, d_to_n in _downstream_decisions(maid, d):
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
             n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness)
@@ -178,9 +171,12 @@ def signaling(maid: Maid, d: str,
     """
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
+    downstream = _downstream_decisions(maid, d)
+    if not downstream:  # spares building the descendant sets of the whole graph
+        return []
     desc_d = descendants(maid, d)
     out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d, effectiveness):
+    for n, d_to_n in downstream:
         w_prime = frozenset(maid.parents(n)) - desc_d
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
@@ -222,7 +218,7 @@ def reveal_deny(maid: Maid, d: str,
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d, effectiveness):
+    for n, d_to_n in _downstream_decisions(maid, d):
         w_rev = frozenset(maid.parents(n))
         n_owner = maid.nodes[n].owner
         for u in own_utilities:

@@ -208,6 +208,12 @@ class _JointSpace:
         for u in maid.utilities:
             node = maid.nodes[u]
             self.utility_readers[node.owner].append((node.table, *inputs(node)))
+        # Finite payoffs can still sum to infinity in one state, and then to
+        # nan in an expectation.
+        for agent, readers in self.utility_readers.items():
+            if not math.isfinite(sum(max(map(abs, table)) for table, _, _ in readers)):
+                raise MaidError(f"payoffs of agent {agent!r} can sum to a "
+                                f"non-finite total")
 
     @staticmethod
     def _row(state: tuple[int, ...], positions: tuple[int, ...],
@@ -536,7 +542,7 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     original game (eliminated decisions become uniform, surviving rules are
     lifted over their original parent lists), and measure every agent's
     best-response gap in the original game."""
-    _JointSpace(maid)  # an invalid original fails before the search starts
+    space = _JointSpace(maid)  # an invalid original fails before the search starts
     simplified = result.final
     eq = find_equilibrium_small(simplified, seed=seed, tol=tol)
     if eq is None:
@@ -550,7 +556,10 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
         else:
             extended[d] = uniform_rule(maid, d)
     agents = sorted({maid.nodes[d].owner for d in maid.decisions})
-    gaps = {agent: best_response_gap(maid, extended, agent) for agent in agents}
+    gaps = {}
+    for agent in agents:
+        current, best, _ = _best_pure_response(maid, space, extended, agent)
+        gaps[agent] = best - current
     failing = sorted(a for a, g in gaps.items() if g > tol)
     if failing:
         detail = "deviation improves " + ", ".join(

@@ -1,9 +1,11 @@
 """Shared test machinery.
 
 Random graph generators sized for the property suites, an independent
-d-separation oracle built on exhaustive simple-trail enumeration, small
-hand-built games, and samplers for strategy profiles. The oracle works on
-raw edge lists so it shares no graph code with the package.
+d-separation oracle built on exhaustive simple-trail enumeration, the
+exhaustive recursive witness search that ``find_path`` must agree with,
+small hand-built games, and samplers for strategy profiles. The
+d-separation oracle works on raw edge lists so it shares no graph code
+with the package.
 """
 from __future__ import annotations
 
@@ -11,7 +13,16 @@ import itertools
 import math
 import random
 
-from maidkit import Maid, Node, validate
+from maidkit import Maid, Node, Path, validate
+from maidkit.analysis import (
+    BACKWARD,
+    FORWARD,
+    EdgeMode,
+    FirstEdge,
+    InteriorDecisions,
+    PathQuery,
+    collider_blocked,
+)
 from maidkit.semantics import DecisionRule, rule_from_rows
 
 AGENTS = ("p0", "p1", "p2", "p3")
@@ -151,6 +162,97 @@ def random_dag_maid(rng: random.Random, max_nodes: int = 10) -> Maid:
     return Maid.build(agents=[], nodes=nodes)
 
 
+def random_search_maid(rng: random.Random, max_nodes: int = 12) -> Maid:
+    """A DAG of chance and decision nodes of varying density for witness
+    search, every node with a two-value domain and one agent owning every
+    decision."""
+    total = rng.randint(2, max_nodes)
+    density = rng.uniform(0.1, 0.5)
+    ids = [f"v{i:02d}" for i in range(total)]
+    nodes = []
+    for i, node_id in enumerate(ids):
+        parents = tuple(p for p in ids[:i] if rng.random() < density)
+        if rng.random() < 0.3:
+            nodes.append(Node.decision(node_id, owner="p0", domain=("f", "t"),
+                                       parents=parents))
+        else:
+            nodes.append(Node.chance(node_id, domain=("f", "t"), parents=parents))
+    return Maid.build(agents=["p0"], nodes=nodes)
+
+
+def reference_find_path(maid: Maid, query: PathQuery,
+                        effectiveness=None) -> Path | None:
+    """Exhaustive recursive backtracking search for the lexicographically
+    first simple path satisfying ``query`` (children ascending, then
+    parents ascending), with no pruning: the witness contract of
+    ``find_path``, stated as plainly as possible. Exponential in the worst
+    case and bounded by Python's recursion limit, so only for small graphs.
+    """
+    eff = effectiveness if effectiveness is not None else {d: True for d in maid.decisions}
+    undirected = query.edge_mode is EdgeMode.UNDIRECTED
+    children = {n: sorted(c for c in maid.nodes if n in maid.nodes[c].parents)
+                for n in maid.nodes}
+
+    def moves(node):
+        for c in children[node]:
+            yield c, FORWARD
+        if undirected:
+            for p in sorted(maid.nodes[node].parents):
+                yield p, BACKWARD
+
+    def first_edge_ok(direction):
+        if query.first_edge is FirstEdge.INTO_SOURCE:
+            return direction == BACKWARD
+        if query.first_edge is FirstEdge.OUT_OF_SOURCE:
+            return direction == FORWARD
+        return True
+
+    def interior_ok(node, is_collider):
+        if maid.nodes[node].is_decision:
+            if query.interior_decisions is InteriorDecisions.FORBID_ALL:
+                return False
+            if not eff.get(node, False):
+                return False
+        if is_collider:
+            return not collider_blocked(maid, node, query.blocking_set)
+        return node not in query.blocking_set
+
+    path_nodes = [query.source]
+    path_dirs = []
+    on_path = {query.source}
+
+    def extend(colliders_seen):
+        cur = path_nodes[-1]
+        for nxt, direction in moves(cur):
+            if nxt in on_path or nxt in query.avoid:
+                continue
+            if not path_dirs and not first_edge_ok(direction):
+                continue
+            n_colliders = colliders_seen
+            if path_dirs:
+                is_collider = path_dirs[-1] == FORWARD and direction == BACKWARD
+                if not interior_ok(cur, is_collider):
+                    continue
+                if is_collider:
+                    n_colliders += 1
+            if nxt == query.target:
+                if query.require_collider and n_colliders == 0:
+                    continue
+                return Path(tuple(path_nodes) + (nxt,), tuple(path_dirs) + (direction,))
+            path_nodes.append(nxt)
+            path_dirs.append(direction)
+            on_path.add(nxt)
+            found = extend(n_colliders)
+            if found is not None:
+                return found
+            on_path.discard(nxt)
+            path_dirs.pop()
+            path_nodes.pop()
+        return None
+
+    return extend(0)
+
+
 class DSepOracle:
     """Brute-force d-separation on a raw edge list.
 
@@ -253,6 +355,33 @@ def sample_measurable_profile(original: Maid, result,
 
 
 # -- small hand-built games --------------------------------------------------
+
+
+def decision_chain(length: int) -> Maid:
+    """D -> X0 -> ... -> X<length-1> -> U, all owned by one agent."""
+    nodes = [Node.decision("D", owner="a", domain=("f", "t"))]
+    prev = "D"
+    for i in range(length):
+        nodes.append(Node.chance(f"X{i}", domain=("f", "t"), parents=(prev,)))
+        prev = f"X{i}"
+    nodes.append(Node.utility("U", owner="a", parents=(prev,)))
+    return Maid.build(agents=["a"], nodes=nodes)
+
+
+def blocked_dense_dag(k: int, seed: int = 14) -> Maid:
+    """Chance nodes X0..X<k-1> with each forward edge present with
+    probability 0.6, plus Z, a child of about 60% of them, and T, whose
+    only parent is Z: conditioning on Z cuts X0 off from T, yet X0 has a
+    number of simple trails exponential in k."""
+    rng = random.Random(seed)
+    ids = [f"X{i}" for i in range(k)]
+    nodes = [Node.chance(n, domain=("f", "t"),
+                         parents=tuple(p for p in ids[:i] if rng.random() < 0.6))
+             for i, n in enumerate(ids)]
+    nodes.append(Node.chance("Z", domain=("f", "t"),
+                             parents=tuple(p for p in ids if rng.random() < 0.6)))
+    nodes.append(Node.chance("T", domain=("f", "t"), parents=("Z",)))
+    return Maid.build(agents=[], nodes=nodes)
 
 
 def cascade_maid() -> Maid:

@@ -13,6 +13,8 @@ each claim and are asserted exactly as stated:
  07 d-separation agrees with trail enumeration on every triple (200 DAGs)
  08 removing an edge never creates a pattern instance (100 graphs)
  09 analysis of card-game(100) stays under 1 s with sane growth
+ 10 witness search stays polynomial: a dense blocked query and a
+    3000-node chain each take under 1 s
 """
 from __future__ import annotations
 
@@ -26,12 +28,15 @@ from maidkit import (
     card_game,
     d_separated,
     enumerate_patterns,
+    find_path,
     is_motivated_bruteforce,
     leaf_metric,
     remove_edge,
     simplify,
     verify_simplification,
 )
+
+from maidkit.analysis import effective_query
 
 import helpers
 
@@ -213,3 +218,28 @@ def test_09_scaling():
     print(f"PASS 09 scaling: n=100 in {t_large * 1000:.0f} ms, "
           f"{t_large / t_small:.1f}x the n=25 time")
 
+
+def test_10_search_is_polynomial():
+    def timed(fn, *args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        return result, time.perf_counter() - start
+
+    # X0 starts exponentially many simple trails, and none reaches T once Z
+    # is conditioned on: a search that tries them all never finishes here.
+    dense = helpers.blocked_dense_dag(14)
+    path, t_dense = timed(find_path, dense, effective_query("X0", "T", {"Z"}))
+    assert path is None
+    assert t_dense < 1.0, f"dense blocked query took {t_dense:.3f}s"
+
+    chain = helpers.decision_chain(3000)
+    result, t_simplify = timed(simplify, chain)
+    assert result.eliminated == ()
+    assert t_simplify < 1.0, f"simplify on the chain took {t_simplify:.3f}s"
+    report, t_patterns = timed(enumerate_patterns, chain, original=True)
+    (instance,) = report.all_instances()
+    assert len(instance.witness_paths[0][1].nodes) == 3002
+    assert t_patterns < 1.0, f"enumerate_patterns on the chain took {t_patterns:.3f}s"
+    print(f"PASS 10 polynomial search: dense blocked query {len(dense.nodes)} nodes / "
+          f"{len(dense.edges)} edges in {t_dense * 1000:.1f} ms, 3000-node chain "
+          f"simplify {t_simplify * 1000:.0f} ms, patterns {t_patterns * 1000:.0f} ms")

@@ -2,10 +2,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maidkit import (
+    CyclicGraphError,
+    Maid,
     MaidError,
+    Node,
     Path,
     PathQuery,
     check_path,
@@ -19,7 +22,9 @@ from maidkit import (
 from maidkit.analysis import (
     EdgeMode,
     FirstEdge,
+    InteriorDecisions,
     back_door_query,
+    decision_free_paths,
     decision_free_query,
     directed_effective_query,
     effective_query,
@@ -224,6 +229,68 @@ def test_found_paths_satisfy_their_query(seed):
         path = find_path(maid, query)
         if path is not None:
             assert check_path(maid, path, query)
+
+
+def _random_queries(maid, rng):
+    """Every query builder, plus one query with every field drawn, on a
+    random pair of nodes with random avoid and blocking sets."""
+    x, y = rng.sample(sorted(maid.nodes), 2)
+    others = sorted(set(maid.nodes) - {x, y})
+    avoid = frozenset(n for n in others if rng.random() < 0.2)
+    w = frozenset(n for n in maid.nodes if rng.random() < 0.3)
+    return [
+        decision_free_query(x, y),
+        directed_effective_query(x, y, avoid),
+        back_door_query(x, y, w),
+        front_door_query(x, y, w),
+        effective_query(x, y, w),
+        PathQuery(source=x, target=y, edge_mode=rng.choice(list(EdgeMode)),
+                  first_edge=rng.choice(list(FirstEdge)),
+                  interior_decisions=rng.choice(list(InteriorDecisions)),
+                  avoid=avoid, blocking_set=w, require_collider=rng.random() < 0.5),
+    ]
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_find_path_matches_the_reference_search(seed):
+    rng = random.Random(seed)
+    maid = helpers.random_search_maid(rng, max_nodes=12)
+    flags = {d: rng.random() < 0.6 for d in maid.decisions}
+    for _ in range(4):
+        for query in _random_queries(maid, rng):
+            for eff in (None, flags):
+                assert find_path(maid, query, eff) == \
+                    helpers.reference_find_path(maid, query, eff), query
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_decision_free_sweep_matches_per_target_search(seed):
+    rng = random.Random(seed)
+    maid = helpers.random_search_maid(rng, max_nodes=12)
+    for x in maid.nodes:
+        expected = {}
+        for y in sorted(maid.nodes):
+            if y != x:
+                path = find_path(maid, decision_free_query(x, y))
+                if path is not None:
+                    expected[y] = path
+        assert decision_free_paths(maid, x, maid.nodes) == expected
+        assert decision_free_paths(maid, x, maid.decisions) == {
+            y: p for y, p in expected.items() if maid.nodes[y].is_decision}
+
+
+def test_find_path_rejects_cyclic_graphs():
+    cyclic = Maid.build(agents=[], nodes=[
+        Node.chance("a", domain=("f", "t"), parents=("c",)),
+        Node.chance("b", domain=("f", "t"), parents=("a",)),
+        Node.chance("c", domain=("f", "t"), parents=("b",)),
+    ])
+    for query in (decision_free_query("a", "c"), effective_query("a", "c")):
+        with pytest.raises(CyclicGraphError):
+            find_path(cyclic, query)
+    with pytest.raises(CyclicGraphError):
+        decision_free_paths(cyclic, "a", ["c"])
 
 
 def test_check_path_rejects_foreign_paths(pa):

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from maidkit import semantics
 from maidkit import (
     Maid,
     MaidError,
@@ -30,6 +31,7 @@ from maidkit import (
     simplify,
     uniform_profile,
     uniform_rule,
+    validate,
     verify_simplification,
 )
 
@@ -152,6 +154,39 @@ def test_non_finite_payoffs_are_rejected(pennies, payoff):
         best_response_gap(broken, uni, "x")
     with pytest.raises(ValidationError, match="table-finite"):
         expected_utility(broken, uni, "y")
+
+
+def test_payoffs_whose_sum_overflows_are_rejected():
+    # Each payoff is finite, but both at +1.5e308 sum to inf and the
+    # expectation over a fair coin came out nan.
+    huge = Maid.build(agents=["x"], nodes=[
+        Node.chance("coin", domain=("h", "t"), cpt=(0.5, 0.5)),
+        Node.decision("X", owner="x", domain=("h", "t")),
+        Node.utility("U1", owner="x", parents=("coin",), table=(1.5e308, -1.5e308)),
+        Node.utility("U2", owner="x", parents=("coin",), table=(1.5e308, -1.5e308)),
+    ])
+    uni = uniform_profile(huge)
+    with pytest.raises(MaidError, match="agent 'x'"):
+        expected_utility(huge, uni, "x")
+    with pytest.raises(MaidError, match="agent 'x'"):
+        best_response_gap(huge, uni, "x")
+    # One such utility alone stays finite.
+    single = huge.with_node(Node.utility("U2", owner="x", parents=("coin",),
+                                         table=(0.0, 0.0)))
+    assert expected_utility(single, uniform_profile(single), "x") == 0.0
+
+
+def test_verify_validates_each_graph_once(card1, monkeypatch):
+    result = simplify(card1)
+    seen = []
+
+    def counting_validate(maid):
+        seen.append(maid)
+        return validate(maid)
+
+    monkeypatch.setattr(semantics, "validate", counting_validate)
+    assert verify_simplification(card1, result).passed
+    assert [id(m) for m in seen] == [id(card1), id(result.final)]
 
 
 # -- best response -----------------------------------------------------------------
