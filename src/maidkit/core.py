@@ -176,16 +176,29 @@ class Maid:
         return (tail, head) in self.edge_set
 
     def utilities_of(self, agent: str) -> tuple[str, ...]:
-        if agent not in self.agents:
-            raise UnknownAgentError(f"unknown agent: {agent!r}")
-        return tuple(u for u in self.utilities if self.nodes[u].owner == agent)
+        return self._owned(agent)[1]
 
     def decisions_of(self, agent: str) -> tuple[str, ...]:
-        if agent not in self.agents:
-            raise UnknownAgentError(f"unknown agent: {agent!r}")
-        return tuple(d for d in self.decisions if self.nodes[d].owner == agent)
+        return self._owned(agent)[0]
+
+    def _owned(self, agent: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        try:
+            return self._owned_map[agent]
+        except KeyError:
+            raise UnknownAgentError(f"unknown agent: {agent!r}") from None
 
     # -- derived structure ----------------------------------------------
+
+    @cached_property
+    def _owned_map(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        # Every agent, with the decisions and the utilities they own, ascending.
+        acc: dict[str, tuple[list[str], list[str]]] = {a: ([], []) for a in self.agents}
+        for side, ids in enumerate((self.decisions, self.utilities)):
+            for n in ids:
+                owned = acc.get(self.nodes[n].owner)
+                if owned is not None:
+                    owned[side].append(n)
+        return {a: (tuple(ds), tuple(us)) for a, (ds, us) in acc.items()}
 
     @cached_property
     def _children_map(self) -> dict[str, tuple[str, ...]]:

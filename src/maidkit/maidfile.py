@@ -32,24 +32,32 @@ loaded and inspected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import Maid, MaidError, Node, NodeKind
 
+# One match per token: the whitespace and comments in front of it, then the
+# token. Every position matches something, so one finditer pass lexes the
+# whole text and ends in an ``eof`` match.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<lbrace>\{)
-  | (?P<rbrace>\})
-  | (?P<semi>;)
-""", re.VERBOSE)
+    (?:\s+|\#[^\n]*)*
+    (?:(?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<lbrace>\{)
+      | (?P<rbrace>\})
+      | (?P<semi>;)
+      | (?P<eof>\Z)
+      | (?P<bad>.))
+""", re.VERBOSE | re.DOTALL)
 
 _KINDS = {"chance": NodeKind.CHANCE,
           "decision": NodeKind.DECISION,
           "utility": NodeKind.UTILITY}
-_CLAUSES = ("agent", "domain", "parents", "cpt", "table")
+# List clauses: the kind of token listed, the fewest allowed, and what one is.
+_LISTS = {"domain": ("ident", 1, "a domain value"),
+          "parents": ("ident", 0, "a parent name"),
+          "cpt": ("number", 1, "a probability"),
+          "table": ("number", 1, "a payoff")}
+_CLAUSES = ("agent", *_LISTS)
 
 
 class MaidParseError(MaidError):
@@ -61,150 +69,122 @@ class MaidParseError(MaidError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise MaidParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _error_at(text: str, pos: int, message: str) -> MaidParseError:
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    return MaidParseError(message, line, col)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the token list, held as parallel lists of
+    kinds, texts and start offsets. The whole text is lexed first, so a
+    stray character is reported ahead of any syntax error before it."""
+
+    def __init__(self, text: str):
+        kinds: list[str] = []
+        texts: list[str] = []
+        starts: list[int] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            kinds.append(kind)
+            texts.append(m[kind])
+            starts.append(m.start(kind))
+        if "bad" in kinds:
+            pos = starts[kinds.index("bad")]
+            raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
+        self.text = text
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def fail(self, message: str, at: int | None = None):
+        at = self.i if at is None else at
+        raise _error_at(self.text, self.starts[at], message)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    def found(self, at: int) -> str:
+        return repr(self.texts[at] or "end of input")
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise MaidParseError(message, tok.line, tok.col)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            self.fail(f"expected {what}, found {shown!r}", tok)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            self.fail(f"expected {what}, found {self.found(i)}")
+        self.i = i + 1
+        return self.texts[i]
 
     def parse_file(self) -> Maid:
         agents: list[str] = []
         nodes: list[Node] = []
-        seen_nodes: dict[str, _Token] = {}
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "ident":
-                shown = tok.text or "end of input"
-                self.fail(f"expected a declaration, found {shown!r}", tok)
-            if tok.text == "agent":
-                self.advance()
+        seen_nodes: set[str] = set()
+        kinds, texts = self.kinds, self.texts
+        while kinds[self.i] != "eof":
+            word = texts[self.i]
+            if kinds[self.i] != "ident":
+                self.fail(f"expected a declaration, found {self.found(self.i)}")
+            if word == "agent":
+                self.i += 1
+                at = self.i
                 name = self.expect("ident", "an agent name")
                 self.expect("semi", "';'")
-                if name.text in agents:
-                    self.fail(f"agent {name.text!r} declared twice", name)
-                agents.append(name.text)
-            elif tok.text in _KINDS:
-                node, name_tok = self.parse_node(_KINDS[tok.text])
+                if name in agents:
+                    self.fail(f"agent {name!r} declared twice", at)
+                agents.append(name)
+            elif word in _KINDS:
+                at = self.i + 1
+                node = self.parse_node(_KINDS[word])
                 if node.id in seen_nodes:
-                    self.fail(f"node {node.id!r} declared twice", name_tok)
-                seen_nodes[node.id] = name_tok
+                    self.fail(f"node {node.id!r} declared twice", at)
+                seen_nodes.add(node.id)
                 nodes.append(node)
             else:
                 self.fail(f"expected 'agent', 'chance', 'decision' or 'utility', "
-                          f"found {tok.text!r}", tok)
+                          f"found {word!r}")
         return Maid.build(agents=agents, nodes=nodes)
 
-    def parse_node(self, kind: NodeKind) -> tuple[Node, _Token]:
-        self.advance()
+    def parse_node(self, kind: NodeKind) -> Node:
+        self.i += 1
         name = self.expect("ident", "a node name")
         self.expect("lbrace", "'{'")
-        owner: str | None = None
-        domain: tuple[str, ...] | None = None
-        parents: tuple[str, ...] = ()
-        cpt: tuple[float, ...] | None = None
-        table: tuple[float, ...] | None = None
-        seen: set[str] = set()
-        while self.peek().kind != "rbrace":
-            clause = self.peek()
-            if clause.kind != "ident" or clause.text not in _CLAUSES:
-                shown = clause.text or "end of input"
+        kinds, texts = self.kinds, self.texts
+        clauses: dict[str, object] = {}
+        while kinds[self.i] != "rbrace":
+            clause = texts[self.i]
+            if kinds[self.i] != "ident" or clause not in _CLAUSES:
                 self.fail(f"expected a clause ({', '.join(_CLAUSES)}) or '}}', "
-                          f"found {shown!r}", clause)
-            if clause.text in seen:
-                self.fail(f"clause {clause.text!r} given twice in {name.text!r}", clause)
-            seen.add(clause.text)
-            self.advance()
-            if clause.text == "agent":
-                owner = self.expect("ident", "an agent name").text
+                          f"found {self.found(self.i)}")
+            if clause in clauses:
+                self.fail(f"clause {clause!r} given twice in {name!r}")
+            self.i += 1
+            if clause == "agent":
+                clauses[clause] = self.expect("ident", "an agent name")
                 self.expect("semi", "';'")
-            elif clause.text == "domain":
-                values = self.ident_list(minimum=1, what="a domain value")
-                domain = values
-            elif clause.text == "parents":
-                parents = self.ident_list(minimum=0, what="a parent name")
-            elif clause.text == "cpt":
-                cpt = self.number_list("a probability")
             else:
-                table = self.number_list("a payoff")
-        self.expect("rbrace", "'}'")
-        node = Node(id=name.text, kind=kind, owner=owner, domain=domain,
-                    parents=parents, cpt=cpt, table=table)
-        return node, name
+                clauses[clause] = self.run(*_LISTS[clause])
+        self.i += 1
+        return Node(id=name, kind=kind, owner=clauses.get("agent"),
+                    domain=clauses.get("domain"), parents=clauses.get("parents", ()),
+                    cpt=clauses.get("cpt"), table=clauses.get("table"))
 
-    def ident_list(self, minimum: int, what: str) -> tuple[str, ...]:
-        values: list[str] = []
-        while self.peek().kind == "ident":
-            values.append(self.advance().text)
-        if len(values) < minimum:
-            self.fail(f"expected {what}")
+    def run(self, kind: str, minimum: int, what: str) -> tuple:
+        """The run of ``kind`` tokens at the cursor, which must hold at least
+        ``minimum`` of them and end in ';': names, or numbers as floats."""
+        kinds = self.kinds
+        start = end = self.i
+        while kinds[end] == kind:
+            end += 1
+        if end - start < minimum:
+            self.fail(f"expected {what}", end)
+        self.i = end
         self.expect("semi", "';'")
-        return tuple(values)
-
-    def number_list(self, what: str) -> tuple[float, ...]:
-        values: list[float] = []
-        while self.peek().kind == "number":
-            values.append(float(self.advance().text))
-        if not values:
-            self.fail(f"expected {what}")
-        self.expect("semi", "';'")
-        return tuple(values)
+        values = self.texts[start:end]
+        return tuple(map(float, values)) if kind == "number" else tuple(values)
 
 
 def parse_maidfile(text: str) -> Maid:
     """Parse maidfile text into a graph. Raises :class:`MaidParseError` on
     bad syntax or duplicate declarations; semantic problems are reported by
     :func:`maidkit.core.validate` instead."""
-    return _Parser(_tokenize(text)).parse_file()
+    return _Parser(text).parse_file()
 
 
 def _format_number(v: float) -> str:

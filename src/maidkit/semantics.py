@@ -403,8 +403,18 @@ def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
     space = _JointSpace(maid)
     if not maid.decisions_of(agent):
         return 0.0
+    return _gap(maid, space, profile, agent)
+
+
+def _gap(maid: Maid, space: _JointSpace, profile: Mapping[str, DecisionRule],
+         agent: str) -> float:
+    """One agent's best-response gap on a space already built. Finite
+    payoffs can still give an infinite gap, which is an error."""
     current, best, _ = _best_pure_response(maid, space, profile, agent)
-    return best - current
+    gap = best - current
+    if not math.isfinite(gap):
+        raise MaidError(f"best-response gap of agent {agent!r} is not finite")
+    return gap
 
 
 # -- equilibrium search ------------------------------------------------------------
@@ -558,8 +568,7 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     agents = sorted({maid.nodes[d].owner for d in maid.decisions})
     gaps = {}
     for agent in agents:
-        current, best, _ = _best_pure_response(maid, space, extended, agent)
-        gaps[agent] = best - current
+        gaps[agent] = _gap(maid, space, extended, agent)
     failing = sorted(a for a, g in gaps.items() if g > tol)
     if failing:
         detail = "deviation improves " + ", ".join(

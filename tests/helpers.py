@@ -3,7 +3,8 @@
 Random graph generators sized for the property suites, an independent
 d-separation oracle built on exhaustive simple-trail enumeration, the
 exhaustive recursive witness search that ``find_path`` must agree with,
-small hand-built games, and samplers for strategy profiles. The
+the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
+with, small hand-built games, and samplers for strategy profiles. The
 d-separation oracle works on raw edge lists so it shares no graph code
 with the package.
 """
@@ -12,8 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+from dataclasses import dataclass
 
-from maidkit import Maid, Node, Path, validate
+from maidkit import Maid, MaidParseError, Node, NodeKind, Path, validate
 from maidkit.analysis import (
     BACKWARD,
     FORWARD,
@@ -251,6 +254,174 @@ def reference_find_path(maid: Maid, query: PathQuery,
         return None
 
     return extend(0)
+
+
+# -- reference maidfile parser ---------------------------------------------------
+#
+# The token-at-a-time lexer and recursive-descent parser that
+# ``parse_maidfile`` must agree with: the same graph, or the same
+# ``MaidParseError`` message, line and column.
+
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<lbrace>\{)
+  | (?P<rbrace>\})
+  | (?P<semi>;)
+""", re.VERBOSE)
+
+_KINDS = {"chance": NodeKind.CHANCE,
+          "decision": NodeKind.DECISION,
+          "utility": NodeKind.UTILITY}
+_CLAUSES = ("agent", "domain", "parents", "cpt", "table")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise MaidParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            self.i += 1
+        return tok
+
+    def fail(self, message: str, tok: _Token | None = None):
+        tok = tok or self.peek()
+        raise MaidParseError(message, tok.line, tok.col)
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            shown = tok.text or "end of input"
+            self.fail(f"expected {what}, found {shown!r}", tok)
+        return self.advance()
+
+    def parse_file(self) -> Maid:
+        agents: list[str] = []
+        nodes: list[Node] = []
+        seen_nodes: dict[str, _Token] = {}
+        while self.peek().kind != "eof":
+            tok = self.peek()
+            if tok.kind != "ident":
+                shown = tok.text or "end of input"
+                self.fail(f"expected a declaration, found {shown!r}", tok)
+            if tok.text == "agent":
+                self.advance()
+                name = self.expect("ident", "an agent name")
+                self.expect("semi", "';'")
+                if name.text in agents:
+                    self.fail(f"agent {name.text!r} declared twice", name)
+                agents.append(name.text)
+            elif tok.text in _KINDS:
+                node, name_tok = self.parse_node(_KINDS[tok.text])
+                if node.id in seen_nodes:
+                    self.fail(f"node {node.id!r} declared twice", name_tok)
+                seen_nodes[node.id] = name_tok
+                nodes.append(node)
+            else:
+                self.fail(f"expected 'agent', 'chance', 'decision' or 'utility', "
+                          f"found {tok.text!r}", tok)
+        return Maid.build(agents=agents, nodes=nodes)
+
+    def parse_node(self, kind: NodeKind) -> tuple[Node, _Token]:
+        self.advance()
+        name = self.expect("ident", "a node name")
+        self.expect("lbrace", "'{'")
+        owner: str | None = None
+        domain: tuple[str, ...] | None = None
+        parents: tuple[str, ...] = ()
+        cpt: tuple[float, ...] | None = None
+        table: tuple[float, ...] | None = None
+        seen: set[str] = set()
+        while self.peek().kind != "rbrace":
+            clause = self.peek()
+            if clause.kind != "ident" or clause.text not in _CLAUSES:
+                shown = clause.text or "end of input"
+                self.fail(f"expected a clause ({', '.join(_CLAUSES)}) or '}}', "
+                          f"found {shown!r}", clause)
+            if clause.text in seen:
+                self.fail(f"clause {clause.text!r} given twice in {name.text!r}", clause)
+            seen.add(clause.text)
+            self.advance()
+            if clause.text == "agent":
+                owner = self.expect("ident", "an agent name").text
+                self.expect("semi", "';'")
+            elif clause.text == "domain":
+                values = self.ident_list(minimum=1, what="a domain value")
+                domain = values
+            elif clause.text == "parents":
+                parents = self.ident_list(minimum=0, what="a parent name")
+            elif clause.text == "cpt":
+                cpt = self.number_list("a probability")
+            else:
+                table = self.number_list("a payoff")
+        self.expect("rbrace", "'}'")
+        node = Node(id=name.text, kind=kind, owner=owner, domain=domain,
+                    parents=parents, cpt=cpt, table=table)
+        return node, name
+
+    def ident_list(self, minimum: int, what: str) -> tuple[str, ...]:
+        values: list[str] = []
+        while self.peek().kind == "ident":
+            values.append(self.advance().text)
+        if len(values) < minimum:
+            self.fail(f"expected {what}")
+        self.expect("semi", "';'")
+        return tuple(values)
+
+    def number_list(self, what: str) -> tuple[float, ...]:
+        values: list[float] = []
+        while self.peek().kind == "number":
+            values.append(float(self.advance().text))
+        if not values:
+            self.fail(f"expected {what}")
+        self.expect("semi", "';'")
+        return tuple(values)
+
+
+def reference_parse_maidfile(text: str) -> Maid:
+    """Parse maidfile text one token at a time, tracking line and column on
+    every lexeme: the plainest statement of the format's grammar and error
+    positions."""
+    return _Parser(_tokenize(text)).parse_file()
 
 
 class DSepOracle:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from maidkit import (
     MaidParseError,
     NodeKind,
+    card_game,
     parse_maidfile,
+    principal_agent,
     render_maidfile,
     validate,
 )
@@ -78,6 +81,11 @@ def test_stray_semicolons_rejected():
     ("chance X { color red; }", "clause", 1, 12),
     ("agent a; chance X { domain f t; } boom", "found 'boom'", 1, 35),
     ("agent a;\n%", "unexpected character", 2, 1),
+    ("chance 9X { } %", "unexpected character", 1, 15),
+    ("agent a;\r\nagent", "end of input", 2, 6),
+    ("# note\n  agent 5;", "agent name", 2, 9),
+    ("agent\x0ba;\x0cchance", "node name", 1, 16),
+    ("chance X { domain f t; cpt 0.5 x; }", "expected ';'", 1, 32),
 ])
 def test_syntax_error_positions(text, fragment, line, col):
     with pytest.raises(MaidParseError) as exc:
@@ -117,6 +125,16 @@ def test_render_is_parse_inverse_on_fixtures(card1, pa, cascade, pennies, sig_mi
         assert parse_maidfile(render_maidfile(m)) == m
 
 
+@pytest.mark.parametrize("name,build", [
+    ("card-game.maid", lambda: card_game(1)),
+    ("principal-agent.maid", principal_agent),
+])
+def test_shipped_game_files_match_their_fixtures(name, build):
+    text = (Path(__file__).resolve().parent.parent / "games" / name).read_text()
+    assert parse_maidfile(text) == build()
+    assert render_maidfile(build()) == text
+
+
 def test_render_is_stable(card1):
     text = render_maidfile(card1)
     assert render_maidfile(parse_maidfile(text)) == text
@@ -153,3 +171,46 @@ def test_round_trip_parameterized(seed):
     text = render_maidfile(m)
     assert parse_maidfile(text) == m
     assert render_maidfile(parse_maidfile(text)) == text
+
+
+# -- agreement with the reference parser -------------------------------------------
+
+# Characters that stress the lexer: every whitespace kind, comment starts,
+# punctuation, number pieces, a character no token takes, and a non-ASCII
+# letter and digit (``\\s`` and ``\\d`` match Unicode; identifiers do not).
+_FUZZ_ALPHABET = " \n\r\t\x0b\x0c#{};0123456789.eE-%ax_\u00e9\u0663"
+
+_FUZZ_SOURCES = st.one_of(
+    st.sampled_from([render_maidfile(m) for m in (
+        card_game(1), principal_agent(), helpers.cascade_maid(),
+        helpers.matching_pennies(), helpers.minimal_signaling())] + [MESSY]),
+    st.integers(1, 6).map(lambda n: render_maidfile(card_game(n))),
+    st.integers(0, 10_000).map(
+        lambda seed: render_maidfile(helpers.random_structure_maid(random.Random(seed)))),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except MaidParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@settings(max_examples=300)
+@given(text=_FUZZ_SOURCES, data=st.data())
+def test_parse_matches_reference_on_mutated_files(text, data):
+    # Insert and delete short runs of characters, then maybe truncate: the
+    # same graph or the same error at the same place, and no other
+    # exception from either parser.
+    for _ in range(data.draw(st.integers(1, 6), label="edits")):
+        pos = data.draw(st.integers(0, len(text)), label="position")
+        if data.draw(st.booleans(), label="insert"):
+            piece = data.draw(st.text(_FUZZ_ALPHABET, min_size=1, max_size=3), label="piece")
+            text = text[:pos] + piece + text[pos:]
+        else:
+            text = text[:pos] + text[pos + data.draw(st.integers(1, 3), label="cut"):]
+    if data.draw(st.booleans(), label="truncate"):
+        text = text[:data.draw(st.integers(0, len(text)), label="length")]
+    assert (_parse_outcome(parse_maidfile, text)
+            == _parse_outcome(helpers.reference_parse_maidfile, text))

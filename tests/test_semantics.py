@@ -170,6 +170,13 @@ def test_payoffs_whose_sum_overflows_are_rejected():
         expected_utility(huge, uni, "x")
     with pytest.raises(MaidError, match="agent 'x'"):
         best_response_gap(huge, uni, "x")
+    # Each sum is finite here, but the best deviation gains 3e308.
+    swing = Maid.build(agents=["x"], nodes=[
+        Node.decision("X", owner="x", domain=("t", "f")),
+        Node.utility("U", owner="x", parents=("X",), table=(1.5e308, -1.5e308)),
+    ])
+    with pytest.raises(MaidError, match="agent 'x'"):
+        best_response_gap(swing, {"X": constant_rule(swing, "X", "f")}, "x")
     # One such utility alone stays finite.
     single = huge.with_node(Node.utility("U2", owner="x", parents=("coin",),
                                          table=(0.0, 0.0)))
