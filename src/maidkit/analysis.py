@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .core import Maid, MaidError, descendants
+from .core import Maid, MaidError, _reach
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -105,8 +105,9 @@ class PathQuery:
 
 def collider_blocked(maid: Maid, b: str, w: Iterable[str]) -> bool:
     """True iff converging arrows at ``b`` block a path given ``w``: neither
-    ``b`` nor any descendant of ``b`` is conditioned on."""
-    return descendants(maid, b).isdisjoint(w)
+    ``b`` nor any descendant of ``b`` is in ``w``, so ``b`` is not in An(w)."""
+    maid.node(b)
+    return b not in _reach(maid._parents_map, w)
 
 
 # -- d-separation -----------------------------------------------------------
@@ -191,21 +192,28 @@ def _step_rule(maid: Maid, query: PathQuery, effectiveness: Mapping[str, bool] |
     direction ``leaving``. ``arrived`` is None at the source, where only the
     first-edge rule applies. A missing ``effectiveness`` map treats every
     decision as effective.
+
+    Converging arrows open the path at the nodes of An(blocking set), which
+    is computed once per query, at the first converging step asked about.
     """
-    nodes = maid.nodes
+    decisions = maid._decision_set
     first_edge = query.first_edge
     forbid_decisions = query.interior_decisions is InteriorDecisions.FORBID_ALL
     blocking = query.blocking_set
+    opened: set[str] | None = None
 
     def step_ok(node: str, arrived: str | None, leaving: str) -> bool:
+        nonlocal opened
         if arrived is None:
             return (first_edge is FirstEdge.ANY
                     or (leaving == FORWARD) == (first_edge is FirstEdge.OUT_OF_SOURCE))
-        if nodes[node].is_decision and (forbid_decisions or (
+        if node in decisions and (forbid_decisions or (
                 effectiveness is not None and not effectiveness.get(node, False))):
             return False
         if arrived == FORWARD and leaving == BACKWARD:
-            return not collider_blocked(maid, node, blocking)
+            if opened is None:
+                opened = _reach(maid._parents_map, blocking)
+            return node in opened
         return node not in blocking
 
     return step_ok

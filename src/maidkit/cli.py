@@ -11,6 +11,7 @@ wall_time_ms field of bench.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -211,6 +212,7 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maid",
@@ -220,14 +222,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a game file for structural problems")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("patterns", help="report reasoning pattern instances")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--original", action="store_true",
                    help="detect on the input graph without simplifying first")
-    p.set_defaults(func=_cmd_patterns)
 
     p = sub.add_parser("simplify", help="eliminate pattern-free decisions and "
                                         "prune uninformative edges")
@@ -235,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the simplified game to a file")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_simplify)
 
     p = sub.add_parser("verify", help="check that simplification preserved "
                                       "equilibria")
@@ -243,33 +242,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="leaf-count savings of simplification")
     p.add_argument("name", choices=["card-game"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("fixture", help="write a built-in example game")
     p.add_argument("name", choices=list(FIXTURE_NAMES))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_fixture)
 
     p = sub.add_parser("export-dot", help="render a game file as Graphviz DOT")
     p.add_argument("file")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_export_dot)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Looked up on each call, so a replaced handler takes effect.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except MaidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ Graphs are values: every mutation helper returns a new ``Maid``.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -136,9 +137,9 @@ class Node:
 class Maid:
     """An influence diagram over a fixed set of agents.
 
-    Derived indexes (children, sorted parents, topological order,
-    descendant sets) are computed lazily and cached; they are safe to share
-    because the value never mutates.
+    Derived indexes (children, sorted parents, owned nodes, topological
+    order) are computed lazily and cached; they are safe to share because
+    the value never mutates.
     """
 
     agents: frozenset[str]
@@ -233,6 +234,10 @@ class Maid:
         return tuple(sorted(n for n, nd in self.nodes.items() if nd.is_decision))
 
     @cached_property
+    def _decision_set(self) -> frozenset[str]:
+        return frozenset(self.decisions)
+
+    @cached_property
     def utilities(self) -> tuple[str, ...]:
         return tuple(sorted(n for n, nd in self.nodes.items() if nd.is_utility))
 
@@ -240,15 +245,15 @@ class Maid:
     def chance_nodes(self) -> tuple[str, ...]:
         return tuple(sorted(n for n, nd in self.nodes.items() if nd.is_chance))
 
-    def _topo_or_none(self) -> tuple[str, ...] | None:
+    @cached_property
+    def _kahn_order(self) -> tuple[str, ...]:
         # Kahn's algorithm; ties broken lexicographically so the order is
         # reproducible. Unresolved parent references are skipped here and
-        # reported by validate() instead.
+        # reported by validate() instead. Nodes on or below a directed cycle
+        # never become ready, so on a cyclic graph the order leaves them out.
         indeg = {n: 0 for n in self.nodes}
         for node_id, node in self.nodes.items():
             indeg[node_id] += sum(1 for p in node.parents if p in self.nodes)
-        import heapq
-
         ready = [n for n, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         order: list[str] = []
@@ -259,51 +264,13 @@ class Maid:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     heapq.heappush(ready, c)
-        if len(order) != len(self.nodes):
-            return None
         return tuple(order)
 
-    @cached_property
+    @property
     def topological_order(self) -> tuple[str, ...]:
-        order = self._topo_or_none()
-        if order is None:
+        if len(self._kahn_order) != len(self.nodes):
             raise CyclicGraphError("graph contains a directed cycle")
-        return order
-
-    @cached_property
-    def _descendant_map(self) -> dict[str, frozenset[str]]:
-        # Reflexive-transitive closure: x is always a descendant of itself.
-        order = self._topo_or_none()
-        acc: dict[str, frozenset[str]] = {}
-        if order is not None:
-            for n in reversed(order):
-                closure = {n}
-                for c in self._children_map.get(n, ()):
-                    closure.update(acc[c])
-                acc[n] = frozenset(closure)
-            return acc
-        # Cyclic or broken graphs: fall back to per-node search.
-        for n in self.nodes:
-            seen = {n}
-            frontier = [n]
-            while frontier:
-                cur = frontier.pop()
-                for c in self._children_map.get(cur, ()):
-                    if c not in seen:
-                        seen.add(c)
-                        frontier.append(c)
-            acc[n] = frozenset(seen)
-        return acc
-
-    @cached_property
-    def _ancestor_map(self) -> dict[str, frozenset[str]]:
-        acc: dict[str, set[str]] = {n: {n} for n in self.nodes}
-        order = self._topo_or_none() or tuple(self.nodes)
-        for n in order:
-            for p in self.nodes[n].parents:
-                if p in self.nodes:
-                    acc[n].update(acc.get(p, {p}))
-        return {k: frozenset(v) for k, v in acc.items()}
+        return self._kahn_order
 
     # -- functional updates ----------------------------------------------
 
@@ -321,14 +288,27 @@ def all_effective(maid: Maid) -> dict[str, bool]:
 def descendants(maid: Maid, x: str) -> frozenset[str]:
     """All nodes reachable from ``x`` along directed edges, including ``x``."""
     maid.node(x)
-    return maid._descendant_map[x]
+    return frozenset(_reach(maid._children_map, (x,)))
 
 
 def ancestors(maid: Maid, x: str) -> frozenset[str]:
     """All nodes from which ``x`` is reachable along directed edges,
     including ``x``."""
     maid.node(x)
-    return maid._ancestor_map[x]
+    return frozenset(_reach(maid._parents_map, (x,)))
+
+
+def _reach(adjacency: Mapping[str, Sequence[str]], roots: Iterable[str]) -> set[str]:
+    """``roots`` and every node reachable from one of them in ``adjacency``,
+    by one O(V + E) search; ids absent from ``adjacency`` have no edges."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 # -- parameter access -----------------------------------------------------
@@ -477,23 +457,11 @@ def validate(maid: Maid) -> list[Diagnostic]:
             elif any(not math.isfinite(v) for v in node.table):
                 out.append(Diagnostic(node_id, "table-finite", "payoffs must be finite reals"))
 
-    if maid._topo_or_none() is None:
-        cyclic = _cycle_members(maid)
+    if len(maid._kahn_order) != len(maid.nodes):
+        cyclic = sorted(maid.nodes.keys() - set(maid._kahn_order))
         out.append(Diagnostic(None, "acyclic",
                               f"graph contains a directed cycle among {{{', '.join(cyclic)}}}"))
     return out
-
-
-def _cycle_members(maid: Maid) -> list[str]:
-    indeg = {n: sum(1 for p in maid.nodes[n].parents if p in maid.nodes) for n in maid.nodes}
-    ready = [n for n, d in indeg.items() if d == 0]
-    while ready:
-        n = ready.pop()
-        for c in maid._children_map.get(n, ()):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return sorted(n for n, d in indeg.items() if d > 0)
 
 
 # -- structural edits ------------------------------------------------------

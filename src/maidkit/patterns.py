@@ -20,8 +20,9 @@ is built on that test.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .analysis import (
     Path,
@@ -34,7 +35,7 @@ from .analysis import (
     find_path,
     front_door_query,
 )
-from .core import Maid, NotADecisionError, all_effective, ancestors, descendants
+from .core import Maid, NotADecisionError, _reach, all_effective, descendants
 
 
 class PatternKind(enum.Enum):
@@ -109,6 +110,23 @@ def _downstream_decisions(maid: Maid, d: str) -> list[tuple[str, Path]]:
     return sorted(decision_free_paths(maid, d, maid.decisions).items())
 
 
+def _searcher(maid: Maid, effectiveness: Mapping[str, bool] | None
+              ) -> Callable[..., Path | None]:
+    """``search(build, *args)`` is :func:`find_path` on ``maid`` under
+    ``effectiveness`` for the query ``build(*args)``; each distinct query is
+    built and searched once, and asked again it returns the same answer."""
+    return functools.cache(lambda build, *args: find_path(maid, build(*args), effectiveness))
+
+
+def _signal_sources(maid: Maid, d: str) -> dict[str, frozenset[str]]:
+    """Each ancestor a of ``d`` other than ``d``, ascending, with the parents
+    of ``d`` that are not descendants of a, from one ancestor set per parent
+    (p is a descendant of a iff a is an ancestor of p)."""
+    above = {p: _reach(maid._parents_map, (p,)) for p in maid.parents(d)}
+    return {a: frozenset(p for p, an in above.items() if a not in an)
+            for a in sorted((set().union(*above.values()) - {d}).intersection(maid.nodes))}
+
+
 # -- the four detectors -------------------------------------------------------
 
 
@@ -137,16 +155,16 @@ def manipulation(maid: Maid, d: str,
     utility u' that bypasses n (the lever it manipulates with)."""
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
+    search = _searcher(maid, effectiveness)
     out: list[PatternInstance] = []
     for n, d_to_n in _downstream_decisions(maid, d):
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
-            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness)
+            n_to_u = search(directed_effective_query, n, u)
             if n_to_u is None:
                 continue
             for u_prime in maid.utilities_of(n_owner):
-                lever = find_path(maid, directed_effective_query(d, u_prime, avoid=(n,)),
-                                  effectiveness)
+                lever = search(directed_effective_query, d, u_prime, (n,))
                 if lever is None:
                     continue
                 out.append(PatternInstance(
@@ -172,24 +190,25 @@ def signaling(maid: Maid, d: str,
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     downstream = _downstream_decisions(maid, d)
-    if not downstream:  # spares building the descendant sets of the whole graph
+    if not downstream:
         return []
+    search = _searcher(maid, effectiveness)
     desc_d = descendants(maid, d)
+    sources = _signal_sources(maid, d)
     out: list[PatternInstance] = []
     for n, d_to_n in downstream:
         w_prime = frozenset(maid.parents(n)) - desc_d
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
-            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness)
+            n_to_u = search(directed_effective_query, n, u)
             if n_to_u is None:
                 continue
             for u_prime in maid.utilities_of(n_owner):
-                for a in sorted(ancestors(maid, d) - {d}):
-                    back = find_path(maid, back_door_query(a, u_prime, w_prime), effectiveness)
+                for a, w in sources.items():
+                    back = search(back_door_query, a, u_prime, w_prime)
                     if back is None:
                         continue
-                    w = frozenset(maid.parents(d)) - descendants(maid, a)
-                    a_to_u = find_path(maid, effective_query(a, u, w), effectiveness)
+                    a_to_u = search(effective_query, a, u, w)
                     if a_to_u is None:
                         continue
                     out.append(PatternInstance(
@@ -217,16 +236,17 @@ def reveal_deny(maid: Maid, d: str,
     """
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
+    search = _searcher(maid, effectiveness)
     out: list[PatternInstance] = []
     for n, d_to_n in _downstream_decisions(maid, d):
         w_rev = frozenset(maid.parents(n))
         n_owner = maid.nodes[n].owner
         for u in own_utilities:
-            n_to_u = find_path(maid, directed_effective_query(n, u), effectiveness)
+            n_to_u = search(directed_effective_query, n, u)
             if n_to_u is None:
                 continue
             for u_prime in maid.utilities_of(n_owner):
-                front = find_path(maid, front_door_query(d, u_prime, w_rev), effectiveness)
+                front = search(front_door_query, d, u_prime, w_rev)
                 if front is None:
                     continue
                 out.append(PatternInstance(
@@ -324,10 +344,10 @@ def _expected_queries(maid: Maid, instance: PatternInstance) -> dict[str, object
         base["d_to_u_prime"] = directed_effective_query(d, u_prime, avoid=(n,))
         return base
     if instance.kind is PatternKind.SIGNALING:
-        if a is None or a == d or a not in ancestors(maid, d):
+        w = _signal_sources(maid, d).get(a)
+        if w is None:
             return None
         w_prime = frozenset(maid.parents(n)) - descendants(maid, d)
-        w = frozenset(maid.parents(d)) - descendants(maid, a)
         base["a_to_u_prime_back_door"] = back_door_query(a, u_prime, w_prime)
         base["a_to_u_effective"] = effective_query(a, u, w)
         return base

@@ -183,6 +183,21 @@ def random_search_maid(rng: random.Random, max_nodes: int = 12) -> Maid:
     return Maid.build(agents=["p0"], nodes=nodes)
 
 
+def reference_descendants(maid: Maid) -> dict[str, frozenset[str]]:
+    """Every node with the nodes it reaches along directed edges, itself
+    included: the reflexive-transitive closure of the edge list, grown to a
+    fixed point, so a directed cycle is no obstacle."""
+    reach = {n: {n} for n in maid.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for tail, head in maid.edges:
+            if not reach[head] <= reach[tail]:
+                reach[tail] |= reach[head]
+                changed = True
+    return {n: frozenset(r) for n, r in reach.items()}
+
+
 def reference_find_path(maid: Maid, query: PathQuery,
                         effectiveness=None) -> Path | None:
     """Exhaustive recursive backtracking search for the lexicographically

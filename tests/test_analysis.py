@@ -1,5 +1,6 @@
 """Path queries and conditional independence."""
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,12 @@ from maidkit import (
     Node,
     Path,
     PathQuery,
+    ancestors,
     check_path,
     collider_blocked,
     convert_decision_to_chance,
     d_separated,
+    descendants,
     find_path,
     remove_edge,
     simplify,
@@ -197,6 +200,40 @@ def test_collider_blocked_descendant_rule(pa):
     assert not collider_blocked(pa, "D1", frozenset({"r1"}))
     assert collider_blocked(pa, "D1", frozenset({"r0"}))
     assert not collider_blocked(pa, "D1", frozenset({"D1"}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), cyclic=st.booleans())
+def test_closures_and_collider_rule_match_brute_force(seed, cyclic):
+    # With ``cyclic`` a node may take any other node as a parent, so most
+    # of these graphs have directed cycles.
+    rng = random.Random(seed)
+    ids = [f"x{i}" for i in range(rng.randint(2, 10))]
+    density = rng.uniform(0.1, 0.5)
+    maid = Maid.build(agents=[], nodes=[
+        Node.chance(n, domain=("f", "t"),
+                    parents=tuple(p for p in (ids if cyclic else ids[:i])
+                                  if p != n and rng.random() < density))
+        for i, n in enumerate(ids)])
+    reach = helpers.reference_descendants(maid)
+    for n in ids:
+        assert descendants(maid, n) == reach[n]
+        assert ancestors(maid, n) == frozenset(m for m in ids if n in reach[m])
+        w = frozenset(m for m in ids if rng.random() < 0.3)
+        assert collider_blocked(maid, n, w) == reach[n].isdisjoint(w)
+
+
+def test_closures_of_a_long_chain_stay_small():
+    chain = helpers.decision_chain(3000)
+    tracemalloc.start()
+    try:
+        assert len(descendants(chain, "D")) == 3002
+        assert len(ancestors(chain, "U")) == 3002
+        assert not collider_blocked(chain, "D", {"U"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- witnesses and the independent checker ---------------------------------------

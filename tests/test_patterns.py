@@ -322,3 +322,43 @@ def test_default_report_instances_audit_against_simplified(seed):
             assert insts == ()
         for inst in insts:
             assert check_instance(result.final, inst, flags)
+
+
+def _shared_owner_graphs(count):
+    """Seeded random structures in which some agent owns two or more
+    utilities, where the detectors' loops meet the same query again."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        maid = helpers.random_structure_maid(random.Random(seed))
+        seed += 1
+        if any(len(maid.utilities_of(a)) >= 2 for a in maid.agents):
+            out.append(maid)
+    return out
+
+
+@pytest.mark.parametrize("detector", (manipulation, signaling, reveal_deny))
+def test_detector_calls_ask_each_query_once(monkeypatch, detector):
+    import maidkit.patterns as patterns
+
+    asked = []
+    search = patterns.find_path
+
+    def recording(maid, query, effectiveness=None):
+        asked.append((query, None if effectiveness is None
+                      else tuple(sorted(effectiveness.items()))))
+        return search(maid, query, effectiveness)
+
+    monkeypatch.setattr(patterns, "find_path", recording)
+    for i, maid in enumerate(_shared_owner_graphs(60)):
+        rng = random.Random(i)
+        for flags in (all_effective(maid), {d: rng.random() < 0.7 for d in maid.decisions}):
+            for d in maid.decisions:
+                asked.clear()
+                detector(maid, d, flags, DetectionMode.ALL)
+                every = list(asked)
+                assert len(every) == len(set(every)), (i, d)
+                # Stopping at the first instance asks a prefix of those.
+                asked.clear()
+                detector(maid, d, flags, DetectionMode.FIRST_WITNESS)
+                assert asked == every[:len(asked)], (i, d)
