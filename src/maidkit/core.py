@@ -280,6 +280,14 @@ class Maid:
         return Maid(agents=self.agents, nodes=table)
 
 
+def _require_decision(maid: Maid, node_id: str) -> Node:
+    """The node ``node_id``, which must be a decision."""
+    node = maid.node(node_id)
+    if not node.is_decision:
+        raise NotADecisionError(f"{node_id!r} is not a decision node")
+    return node
+
+
 def all_effective(maid: Maid) -> dict[str, bool]:
     """Fresh effectiveness flags with every current decision set to True."""
     return {d: True for d in maid.decisions}
@@ -327,10 +335,6 @@ def parent_domains(maid: Maid, node_id: str) -> list[tuple[str, ...]]:
 def parent_configs(maid: Maid, node_id: str) -> Iterator[tuple[str, ...]]:
     """All parent value combinations, last parent varying fastest."""
     return itertools.product(*parent_domains(maid, node_id))
-
-
-def n_parent_configs(maid: Maid, node_id: str) -> int:
-    return math.prod(len(d) for d in parent_domains(maid, node_id))
 
 
 def _row_index(maid: Maid, node: Node, parent_values: Sequence[str]) -> int:
@@ -471,9 +475,9 @@ def convert_decision_to_chance(maid: Maid, decision_id: str) -> Maid:
     """Replace a decision with a parentless chance node that is uniform over
     the decision's domain. All information edges into the decision vanish;
     outgoing edges are untouched."""
-    node = maid.node(decision_id)
-    if not node.is_decision:
-        raise NotADecisionError(f"{decision_id!r} is not a decision node")
+    node = _require_decision(maid, decision_id)
+    if node.domain is None:
+        raise MaidError(f"{decision_id}: no domain")
     k = len(node.domain)
     uniform = tuple(1.0 / k for _ in range(k))
     return maid.with_node(Node(id=node.id, kind=NodeKind.CHANCE, domain=node.domain,
@@ -493,16 +497,11 @@ def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
 
     cpt, table, synthetic = node.cpt, node.table, node.synthetic_params
     if cpt is not None or table is not None:
-        sizes = []
-        for p in node.parents:
-            dom = maid.node(p).domain
-            if dom is None:
-                sizes = None
-                break
-            sizes.append(len(dom))
-        if sizes is None:
-            cpt = table = None  # cannot average without parent domains
+        domains = [maid.node(p).domain for p in node.parents]
+        if not all(domains) or (cpt is not None and node.domain is None):
+            cpt = table = None  # cannot average without non-empty domains
         else:
+            sizes = [len(dom) for dom in domains]
             width = len(node.domain) if cpt is not None else 1
             flat = cpt if cpt is not None else table
             expected = math.prod(sizes) * width

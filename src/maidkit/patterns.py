@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .analysis import (
     Path,
@@ -35,7 +35,7 @@ from .analysis import (
     find_path,
     front_door_query,
 )
-from .core import Maid, NotADecisionError, _reach, all_effective, descendants
+from .core import Maid, _reach, _require_decision, all_effective, descendants
 
 
 class PatternKind(enum.Enum):
@@ -99,11 +99,6 @@ class PatternReport:
         return tuple(out)
 
 
-def _require_decision(maid: Maid, d: str) -> None:
-    if not maid.node(d).is_decision:
-        raise NotADecisionError(f"{d!r} is not a decision node")
-
-
 def _downstream_decisions(maid: Maid, d: str) -> list[tuple[str, Path]]:
     """Decisions reachable from ``d`` by a directed decision-free path,
     ascending by id, each with its witness."""
@@ -125,6 +120,72 @@ def _signal_sources(maid: Maid, d: str) -> dict[str, frozenset[str]]:
     above = {p: _reach(maid._parents_map, (p,)) for p in maid.parents(d)}
     return {a: frozenset(p for p, an in above.items() if a not in an)
             for a in sorted((set().union(*above.values()) - {d}).intersection(maid.nodes))}
+
+
+def _pattern(maid: Maid, d: str, kind: PatternKind
+             ) -> Callable[[str, str, str], Iterable[tuple[str | None, tuple]]]:
+    """The definition of a downstream-decision pattern at ``d``: for one
+    (n, u, u'), it yields each binding of ``a`` (None where the pattern binds
+    none) with the witnesses the pattern asks for beyond d_to_n and n_to_u,
+    as (name, query builder, arguments) in search order. The detectors
+    search these queries and :func:`check_instance` rebuilds them."""
+    if kind is PatternKind.MANIPULATION:
+        # The lever: a route d .. u' that bypasses n.
+        return lambda n, u, u_prime: (
+            (None, (("d_to_u_prime", directed_effective_query, (d, u_prime, (n,))),)),)
+    if kind is PatternKind.REVEAL_DENY:
+        # A front-door path d .. u' with converging arrows, given all of Pa(n).
+        return lambda n, u, u_prime: (
+            (None, (("d_to_u_prime_front_door", front_door_query,
+                     (d, u_prime, frozenset(maid.parents(n)))),)),)
+    # Signaling: a .. u' is a back-door path given W' = Pa(n) - De(d), what
+    # n observes anyway, and a .. u is active given W(a) = Pa(d) - De(a).
+    desc_d = descendants(maid, d)
+    sources = _signal_sources(maid, d)
+
+    def bindings(n: str, u: str, u_prime: str):
+        w_prime = frozenset(maid.parents(n)) - desc_d
+        for a, w in sources.items():
+            yield a, (("a_to_u_prime_back_door", back_door_query, (a, u_prime, w_prime)),
+                      ("a_to_u_effective", effective_query, (a, u, w)))
+    return bindings
+
+
+def _detect(maid: Maid, d: str, kind: PatternKind,
+            effectiveness: Mapping[str, bool] | None,
+            mode: DetectionMode) -> list[PatternInstance]:
+    """Instances of manipulation, signaling or revealing-denying at ``d``:
+    n downstream of ``d`` (the sweep gives d_to_n), u an own utility that n
+    reaches (n_to_u), u' a utility of n's owner, then ``kind``'s witnesses."""
+    _require_decision(maid, d)
+    own_utilities = maid.utilities_of(maid.nodes[d].owner)
+    downstream = _downstream_decisions(maid, d)
+    if not downstream:
+        return []
+    search = _searcher(maid, effectiveness)
+    bindings = _pattern(maid, d, kind)
+    out: list[PatternInstance] = []
+    for n, d_to_n in downstream:
+        n_owner = maid.nodes[n].owner
+        for u in own_utilities:
+            n_to_u = search(directed_effective_query, n, u)
+            if n_to_u is None:
+                continue
+            for u_prime in maid.utilities_of(n_owner):
+                for a, witnesses in bindings(n, u, u_prime):
+                    found = [("d_to_n", d_to_n), ("n_to_u", n_to_u)]
+                    for name, build, args in witnesses:
+                        path = search(build, *args)
+                        if path is None:
+                            break
+                        found.append((name, path))
+                    else:
+                        out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
+                                                   u_prime=u_prime, a=a,
+                                                   witness_paths=tuple(found)))
+                        if mode is DetectionMode.FIRST_WITNESS:
+                            return out
+    return out
 
 
 # -- the four detectors -------------------------------------------------------
@@ -153,27 +214,7 @@ def manipulation(maid: Maid, d: str,
     """Instances (n, u, u') where a downstream decision n carries ``d``'s
     influence to an own utility u, while ``d`` retains a route to n's
     utility u' that bypasses n (the lever it manipulates with)."""
-    _require_decision(maid, d)
-    own_utilities = maid.utilities_of(maid.nodes[d].owner)
-    search = _searcher(maid, effectiveness)
-    out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d):
-        n_owner = maid.nodes[n].owner
-        for u in own_utilities:
-            n_to_u = search(directed_effective_query, n, u)
-            if n_to_u is None:
-                continue
-            for u_prime in maid.utilities_of(n_owner):
-                lever = search(directed_effective_query, d, u_prime, (n,))
-                if lever is None:
-                    continue
-                out.append(PatternInstance(
-                    kind=PatternKind.MANIPULATION, decision=d, u=u, n=n, u_prime=u_prime,
-                    witness_paths=(("d_to_n", d_to_n), ("n_to_u", n_to_u),
-                                   ("d_to_u_prime", lever))))
-                if mode is DetectionMode.FIRST_WITNESS:
-                    return out
-    return out
+    return _detect(maid, d, PatternKind.MANIPULATION, effectiveness, mode)
 
 
 def signaling(maid: Maid, d: str,
@@ -187,39 +228,7 @@ def signaling(maid: Maid, d: str,
     descendants of ``d`` (what n observes anyway); the a .. u route is
     tested given the parents of ``d`` that are not descendants of a.
     """
-    _require_decision(maid, d)
-    own_utilities = maid.utilities_of(maid.nodes[d].owner)
-    downstream = _downstream_decisions(maid, d)
-    if not downstream:
-        return []
-    search = _searcher(maid, effectiveness)
-    desc_d = descendants(maid, d)
-    sources = _signal_sources(maid, d)
-    out: list[PatternInstance] = []
-    for n, d_to_n in downstream:
-        w_prime = frozenset(maid.parents(n)) - desc_d
-        n_owner = maid.nodes[n].owner
-        for u in own_utilities:
-            n_to_u = search(directed_effective_query, n, u)
-            if n_to_u is None:
-                continue
-            for u_prime in maid.utilities_of(n_owner):
-                for a, w in sources.items():
-                    back = search(back_door_query, a, u_prime, w_prime)
-                    if back is None:
-                        continue
-                    a_to_u = search(effective_query, a, u, w)
-                    if a_to_u is None:
-                        continue
-                    out.append(PatternInstance(
-                        kind=PatternKind.SIGNALING, decision=d, u=u, n=n,
-                        u_prime=u_prime, a=a,
-                        witness_paths=(("d_to_n", d_to_n), ("n_to_u", n_to_u),
-                                       ("a_to_u_prime_back_door", back),
-                                       ("a_to_u_effective", a_to_u))))
-                    if mode is DetectionMode.FIRST_WITNESS:
-                        return out
-    return out
+    return _detect(maid, d, PatternKind.SIGNALING, effectiveness, mode)
 
 
 def reveal_deny(maid: Maid, d: str,
@@ -234,42 +243,20 @@ def reveal_deny(maid: Maid, d: str,
     node of any front-door path out of ``d`` is itself a descendant of
     ``d``, so no opener could then be in the blocking set.
     """
-    _require_decision(maid, d)
-    own_utilities = maid.utilities_of(maid.nodes[d].owner)
-    search = _searcher(maid, effectiveness)
-    out: list[PatternInstance] = []
-    for n, d_to_n in _downstream_decisions(maid, d):
-        w_rev = frozenset(maid.parents(n))
-        n_owner = maid.nodes[n].owner
-        for u in own_utilities:
-            n_to_u = search(directed_effective_query, n, u)
-            if n_to_u is None:
-                continue
-            for u_prime in maid.utilities_of(n_owner):
-                front = search(front_door_query, d, u_prime, w_rev)
-                if front is None:
-                    continue
-                out.append(PatternInstance(
-                    kind=PatternKind.REVEAL_DENY, decision=d, u=u, n=n, u_prime=u_prime,
-                    witness_paths=(("d_to_n", d_to_n), ("n_to_u", n_to_u),
-                                   ("d_to_u_prime_front_door", front))))
-                if mode is DetectionMode.FIRST_WITNESS:
-                    return out
-    return out
+    return _detect(maid, d, PatternKind.REVEAL_DENY, effectiveness, mode)
+
+
+# Looked up in the module at call time, so a wrapper installed on a
+# detector (a tracer, a test) sees every call.
+_DETECTORS = ("direct_effect", "manipulation", "signaling", "reveal_deny")
 
 
 def decision_is_effective(maid: Maid, d: str,
                           effectiveness: Mapping[str, bool] | None = None) -> bool:
     """Does any pattern hold for ``d``? Detectors run cheapest first and
     short-circuit on the first witness."""
-    first = DetectionMode.FIRST_WITNESS
-    if direct_effect(maid, d, effectiveness, first):
-        return True
-    if manipulation(maid, d, effectiveness, first):
-        return True
-    if signaling(maid, d, effectiveness, first):
-        return True
-    return bool(reveal_deny(maid, d, effectiveness, first))
+    return any(globals()[name](maid, d, effectiveness, DetectionMode.FIRST_WITNESS)
+               for name in _DETECTORS)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -296,12 +283,8 @@ def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
         if not flags.get(d, False) or not graph.nodes[d].is_decision:
             instances[d] = ()
             continue
-        found: list[PatternInstance] = []
-        found.extend(direct_effect(graph, d, flags, DetectionMode.ALL))
-        found.extend(manipulation(graph, d, flags, DetectionMode.ALL))
-        found.extend(signaling(graph, d, flags, DetectionMode.ALL))
-        found.extend(reveal_deny(graph, d, flags, DetectionMode.ALL))
-        instances[d] = tuple(found)
+        instances[d] = tuple(instance for name in _DETECTORS
+                             for instance in globals()[name](graph, d, flags, DetectionMode.ALL))
     return PatternReport(instances=instances, effectiveness=flags)
 
 
@@ -313,43 +296,38 @@ def check_instance(maid: Maid, instance: PatternInstance,
     """Re-verify an instance against the graph it was reported on.
 
     Rebuilds the query each witness must satisfy from the instance
-    bindings and checks the witness with :func:`maidkit.analysis.check_path`,
-    without rerunning any search.
+    bindings, through the same pattern definitions the detectors search,
+    and checks the witness with :func:`maidkit.analysis.check_path`,
+    without rerunning any search. An instance whose bindings do not fit the
+    pattern (a node the graph does not have, a u or u' that is not a
+    utility of the right owner, n equal to the decision) is rejected.
     """
-    d = instance.decision
-    if d not in maid.nodes or not maid.nodes[d].is_decision:
+    d, u, n, u_prime = instance.decision, instance.u, instance.n, instance.u_prime
+    decision = maid.nodes.get(d)
+    if decision is None or not decision.is_decision or not _owns(maid, decision.owner, u):
         return False
-    if maid.nodes[instance.u].owner != maid.nodes[d].owner:
-        return False
+    if instance.kind is PatternKind.DIRECT_EFFECT:
+        queries = {"d_to_u": decision_free_query(d, u)}
+    else:
+        downstream = maid.nodes.get(n)
+        if n == d or downstream is None or not downstream.is_decision \
+                or not _owns(maid, downstream.owner, u_prime):
+            return False
+        rest = next((witnesses for a, witnesses in _pattern(maid, d, instance.kind)(n, u, u_prime)
+                     if a == instance.a), None)
+        if rest is None:
+            return False
+        queries = {"d_to_n": decision_free_query(d, n),
+                   "n_to_u": directed_effective_query(n, u),
+                   **{name: build(*args) for name, build, args in rest}}
     witnesses = dict(instance.witness_paths)
-    queries = _expected_queries(maid, instance)
-    if queries is None or set(witnesses) != set(queries):
+    if set(witnesses) != set(queries):
         return False
     return all(check_path(maid, witnesses[name], query, effectiveness)
                for name, query in queries.items())
 
 
-def _expected_queries(maid: Maid, instance: PatternInstance) -> dict[str, object] | None:
-    d, n, u, u_prime, a = (instance.decision, instance.n, instance.u,
-                           instance.u_prime, instance.a)
-    if instance.kind is PatternKind.DIRECT_EFFECT:
-        return {"d_to_u": decision_free_query(d, u)}
-    if n is None or u_prime is None or not maid.nodes[n].is_decision:
-        return None
-    if maid.nodes[u_prime].owner != maid.nodes[n].owner:
-        return None
-    base = {"d_to_n": decision_free_query(d, n),
-            "n_to_u": directed_effective_query(n, u)}
-    if instance.kind is PatternKind.MANIPULATION:
-        base["d_to_u_prime"] = directed_effective_query(d, u_prime, avoid=(n,))
-        return base
-    if instance.kind is PatternKind.SIGNALING:
-        w = _signal_sources(maid, d).get(a)
-        if w is None:
-            return None
-        w_prime = frozenset(maid.parents(n)) - descendants(maid, d)
-        base["a_to_u_prime_back_door"] = back_door_query(a, u_prime, w_prime)
-        base["a_to_u_effective"] = effective_query(a, u, w)
-        return base
-    base["d_to_u_prime_front_door"] = front_door_query(d, u_prime, frozenset(maid.parents(n)))
-    return base
+def _owns(maid: Maid, agent: str | None, u: str | None) -> bool:
+    """Is ``u`` a utility node of ``agent``?"""
+    node = maid.nodes.get(u)
+    return node is not None and node.is_utility and node.owner == agent

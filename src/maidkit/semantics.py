@@ -21,10 +21,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import (
     Maid,
     MaidError,
-    NotADecisionError,
     PROB_TOL,
     ValidationError,
+    _require_decision,
     is_fully_parameterized,
+    parent_domains,
     validate,
 )
 
@@ -90,16 +91,10 @@ _RuleShape = tuple[tuple[str, ...], tuple[tuple[str, ...], ...], tuple[str, ...]
 
 
 def _rule_shape(maid: Maid, d: str) -> _RuleShape:
-    node = maid.node(d)
-    if not node.is_decision:
-        raise NotADecisionError(f"{d!r} is not a decision node")
-    pdoms = []
-    for p in node.parents:
-        dom = maid.node(p).domain
-        if dom is None:
-            raise MaidError(f"{d}: parent {p!r} has no domain")
-        pdoms.append(dom)
-    return node.parents, tuple(pdoms), node.domain
+    node = _require_decision(maid, d)
+    if node.domain is None:
+        raise MaidError(f"{d}: no domain")
+    return node.parents, tuple(parent_domains(maid, d)), node.domain
 
 
 def _n_rows(parent_domains: Sequence[Sequence[str]]) -> int:
@@ -482,9 +477,7 @@ def is_motivated_bruteforce(maid: Maid, d: str,
     configuration distribution does not depend on d's own behavior, so
     ``others`` needs no rule for d.
     """
-    node = maid.node(d)
-    if not node.is_decision:
-        raise NotADecisionError(f"{d!r} is not a decision node")
+    node = _require_decision(maid, d)
     if d in others:
         raise MaidError(f"others must not contain a rule for {d!r}")
     _check_profile(maid, others, exclude=frozenset((d,)))
@@ -593,13 +586,12 @@ class LeafMetric:
 
 
 def leaf_metric(maid: Maid) -> LeafMetric:
-    monolithic = math.prod(len(maid.nodes[d].domain) for d in maid.decisions)
     per_decision: dict[str, int] = {}
     for d in maid.decisions:
         scope = {d}
         for u in maid.utilities_of(maid.nodes[d].owner):
             for p in maid.parents(u):
-                if not maid.nodes[p].is_utility:
+                if not maid.node(p).is_utility:
                     scope.add(p)
         leaves = 1
         for v in sorted(scope):
@@ -608,5 +600,7 @@ def leaf_metric(maid: Maid) -> LeafMetric:
                 raise MaidError(f"{v}: no domain, cannot size a game tree")
             leaves *= len(dom)
         per_decision[d] = leaves
+    # Every decision is in its own scope, so each has a domain by now.
+    monolithic = math.prod(len(maid.nodes[d].domain) for d in maid.decisions)
     return LeafMetric(monolithic=monolithic, per_decision=per_decision,
                       decoupled_total=sum(per_decision.values()))

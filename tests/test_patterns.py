@@ -233,6 +233,27 @@ def test_detectors_reject_non_decisions(pa):
         decision_is_effective(pa, "U_P1")
 
 
+def test_detectors_are_read_from_the_module_at_call_time(monkeypatch, pa):
+    # A wrapper installed on a detector in maidkit.patterns, as the
+    # benchmark's tracer installs one, sees every call that
+    # decision_is_effective and enumerate_patterns make.
+    import maidkit.patterns as patterns
+
+    names = ("direct_effect", "manipulation", "signaling", "reveal_deny")
+    calls = []
+    for name in names:
+        def counting(maid, d, effectiveness=None, mode=DetectionMode.ALL, _name=name):
+            calls.append((_name, d, mode))
+            return []  # so that decision_is_effective asks every detector
+        monkeypatch.setattr(patterns, name, counting)
+
+    assert decision_is_effective(pa, "P1") is False
+    assert calls == [(name, "P1", DetectionMode.FIRST_WITNESS) for name in names]
+    calls.clear()
+    enumerate_patterns(pa, original=True)
+    assert calls == [(name, d, DetectionMode.ALL) for d in pa.decisions for name in names]
+
+
 def test_effectiveness_flags_mask_interior_decisions(pa):
     # Flags gate decisions appearing in the interior of a witness path, not
     # decisions standing at its endpoints (endpoint removal is conversion's
@@ -277,6 +298,19 @@ def test_check_instance_rejects_tampering(pa):
     # A dropped witness is caught by name, not just by content.
     assert not check_instance(
         pa, dataclasses.replace(rev, witness_paths=rev.witness_paths[:-1]), flags)
+    # Revealing-denying binds no information source.
+    assert not check_instance(pa, dataclasses.replace(rev, a="r1"), flags)
+    # n is another decision, and u and u' are utilities: bindings that make
+    # a witness query degenerate are rejected, not a MaidError.
+    (man,) = [i for i in report.instances["D1"]
+              if i.key()[:5] == ("manipulation", "D1", "U_D2", "D2", "U_D1")]
+    assert not check_instance(pa, dataclasses.replace(man, n="D1"), flags)
+    assert not check_instance(pa, dataclasses.replace(man, u_prime="D1"), flags)
+    # A binding that names no node of the graph is rejected, not a KeyError.
+    for kind in PatternKind:
+        inst = next(i for i in report.all_instances() if i.kind is kind)
+        for slot in inst.bindings():
+            assert not check_instance(pa, dataclasses.replace(inst, **{slot: "ghost"}), flags)
 
 
 def test_check_instance_rejects_misattributed_decision(pa):

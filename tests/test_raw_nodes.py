@@ -1,0 +1,133 @@
+"""Raw ``Node`` fuzzing: every public operation on a graph built from
+arbitrary node arguments returns a result or raises ``MaidError``."""
+from __future__ import annotations
+
+import math
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maidkit import (
+    DetectionMode,
+    Maid,
+    MaidError,
+    Node,
+    NodeKind,
+    PatternInstance,
+    PatternKind,
+    all_effective,
+    ancestors,
+    check_instance,
+    constant_rule,
+    convert_decision_to_chance,
+    d_separated,
+    decision_is_effective,
+    descendants,
+    direct_effect,
+    enumerate_patterns,
+    expected_utility,
+    find_equilibrium_small,
+    identification_phase,
+    is_fully_parameterized,
+    is_motivated_bruteforce,
+    leaf_metric,
+    manipulation,
+    parent_configs,
+    remove_edge,
+    render_maidfile,
+    retract_edges,
+    reveal_deny,
+    signaling,
+    simplify,
+    strip_parameters,
+    uniform_profile,
+    uniform_rule,
+    validate,
+)
+
+IDS = ("a", "b", "c", "d", "e")
+AGENTS = ("p", "q")
+DOMAINS = (None, (), ("x",), ("x", "y"), ("x", "x"), ("x", "y", "z"))
+VALUES = (0.0, 0.5, 1.0, 2.0, -1.0, math.nan, math.inf)
+# Whole graphs, every op included, in well under this many seconds.
+TIME_BOUND_S = 10.0
+
+
+@st.composite
+def raw_nodes(draw, node_id):
+    """One node from raw arguments: any kind, any owner, any domain, any
+    parent list and any table, sized right or not."""
+    kind = draw(st.sampled_from(NodeKind))
+    owner = draw(st.sampled_from((None, *AGENTS, "ghost")))
+    domain = draw(st.sampled_from(DOMAINS))
+    parents = tuple(draw(st.lists(st.sampled_from(IDS + ("ghost",)), max_size=3)))
+    rows = draw(st.integers(0, 4))
+    width = draw(st.sampled_from((0, 1, len(domain or ()))))
+    size = draw(st.sampled_from((0, rows * width, rows * width + 1)))
+    flat = tuple(draw(st.lists(st.sampled_from(VALUES), min_size=size, max_size=size)))
+    cpt = draw(st.sampled_from((None, flat)))
+    table = draw(st.sampled_from((None, flat)))
+    return Node(id=node_id, kind=kind, owner=owner, domain=domain,
+                parents=parents, cpt=cpt, table=table)
+
+
+@st.composite
+def raw_maids(draw):
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=5, unique=True))
+    return Maid.build(AGENTS, [draw(raw_nodes(node_id)) for node_id in ids])
+
+
+def _ops(maid):
+    """Every public operation on ``maid``, as zero-argument calls."""
+    flags = all_effective(maid)
+    yield lambda: validate(maid)
+    yield lambda: maid.topological_order
+    yield lambda: maid.edges
+    yield lambda: is_fully_parameterized(maid)
+    yield lambda: strip_parameters(maid)
+    yield lambda: render_maidfile(maid)
+    yield lambda: leaf_metric(maid)
+    yield lambda: uniform_profile(maid)
+    yield lambda: expected_utility(maid, uniform_profile(maid), AGENTS[0])
+    yield lambda: find_equilibrium_small(maid)
+    yield lambda: simplify(maid)
+    yield lambda: enumerate_patterns(maid)
+    yield lambda: enumerate_patterns(maid, original=True)
+    yield lambda: identification_phase(maid, flags)
+    yield lambda: retract_edges(maid)
+    for x in maid.nodes:
+        yield lambda x=x: descendants(maid, x)
+        yield lambda x=x: ancestors(maid, x)
+        yield lambda x=x: list(parent_configs(maid, x))
+        for p in maid.nodes[x].parents:
+            yield lambda x=x, p=p: remove_edge(maid, p, x)
+        for y in maid.nodes:
+            if y != x:
+                yield lambda x=x, y=y: d_separated(maid, x, y, ())
+    for d in maid.nodes:
+        yield lambda d=d: convert_decision_to_chance(maid, d)
+        yield lambda d=d: uniform_rule(maid, d)
+        yield lambda d=d: constant_rule(maid, d, "x")
+        yield lambda d=d: decision_is_effective(maid, d, flags)
+        yield lambda d=d: is_motivated_bruteforce(maid, d, {})
+        for detector in (direct_effect, manipulation, signaling, reveal_deny):
+            yield lambda d=d, detector=detector: detector(
+                maid, d, flags, DetectionMode.ALL)
+        for kind in PatternKind:
+            for u in (*maid.nodes, "ghost"):
+                for n in (*maid.nodes, "ghost"):
+                    inst = PatternInstance(kind=kind, decision=d, u=u, n=n, u_prime=u)
+                    yield lambda inst=inst: check_instance(maid, inst, flags)
+
+
+@settings(max_examples=300)
+@given(maid=raw_maids())
+def test_every_op_returns_or_raises_maid_error(maid):
+    start = time.perf_counter()
+    for op in _ops(maid):
+        try:
+            op()
+        except MaidError:
+            pass
+    assert time.perf_counter() - start < TIME_BOUND_S
