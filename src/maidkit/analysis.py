@@ -19,7 +19,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
 from .core import Maid, MaidError, _reach
 
@@ -117,9 +117,8 @@ def d_separated(maid: Maid, x: str, y: str, w: Iterable[str],
                 enabled_edges: frozenset[tuple[str, str]] | None = None) -> bool:
     """True iff there is no active trail between ``x`` and ``y`` given ``w``.
 
-    When ``enabled_edges`` is given, only those edges exist for the test;
-    both trail traversal and the collider-opening descendant computation
-    respect the mask.
+    When ``enabled_edges`` is given, only those edges exist for the test,
+    both for the trail and for the descendants that open its colliders.
     """
     maid.node(x)
     maid.node(y)
@@ -133,25 +132,22 @@ def d_separated(maid: Maid, x: str, y: str, w: Iterable[str],
     return not _reaches_any(maid, x, frozenset((y,)), wset, enabled_edges)
 
 
-def _reaches_any(maid: Maid, x: str, targets: frozenset[str], w: frozenset[str],
-                 enabled: frozenset[tuple[str, str]] | None) -> bool:
-    """Bayes-ball reachability from ``x`` to any of ``targets`` given ``w``.
+def _reaches_any(maid: Maid, x: str, targets: AbstractSet[str], w: AbstractSet[str],
+                 enabled: AbstractSet[tuple[str, str]] | None) -> bool:
+    """Bayes-ball reachability from ``x`` to any of ``targets`` given ``w``
+    (Shachter 1998), crossing only ``enabled`` edges when a mask is given.
 
-    The mask is tested only on the edges the ball actually crosses.
+    A ball that enters a node of ``w`` from a parent bounces back up to its
+    parents. That is how converging arrows open: the ball that passes down
+    from a collider to a conditioned descendant climbs back through the
+    collider to its other parents, so no ancestor set is needed. The mask
+    is tested only on the edges the ball actually crosses, and each of the
+    2V states is visited once, so a call costs O(V + E).
     """
     if x in targets:
         return True
     children = maid._children_map
     parents = maid._parents_map
-
-    in_anw = set(w)
-    stack = list(w)
-    while stack:
-        n = stack.pop()
-        for p in parents[n]:
-            if p not in in_anw and (enabled is None or (p, n) in enabled):
-                in_anw.add(p)
-                stack.append(p)
 
     # Visits are (node, entered-from-child?) states; the ball leaves the
     # source in both directions.
@@ -166,9 +162,8 @@ def _reaches_any(maid: Maid, x: str, targets: frozenset[str], w: frozenset[str],
         if n in targets:
             return True
         # Up to the parents: through a non-conditioned node entered from a
-        # child, or through a collider that is conditioned on or has a
-        # conditioned descendant.
-        if (n not in w) if from_child else (n in in_anw):
+        # child, or bouncing off a conditioned node entered from a parent.
+        if (n not in w) == from_child:
             for p in parents[n]:
                 if enabled is None or (p, n) in enabled:
                     frontier.append((p, up))

@@ -138,8 +138,8 @@ class Maid:
     """An influence diagram over a fixed set of agents.
 
     Derived indexes (children, sorted parents, owned nodes, topological
-    order) are computed lazily and cached; they are safe to share because
-    the value never mutates.
+    order, validation findings) are computed lazily and cached; they are
+    safe to share because the value never mutates.
     """
 
     agents: frozenset[str]
@@ -266,6 +266,11 @@ class Maid:
                     heapq.heappush(ready, c)
         return tuple(order)
 
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        # What validate() reports, checked once per graph.
+        return tuple(_check_structure(self))
+
     @property
     def topological_order(self) -> tuple[str, ...]:
         if len(self._kahn_order) != len(self.nodes):
@@ -389,8 +394,17 @@ def strip_parameters(maid: Maid) -> Maid:
 def validate(maid: Maid) -> list[Diagnostic]:
     """Check every structural invariant; an empty list means the graph is
     well formed. Diagnostics come node by node in id order, each node's in
-    the order its rules are checked below; the acyclicity diagnostic, which
-    names no node, comes last."""
+    the order its rules are checked in :func:`_check_structure`; the
+    acyclicity diagnostic, which names no node, comes last.
+
+    The findings are kept per graph, like its other derived indexes, so
+    the checks run once however often a graph is validated; each call
+    returns a fresh list."""
+    return list(maid._diagnostics)
+
+
+def _check_structure(maid: Maid) -> list[Diagnostic]:
+    """Every structural finding about ``maid``, in :func:`validate`'s order."""
     out: list[Diagnostic] = []
 
     for node_id in sorted(maid.nodes):
@@ -492,6 +506,23 @@ def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
     maid.node(tail)
     if tail not in node.parents:
         raise EdgeNotFoundError(f"no edge {tail!r} -> {head!r}")
+    return maid.with_node(_drop_parent(maid, node, tail))
+
+
+def _remove_edges(maid: Maid, edges: Iterable[tuple[str, str]]) -> Maid:
+    """Delete ``edges``, each the head's parent, in order, as successive
+    :func:`remove_edge` calls would, in one rebuild of the node table."""
+    table = dict(maid.nodes)
+    for tail, head in edges:
+        maid.node(tail)
+        table[head] = _drop_parent(maid, table[head], tail)
+    return Maid(agents=maid.agents, nodes=table)
+
+
+def _drop_parent(maid: Maid, node: Node, tail: str) -> Node:
+    """``node`` without its first parent ``tail``, tables marginalized as
+    :func:`remove_edge` describes. Parent domains are read from ``maid``;
+    removing edges never changes a domain."""
     removed_at = node.parents.index(tail)
     new_parents = node.parents[:removed_at] + node.parents[removed_at + 1:]
 
@@ -514,9 +545,8 @@ def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
                 else:
                     table = merged
         synthetic = True
-    return maid.with_node(Node(id=node.id, kind=node.kind, owner=node.owner,
-                               domain=node.domain, parents=new_parents,
-                               cpt=cpt, table=table, synthetic_params=synthetic))
+    return Node(id=node.id, kind=node.kind, owner=node.owner, domain=node.domain,
+                parents=new_parents, cpt=cpt, table=table, synthetic_params=synthetic)
 
 
 def _marginalize(flat: tuple[float, ...], sizes: list[int], axis: int,

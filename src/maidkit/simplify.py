@@ -24,11 +24,11 @@ from .core import (
     ValidationError,
     all_effective,
     convert_decision_to_chance,
-    remove_edge,
+    _remove_edges,
     validate,
 )
-from .analysis import d_separated
-from .patterns import decision_is_effective
+from .analysis import _reaches_any
+from .patterns import DetectionMode, decision_is_effective, direct_effect
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,24 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
     A demotion clears the decision's flag and converts the node to a
     parentless uniform chance node in one step, so later pattern checks in
     the same phase see a consistent graph.
+
+    A decision with a direct effect is not checked again in the phase's
+    later passes: a demotion removes only edges into a decision, which no
+    decision-free path uses, and the flags do not bear on decision-free
+    paths.
     """
     eff = dict(effectiveness)
     eliminated: list[str] = []
     removed: list[tuple[str, str]] = []
+    direct: set[str] = set()
     changed_any = False
     while True:
         changed = False
         for d in _ordered(maid.decisions, rng):
-            if not eff.get(d, False):
+            if not eff.get(d, False) or d in direct:
+                continue
+            if direct_effect(maid, d, eff, DetectionMode.FIRST_WITNESS):
+                direct.add(d)
                 continue
             if decision_is_effective(maid, d, eff):
                 continue
@@ -120,7 +129,11 @@ def retract_edges(maid: Maid,
     p is d-connected, through currently enabled edges only, to some payoff
     node of d's owner given d and d's other parents. Re-enabling repeats to
     a fixed point (an edge revived late can be the route that revives an
-    earlier one), then whatever stayed disabled is removed.
+    earlier one), then whatever stayed disabled is removed, in one rebuild
+    of the graph.
+
+    Each test is one Bayes-ball pass from p to all of the owner's payoff
+    nodes at once, reading the live edge mask; it needs no ancestor set.
     """
     decision_order = [n for n in maid.topological_order
                       if maid.nodes[n].is_decision]
@@ -132,6 +145,7 @@ def retract_edges(maid: Maid,
         rng.shuffle(order)
     disabled = set(info_edges)
     enabled = set(maid.edge_set) - disabled
+    tests: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
 
     progress = True
     while progress:
@@ -139,19 +153,33 @@ def retract_edges(maid: Maid,
         for p, d in order:
             if (p, d) not in disabled:
                 continue
-            w = frozenset((d,)) | (frozenset(maid.parents(d)) - {p})
-            mask = frozenset(enabled)
-            for u in maid.utilities_of(maid.nodes[d].owner):
-                if not d_separated(maid, p, u, w, enabled_edges=mask):
-                    disabled.discard((p, d))
-                    enabled.add((p, d))
-                    progress = True
-                    break
+            if d not in tests:
+                tests[d] = _retraction_test(maid, d)
+            targets, observed = tests[d]
+            given = observed - {p}
+            if not targets.isdisjoint(given):
+                # Only a graph validate() rejects has a payoff node as a parent.
+                raise MaidError("d-separation endpoints must not be conditioned on")
+            if targets and _reaches_any(maid, p, targets, given, enabled):
+                disabled.discard((p, d))
+                enabled.add((p, d))
+                progress = True
 
     removed = tuple(e for e in info_edges if e in disabled)
-    for p, d in removed:
-        maid = remove_edge(maid, p, d)
-    return maid, removed, bool(removed)
+    if not removed:
+        return maid, (), False
+    return _remove_edges(maid, removed), removed, True
+
+
+def _retraction_test(maid: Maid, d: str) -> tuple[frozenset[str], frozenset[str]]:
+    """The payoff nodes of ``d``'s owner, and ``d`` with its parents, which
+    must be nodes when there is a payoff node to test against."""
+    targets = frozenset(maid.utilities_of(maid.nodes[d].owner))
+    observed = frozenset((d, *maid.parents(d)))
+    if targets:
+        for v in observed:
+            maid.node(v)
+    return targets, observed
 
 
 def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:

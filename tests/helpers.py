@@ -3,6 +3,7 @@
 Random graph generators sized for the property suites, an independent
 d-separation oracle built on exhaustive simple-trail enumeration, the
 exhaustive recursive witness search that ``find_path`` must agree with,
+the edge-by-edge retraction loop that ``retract_edges`` must agree with,
 the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
 with, small hand-built games, and samplers for strategy profiles. The
 d-separation oracle works on raw edge lists so it shares no graph code
@@ -16,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from maidkit import Maid, MaidParseError, Node, NodeKind, Path, validate
+from maidkit import Maid, MaidParseError, Node, NodeKind, Path, remove_edge, validate
 from maidkit.analysis import (
     BACKWARD,
     FORWARD,
@@ -25,6 +26,7 @@ from maidkit.analysis import (
     InteriorDecisions,
     PathQuery,
     collider_blocked,
+    d_separated,
 )
 from maidkit.semantics import DecisionRule, rule_from_rows
 
@@ -196,6 +198,44 @@ def reference_descendants(maid: Maid) -> dict[str, frozenset[str]]:
                 reach[tail] |= reach[head]
                 changed = True
     return {n: frozenset(r) for n, r in reach.items()}
+
+
+def reference_retract_edges(maid: Maid, rng: random.Random | None = None
+                            ) -> tuple[Maid, tuple[tuple[str, str], ...], bool]:
+    """Retraction one d-separation test per disabled edge and payoff node,
+    on a fresh copy of the edge mask, with one ``remove_edge`` per removed
+    edge: what ``retract_edges`` computes, without sharing work between
+    tests."""
+    decision_order = [n for n in maid.topological_order
+                      if maid.nodes[n].is_decision]
+    info_edges = [(p, d) for d in decision_order for p in maid.parents(d)]
+    if not info_edges:
+        return maid, (), False
+    order = list(info_edges)
+    if rng is not None:
+        rng.shuffle(order)
+    disabled = set(info_edges)
+    enabled = set(maid.edge_set) - disabled
+
+    progress = True
+    while progress:
+        progress = False
+        for p, d in order:
+            if (p, d) not in disabled:
+                continue
+            w = frozenset((d,)) | (frozenset(maid.parents(d)) - {p})
+            mask = frozenset(enabled)
+            for u in maid.utilities_of(maid.nodes[d].owner):
+                if not d_separated(maid, p, u, w, enabled_edges=mask):
+                    disabled.discard((p, d))
+                    enabled.add((p, d))
+                    progress = True
+                    break
+
+    removed = tuple(e for e in info_edges if e in disabled)
+    for p, d in removed:
+        maid = remove_edge(maid, p, d)
+    return maid, removed, bool(removed)
 
 
 def reference_find_path(maid: Maid, query: PathQuery,

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from maidkit import render_maidfile
-from maidkit import cli
+from maidkit import cli, core
 from maidkit.cli import main
 
 import helpers
@@ -168,6 +168,29 @@ def test_internal_errors_exit_2_in_one_line(capsys, card_path, monkeypatch):
     code, out, err = run(capsys, "validate", card_path)
     assert code == 2 and out == ""
     assert err == "error: internal error: RuntimeError: unexpected state\n"
+
+
+# -- structural checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["simplify", "patterns", "verify"])
+def test_structural_checks_run_once_per_graph(capsys, monkeypatch, card_path, command):
+    # The CLI validates the parsed graph, and simplify and the numeric
+    # checks validate it again; the findings are kept on the graph, so the
+    # checks themselves run once for each graph.
+    checked = []
+    check = core._check_structure
+
+    def counting_check(maid):
+        checked.append(maid)
+        return check(maid)
+
+    monkeypatch.setattr(core, "_check_structure", counting_check)
+    code, _, _ = run(capsys, command, card_path)
+    assert code == 0
+    assert checked, "the parsed graph was not validated"
+    ids = [id(m) for m in checked]
+    assert len(ids) == len(set(ids))
 
 
 # -- verify -----------------------------------------------------------------------

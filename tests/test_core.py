@@ -210,6 +210,22 @@ def test_validate_rejects_nan_probabilities():
         simplify(maid)
 
 
+def test_validate_returns_a_fresh_list():
+    # The findings are kept on the graph; what a caller does to the list it
+    # got back must not reach the next caller.
+    loop = Maid.build(agents=["p"], nodes=[
+        Node.chance("a", domain=("x",), parents=("b",)),
+        Node.chance("b", domain=("x", "y"), parents=("a",)),
+    ])
+    first = validate(loop)
+    expected = list(first)
+    first.clear()
+    assert validate(loop) == expected
+    clean = helpers.cascade_maid()
+    validate(clean).append(expected[0])
+    assert validate(clean) == []
+
+
 def test_convert_decision_to_chance(card1):
     out = convert_decision_to_chance(card1, "A")
     node = out.node("A")

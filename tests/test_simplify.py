@@ -2,6 +2,7 @@
 order independence."""
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maidkit import (
+    Maid,
+    Node,
     NodeKind,
     ValidationError,
     all_effective,
+    card_game,
     identification_phase,
     retract_edges,
     simplify,
@@ -19,6 +23,9 @@ from maidkit import (
 )
 
 import helpers
+
+# The package exports the function simplify under the module's name.
+simplify_module = importlib.import_module("maidkit.simplify")
 
 
 # -- card game ------------------------------------------------------------------
@@ -137,6 +144,85 @@ def test_retract_edges_keeps_informative_parents(pa):
     assert not changed
     assert removed == ()
     assert final == pa
+
+
+def test_direct_effects_are_not_checked_again_within_a_phase(monkeypatch):
+    # On card_game(5) every decision but A has a one-edge direct effect.
+    # The phase demotes A in its first pass and makes a second pass to
+    # confirm the fixed point; that pass asks no detector about B or C_k.
+    game = card_game(5)
+    asked = []
+
+    def recording(detector):
+        def wrapper(maid, d, *args, **kwargs):
+            asked.append(d)
+            return detector(maid, d, *args, **kwargs)
+        return wrapper
+
+    for name in ("direct_effect", "decision_is_effective"):
+        monkeypatch.setattr(simplify_module, name,
+                            recording(getattr(simplify_module, name)))
+    out = identification_phase(game, all_effective(game))
+    assert out.eliminated == ("A",)
+    others = [d for d in game.decisions if d != "A"]
+    assert sorted(d for d in asked if d != "A") == others
+    assert asked.count("A") == 2  # direct_effect, then the full test
+
+
+# -- retraction against the edge-by-edge loop ------------------------------------
+
+
+def revived_collider_maid():
+    """(p, d) is revived only through the converging arrows at c, which
+    open once the information edge (c, e) is re-enabled: e -> o leads down
+    to d's observation o. Orders that test (p, d) before (c, e) revive it
+    in a later sweep."""
+    b = ("f", "t")
+    return Maid.build(agents=["x", "y"], nodes=[
+        Node.chance("p", b), Node.chance("q", b),
+        Node.chance("c", b, parents=("p", "q")),
+        Node.decision("e", owner="y", domain=b, parents=("c",)),
+        Node.chance("o", b, parents=("e",)),
+        Node.decision("d", owner="x", domain=b, parents=("o", "p")),
+        Node.utility("u", owner="x", parents=("q", "d")),
+        Node.utility("v", owner="y", parents=("c", "e")),
+    ])
+
+
+def assert_retraction_matches_reference(maid, order_seed):
+    def order():
+        return None if order_seed is None else random.Random(order_seed)
+
+    final, removed, changed = retract_edges(maid, order())
+    ref_final, ref_removed, ref_changed = helpers.reference_retract_edges(maid, order())
+    assert removed == ref_removed
+    assert changed == ref_changed
+    # Node equality compares the probability and payoff tables exactly.
+    assert final == ref_final
+    assert [n.synthetic_params for n in final.nodes.values()] == \
+        [n.synthetic_params for n in ref_final.nodes.values()]
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 10_000), order_seed=st.none() | st.integers(0, 1000),
+       parameterized=st.booleans())
+def test_retraction_matches_reference(seed, order_seed, parameterized):
+    generate = (helpers.random_parameterized_maid if parameterized
+                else helpers.random_structure_maid)
+    maid = generate(random.Random(seed))
+    demoted = identification_phase(maid, all_effective(maid)).maid
+    for graph in (maid, demoted):
+        assert_retraction_matches_reference(graph, order_seed)
+
+
+def test_retraction_matches_reference_on_fixtures(card1, pa, cascade, sig_min):
+    # In principal_agent, r0 -> P1 is revived only once r1 -> P2 is: the
+    # route r0 -> r1 -> P2 -> U_P2 needs that edge.
+    revived = revived_collider_maid()
+    assert retract_edges(revived)[1] == ()
+    for maid in (card1, card_game(4), pa, cascade, sig_min, revived):
+        for order_seed in (None, *range(8)):
+            assert_retraction_matches_reference(maid, order_seed)
 
 
 # -- contract of the result ---------------------------------------------------------
