@@ -7,6 +7,11 @@ brute-force motivation test, and the check that a simplification preserved
 equilibria. Enumeration sizes are guarded; callers hitting the guard get a
 :class:`ScaleGuardError` rather than an open-ended computation.
 
+Each joint space is enumerated once per space object, on its first sweep,
+into a table of compact columns (chance weights, decision codes, payoff
+totals); every expectation and best response on the space reads that
+table. One-shot calls build the table too.
+
 Decision rules are tables in the same layout as node parameters: one
 distribution per parent configuration, last parent varying fastest.
 """
@@ -14,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -59,15 +66,26 @@ class DecisionRule:
 
     def __post_init__(self) -> None:
         expected = math.prod(len(d) for d in self.parent_domains)
+        if not isinstance(self.rows, Sequence):
+            raise MaidError(f"{self.decision}: rule rows must be a sequence, "
+                            f"got {type(self.rows).__name__}")
         if len(self.rows) != expected:
             raise MaidError(f"{self.decision}: rule has {len(self.rows)} rows, "
                             f"expected {expected}")
         for i, row in enumerate(self.rows):
+            if not isinstance(row, Sequence):
+                raise MaidError(f"{self.decision}: row {i} is a "
+                                f"{type(row).__name__}, not a sequence")
             if len(row) != len(self.domain):
                 raise MaidError(f"{self.decision}: row {i} has {len(row)} entries, "
                                 f"expected {len(self.domain)}")
-            # Written so that NaN fails both comparisons.
-            if any(not v >= 0 for v in row) or not abs(sum(row) - 1.0) <= PROB_TOL:
+            # Written so that NaN fails both comparisons; entries that are
+            # not numbers fail with a TypeError.
+            try:
+                valid = all(v >= 0 for v in row) and abs(sum(row) - 1.0) <= PROB_TOL
+            except TypeError:
+                valid = False
+            if not valid:
                 raise MaidError(f"{self.decision}: row {i} is not a distribution")
 
     def config_index(self, parent_values: Sequence[str]) -> int:
@@ -75,7 +93,10 @@ class DecisionRule:
             raise MaidError(f"{self.decision}: expected {len(self.parents)} parent "
                             f"values, got {len(parent_values)}")
         idx = 0
-        for dom, v in zip(self.parent_domains, parent_values):
+        for parent, dom, v in zip(self.parents, self.parent_domains, parent_values):
+            if v not in dom:
+                raise MaidError(f"{self.decision}: {v!r} is not a value of parent "
+                                f"{parent!r}")
             idx = idx * len(dom) + dom.index(v)
         return idx
 
@@ -167,12 +188,22 @@ def _check_profile(maid: Maid, profile: Mapping[str, DecisionRule],
 
 
 class _JointSpace:
-    """Precomputed scaffolding for enumerating joint assignments of the
-    non-utility nodes as tuples of domain indexes.
+    """Joint assignments of the non-utility nodes, enumerated once.
 
     Building one is the precondition of every numeric evaluation: the graph
     must pass :func:`validate` (so every probability and payoff is finite)
-    and be fully parameterized.
+    and be fully parameterized, and the space must be within its bound.
+
+    The first sweep enumerates the space, one-shot calls included, and
+    keeps a table of the states of non-zero chance weight, the first node
+    varying slowest: each state's chance weight and, for each decision,
+    its rule row and action as one code ``row * k + action`` (``k`` the
+    decision's domain size). An agent's payoff totals are added the first
+    time that agent is asked for. Every later expectation and best
+    response on the space sweeps this table and computes no chance weight,
+    rule row or payoff again. The table takes 8 bytes per kept state for
+    the chance weight, 8 more per decision and 8 more per agent asked for,
+    plus one byte per state of the whole space.
     """
 
     def __init__(self, maid: Maid, max_states: int = MAX_JOINT_STATES):
@@ -209,6 +240,13 @@ class _JointSpace:
             if not math.isfinite(sum(max(map(abs, table)) for table, _, _ in readers)):
                 raise MaidError(f"payoffs of agent {agent!r} can sum to a "
                                 f"non-finite total")
+        # The table, filled by the first sweep: which states of the whole
+        # space are kept, their chance weights, every decision's codes and
+        # the payoff totals of the agents asked for so far.
+        self._kept: bytes | None = None
+        self._chance = array("d")
+        self._codes: dict[str, array] = {}
+        self._payoffs: dict[str, array] = {}
 
     @staticmethod
     def _row(state: tuple[int, ...], positions: tuple[int, ...],
@@ -237,30 +275,64 @@ class _JointSpace:
                 return 0.0
         return w
 
-    def weighted_states(self, profile: Mapping[str, DecisionRule],
-                        skip: frozenset[str] = frozenset()
-                        ) -> Iterator[tuple[tuple[int, ...], float]]:
-        """Every state whose chance weight times rule weight (decisions in
-        ``skip`` left out) is non-zero, with that weight, first node varying
-        slowest."""
-        for state in itertools.product(*(range(len(d)) for d in self.domains)):
+    def _states(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*(range(len(d)) for d in self.domains))
+
+    def _enumerate(self) -> None:
+        kept = bytearray(self.n_states)
+        for i, state in enumerate(self._states()):
             w = self.chance_weight(state)
-            if w == 0.0:
-                continue
-            w *= self.rule_weight(state, profile, skip)
             if w != 0.0:
-                yield state, w
+                kept[i] = 1
+                self._chance.append(w)
+        self._kept = bytes(kept)
+        self._codes = {d: array("l", self._column((*ppos, pos), (*prad, len(self.domains[pos]))))
+                       for d, (pos, ppos, prad) in self.decision_inputs.items()}
 
-    def utility_total(self, state: tuple[int, ...], agent: str) -> float:
-        total = 0.0
-        for table, ppos, prad in self.utility_readers[agent]:
-            total += table[self._row(state, ppos, prad)]
-        return total
+    def _column(self, positions: tuple[int, ...], radices: tuple[int, ...]) -> list[int]:
+        """The mixed-radix index of the values at ``positions`` in every
+        kept state, as ``_row`` computes it for one state."""
+        column = [0] * len(self._chance)
+        for p, r in zip(positions, radices):
+            values = map(operator.itemgetter(p), itertools.compress(self._states(), self._kept))
+            column = list(map(operator.add, map(operator.mul, column, itertools.repeat(r)), values))
+        return column
 
-    def decision_observation(self, state: tuple[int, ...], d: str) -> tuple[int, int]:
-        """(rule row index, chosen-action index) of ``d`` in a state."""
-        pos, ppos, prad = self.decision_inputs[d]
-        return self._row(state, ppos, prad), state[pos]
+    def _payoff_totals(self, agent: str) -> array:
+        totals = self._payoffs.get(agent)
+        if totals is None:
+            column = [0.0] * len(self._chance)
+            for table, ppos, prad in self.utility_readers[agent]:
+                column = list(map(operator.add, column,
+                                  map(table.__getitem__, self._column(ppos, prad))))
+            totals = self._payoffs[agent] = array("d", column)
+        return totals
+
+    def sweep(self, profile: Mapping[str, DecisionRule], decisions: tuple[str, ...],
+              agent: str) -> Iterator[tuple[tuple[int, ...], float, float]]:
+        """``(key, weight, payoff)`` for every state of non-zero weight,
+        first node varying slowest. The weight is the chance weight times
+        the rule entries of every decision not in ``decisions``, multiplied
+        in ``decision_inputs`` order; the key holds the codes of
+        ``decisions`` in their order; the payoff is the agent's total.
+
+        Rule entries are finite and non-negative, so a product that reaches
+        0.0 stays 0.0: multiplying whole columns gives every weight exactly
+        as stopping at the first zero entry would.
+        """
+        if self._kept is None:
+            self._enumerate()
+        payoffs = self._payoff_totals(agent)
+        rule = None
+        for d in self.decision_inputs:
+            if d in decisions:
+                continue
+            entries = list(itertools.chain.from_iterable(profile[d].rows))
+            factor = map(entries.__getitem__, self._codes[d])
+            rule = list(factor) if rule is None else list(map(operator.mul, rule, factor))
+        weights = self._chance if rule is None else list(map(operator.mul, self._chance, rule))
+        keys = zip(*(self._codes[d] for d in decisions)) if decisions else itertools.repeat(())
+        return itertools.compress(zip(keys, weights, payoffs), weights)
 
 
 # -- probabilities and utilities -------------------------------------------------
@@ -294,8 +366,8 @@ def expected_utility(maid: Maid, profile: Mapping[str, DecisionRule],
         raise MaidError(f"unknown agent: {agent!r}")
     space = _JointSpace(maid)
     total = 0.0
-    for state, w in space.weighted_states(profile):
-        total += w * space.utility_total(state, agent)
+    for _, w, u in space.sweep(profile, (), agent):
+        total += w * u
     return total
 
 
@@ -312,10 +384,10 @@ def _response_cells(space: _JointSpace, profile: Mapping[str, DecisionRule],
     that behavior assigns to each cell.
     """
     cells: dict[tuple, float] = {}
-    for state, w in space.weighted_states(profile, skip=frozenset(decisions)):
-        key = tuple(space.decision_observation(state, d) for d in decisions)
-        cells[key] = cells.get(key, 0.0) + w * space.utility_total(state, agent)
-    return cells
+    for key, w, u in space.sweep(profile, decisions, agent):
+        cells[key] = cells.get(key, 0.0) + w * u
+    radices = [len(space.domains[space.pos[d]]) for d in decisions]
+    return {tuple(map(divmod, key, radices)): s for key, s in cells.items()}
 
 
 def _profile_value_from_cells(cells: dict, decisions: tuple[str, ...],
@@ -483,19 +555,20 @@ def is_motivated_bruteforce(maid: Maid, d: str,
     _check_profile(maid, others, exclude=frozenset((d,)))
     space = _JointSpace(maid)
 
-    value: dict[tuple[int, int], float] = {}
-    mass: dict[tuple[int, int], float] = {}
-    for state, w in space.weighted_states(others, skip=frozenset((d,))):
-        key = space.decision_observation(state, d)
-        mass[key] = mass.get(key, 0.0) + w
-        value[key] = value.get(key, 0.0) + w * space.utility_total(state, node.owner)
+    # Keyed by d's code row * k + action.
+    value: dict[int, float] = {}
+    mass: dict[int, float] = {}
+    for (code,), w, u in space.sweep(others, (d,), node.owner):
+        mass[code] = mass.get(code, 0.0) + w
+        value[code] = value.get(code, 0.0) + w * u
 
-    for row in {row for row, _ in mass}:
+    k = len(node.domain)
+    for row in {code // k for code in mass}:
         conditional = []
-        for action in range(len(node.domain)):
-            m = mass.get((row, action), 0.0)
+        for code in range(row * k, row * k + k):
+            m = mass.get(code, 0.0)
             if m > 0.0:
-                conditional.append(value[(row, action)] / m)
+                conditional.append(value[code] / m)
         if conditional and max(conditional) - min(conditional) > tol:
             return True
     return False

@@ -5,7 +5,9 @@ d-separation oracle built on exhaustive simple-trail enumeration, the
 exhaustive recursive witness search that ``find_path`` must agree with,
 the edge-by-edge retraction loop that ``retract_edges`` must agree with,
 the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
-with, small hand-built games, and samplers for strategy profiles. The
+with, the state-at-a-time joint-space sweep that the numeric layer's
+enumerated table must agree with, small hand-built games, and samplers
+for strategy profiles. The
 d-separation oracle works on raw edge lists so it shares no graph code
 with the package.
 """
@@ -578,6 +580,139 @@ def sample_measurable_profile(original: Maid, result,
             rows = [row] * math.prod(len(dom) for dom in orig_domains)
         profile[d] = rule_from_rows(original, d, rows)
     return profile
+
+
+# -- reference joint-space sweep ----------------------------------------------
+#
+# The numeric layer enumerated the joint space once per best response, state
+# by state, before it kept one table per space. These are that sweep and its
+# three readers, kept as they were; they read only the scaffolding a
+# ``semantics._JointSpace`` builds in its constructor (domains, chance
+# factors, decision inputs, utility readers), never its table.
+
+
+def _reference_row(state, positions, radices) -> int:
+    idx = 0
+    for p, r in zip(positions, radices):
+        idx = idx * r + state[p]
+    return idx
+
+
+def _reference_chance_weight(space, state) -> float:
+    w = 1.0
+    for pos, k, cpt, ppos, prad in space.chance_factors:
+        w *= cpt[_reference_row(state, ppos, prad) * k + state[pos]]
+        if w == 0.0:
+            return 0.0
+    return w
+
+
+def _reference_rule_weight(space, state, profile, skip=frozenset()) -> float:
+    w = 1.0
+    for d, (pos, ppos, prad) in space.decision_inputs.items():
+        if d in skip:
+            continue
+        w *= profile[d].rows[_reference_row(state, ppos, prad)][state[pos]]
+        if w == 0.0:
+            return 0.0
+    return w
+
+
+def reference_weighted_states(space, profile, skip=frozenset()):
+    """Every state whose chance weight times rule weight (decisions in
+    ``skip`` left out) is non-zero, with that weight, first node varying
+    slowest."""
+    for state in itertools.product(*(range(len(d)) for d in space.domains)):
+        w = _reference_chance_weight(space, state)
+        if w == 0.0:
+            continue
+        w *= _reference_rule_weight(space, state, profile, skip)
+        if w != 0.0:
+            yield state, w
+
+
+def reference_utility_total(space, state, agent) -> float:
+    total = 0.0
+    for table, ppos, prad in space.utility_readers[agent]:
+        total += table[_reference_row(state, ppos, prad)]
+    return total
+
+
+def reference_decision_observation(space, state, d) -> tuple[int, int]:
+    """(rule row index, chosen-action index) of ``d`` in a state."""
+    pos, ppos, prad = space.decision_inputs[d]
+    return _reference_row(state, ppos, prad), state[pos]
+
+
+def reference_expected_utility(space, profile, agent) -> float:
+    total = 0.0
+    for state, w in reference_weighted_states(space, profile):
+        total += w * reference_utility_total(space, state, agent)
+    return total
+
+
+def reference_response_cells(space, profile, decisions, agent) -> dict:
+    cells: dict[tuple, float] = {}
+    for state, w in reference_weighted_states(space, profile, skip=frozenset(decisions)):
+        key = tuple(reference_decision_observation(space, state, d) for d in decisions)
+        cells[key] = cells.get(key, 0.0) + w * reference_utility_total(space, state, agent)
+    return cells
+
+
+def reference_is_motivated(maid: Maid, space, d: str, others, tol: float = 1e-9) -> bool:
+    node = maid.nodes[d]
+    value: dict[tuple[int, int], float] = {}
+    mass: dict[tuple[int, int], float] = {}
+    for state, w in reference_weighted_states(space, others, skip=frozenset((d,))):
+        key = reference_decision_observation(space, state, d)
+        mass[key] = mass.get(key, 0.0) + w
+        value[key] = value.get(key, 0.0) + w * reference_utility_total(space, state, node.owner)
+
+    for row in {row for row, _ in mass}:
+        conditional = []
+        for action in range(len(node.domain)):
+            m = mass.get((row, action), 0.0)
+            if m > 0.0:
+                conditional.append(value[(row, action)] / m)
+        if conditional and max(conditional) - min(conditional) > tol:
+            return True
+    return False
+
+
+def _random_sparse_row(k: int, rng: random.Random) -> tuple[float, ...]:
+    """A pure row, a row with some zero entries or a row with none."""
+    kind = rng.random()
+    if kind < 0.3:
+        pick = rng.randrange(k)
+        return tuple(1.0 if a == pick else 0.0 for a in range(k))
+    if kind < 0.7:
+        raw = [0.0 if rng.random() < 0.5 else rng.random() + 0.05 for _ in range(k)]
+        if not any(raw):
+            raw[rng.randrange(k)] = 1.0
+        total = sum(raw)
+        return tuple(v / total for v in raw)
+    return _random_row(k, rng)
+
+
+def random_sparse_rule(maid: Maid, d: str, rng: random.Random) -> DecisionRule:
+    """A random rule for ``d`` with sparse rows, so that rule weights often
+    reach zero."""
+    node = maid.nodes[d]
+    n_rows = math.prod(len(maid.nodes[p].domain) for p in node.parents)
+    return rule_from_rows(maid, d, [_random_sparse_row(len(node.domain), rng)
+                                    for _ in range(n_rows)])
+
+
+def with_sparse_chance(maid: Maid, rng: random.Random) -> Maid:
+    """The game with every chance node's table redrawn with sparse rows, so
+    that some joint states have zero chance weight."""
+    for c in maid.chance_nodes:
+        node = maid.nodes[c]
+        n_rows = math.prod(len(maid.nodes[p].domain) for p in node.parents)
+        cpt = [v for _ in range(n_rows) for v in _random_sparse_row(len(node.domain), rng)]
+        maid = maid.with_node(Node.chance(c, domain=node.domain, parents=node.parents,
+                                          cpt=cpt))
+    return maid
 
 
 # -- small hand-built games --------------------------------------------------

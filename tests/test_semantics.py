@@ -6,8 +6,12 @@ earns 10."""
 from __future__ import annotations
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maidkit import semantics
 from maidkit import (
@@ -19,6 +23,7 @@ from maidkit import (
     SimplificationResult,
     ValidationError,
     best_response_gap,
+    card_game,
     constant_rule,
     convert_decision_to_chance,
     expected_utility,
@@ -34,6 +39,9 @@ from maidkit import (
     validate,
     verify_simplification,
 )
+from maidkit.semantics import DecisionRule
+
+import helpers
 
 TOL = 1e-9
 
@@ -79,6 +87,20 @@ def test_rule_validation(card1):
         constant_rule(card1, "C", "X")
     with pytest.raises(NotADecisionError):
         uniform_rule(card1, "J")
+
+
+def test_malformed_rules_raise_maid_errors(card1):
+    # Both used to escape as a bare ValueError or TypeError.
+    uni = uniform_rule(card1, "B")
+    with pytest.raises(MaidError, match="B: 'X' is not a value of parent 'C'"):
+        uni.row_for(("H", "X"))
+    with pytest.raises(MaidError, match="B: rule rows must be a sequence"):
+        DecisionRule("B", uni.parents, uni.parent_domains, uni.domain, rows=None)
+    with pytest.raises(MaidError, match="B: row 0 is a NoneType"):
+        DecisionRule("B", uni.parents, uni.parent_domains, uni.domain, rows=(None,) * 9)
+    with pytest.raises(MaidError, match="B: row 0 is not a distribution"):
+        DecisionRule("B", uni.parents, uni.parent_domains, uni.domain,
+                     rows=(("1", "0", "0"),) * 9)
 
 
 def test_rule_rejects_nan_rows(card1):
@@ -196,6 +218,76 @@ def test_verify_validates_each_graph_once(card1, monkeypatch):
     assert [id(m) for m in seen] == [id(card1), id(result.final)]
 
 
+# -- the enumerated table -----------------------------------------------------------
+
+
+@given(seed=st.integers(0, 10_000), source=st.sampled_from(["random", "card", "simplified"]),
+       sparse_chance=st.booleans())
+def test_sweep_matches_reference(seed, source, sparse_chance):
+    rng = random.Random(seed)
+    if source == "random":
+        maid = helpers.random_parameterized_maid(rng)
+    else:
+        maid = card_game(rng.randint(1, 3))
+        if source == "simplified":
+            maid = simplify(maid).final
+    if sparse_chance:
+        maid = helpers.with_sparse_chance(maid, rng)
+    space = semantics._JointSpace(maid)
+    # Several sweeps on one space, each with its own profile, deviating set
+    # and agent; sparse rows make the weights reach zero.
+    for _ in range(4):
+        profile = {d: helpers.random_sparse_rule(maid, d, rng) for d in maid.decisions}
+        agent = rng.choice(sorted(maid.agents))
+        decisions = tuple(rng.sample(maid.decisions, rng.randint(0, len(maid.decisions))))
+        cells = semantics._response_cells(space, profile, decisions, agent)
+        expected = helpers.reference_response_cells(space, profile, decisions, agent)
+        assert list(cells.items()) == list(expected.items())
+        assert expected_utility(maid, profile, agent) == \
+            helpers.reference_expected_utility(space, profile, agent)
+        if maid.decisions:
+            d = rng.choice(maid.decisions)
+            others = {e: rule for e, rule in profile.items() if e != d}
+            assert is_motivated_bruteforce(maid, d, others) == \
+                helpers.reference_is_motivated(maid, space, d, others)
+
+
+def _count_chance_weights(monkeypatch) -> list[int]:
+    calls = [0]
+    weigh = semantics._JointSpace.chance_weight
+
+    def counting(self, state):
+        calls[0] += 1
+        return weigh(self, state)
+
+    monkeypatch.setattr(semantics._JointSpace, "chance_weight", counting)
+    return calls
+
+
+def test_verification_weighs_each_state_once(monkeypatch):
+    # Both spaces (the simplified game's and the original's) have 3^8
+    # states; every best response used to weigh all of them again.
+    game = card_game(5)
+    result = simplify(game)
+    calls = _count_chance_weights(monkeypatch)
+    assert verify_simplification(game, result).passed
+    assert calls[0] == 2 * 3 ** 8
+
+
+def test_verification_table_is_compact():
+    # Columns of machine numbers; a table with a tuple and a dict per
+    # state peaks near 8 MB here.
+    game = card_game(5)
+    result = simplify(game)
+    tracemalloc.start()
+    try:
+        assert verify_simplification(game, result).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
 # -- best response -----------------------------------------------------------------
 
 
@@ -304,13 +396,23 @@ def test_verification_without_pure_equilibrium_is_inconclusive(pennies):
 # -- scale guards ------------------------------------------------------------------
 
 
-def test_joint_state_guard():
+def test_joint_state_guard(monkeypatch):
     nodes = [Node.chance(f"x{i:02d}", domain=("f", "t"), cpt=(0.5, 0.5))
              for i in range(21)]
     nodes.append(Node.utility("u", owner="z", parents=("x00",), table=(0.0, 1.0)))
     big = Maid.build(agents=["z"], nodes=nodes)
+    # 3^15 joint states in the card game with twelve side players.
+    game = card_game(12)
+    result = simplify(game)
+    calls = _count_chance_weights(monkeypatch)
     with pytest.raises(ScaleGuardError, match="joint state"):
         expected_utility(big, {}, "z")
+    with pytest.raises(ScaleGuardError, match="joint state space has 14348907 states"):
+        expected_utility(game, uniform_profile(game), "a")
+    with pytest.raises(ScaleGuardError, match="joint state space has 14348907 states"):
+        verify_simplification(game, result)
+    # Refused before any state is weighed.
+    assert calls[0] == 0
 
 
 def test_pure_profile_guard():
