@@ -99,20 +99,6 @@ class PatternReport:
         return tuple(out)
 
 
-def _downstream_decisions(maid: Maid, d: str) -> list[tuple[str, Path]]:
-    """Decisions reachable from ``d`` by a directed decision-free path,
-    ascending by id, each with its witness."""
-    return sorted(decision_free_paths(maid, d, maid.decisions).items())
-
-
-def _searcher(maid: Maid, effectiveness: Mapping[str, bool] | None
-              ) -> Callable[..., Path | None]:
-    """``search(build, *args)`` is :func:`find_path` on ``maid`` under
-    ``effectiveness`` for the query ``build(*args)``; each distinct query is
-    built and searched once, and asked again it returns the same answer."""
-    return functools.cache(lambda build, *args: find_path(maid, build(*args), effectiveness))
-
-
 def _signal_sources(maid: Maid, d: str) -> dict[str, frozenset[str]]:
     """Each ancestor a of ``d`` other than ``d``, ascending, with the parents
     of ``d`` that are not descendants of a, from one ancestor set per parent
@@ -151,40 +137,60 @@ def _pattern(maid: Maid, d: str, kind: PatternKind
     return bindings
 
 
-def _detect(maid: Maid, d: str, kind: PatternKind,
+def _detect(maid: Maid, d: str, kinds: Iterable[PatternKind],
             effectiveness: Mapping[str, bool] | None,
             mode: DetectionMode) -> list[PatternInstance]:
-    """Instances of manipulation, signaling or revealing-denying at ``d``:
-    n downstream of ``d`` (the sweep gives d_to_n), u an own utility that n
-    reaches (n_to_u), u' a utility of n's owner, then ``kind``'s witnesses."""
+    """Instances at ``d`` of each of ``kinds``, which come in
+    :class:`PatternKind` order; in FIRST_WITNESS mode, only the first
+    instance found.
+
+    Direct effect: one instance per own utility u that ``d`` reaches
+    decision-free. The other kinds bind n downstream of ``d`` (one sweep
+    gives d_to_n), u an own utility that n reaches (n_to_u), u' a utility of
+    n's owner, then the kind's witnesses; they share one table in which
+    each distinct query is built and searched once."""
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
-    downstream = _downstream_decisions(maid, d)
-    if not downstream:
-        return []
-    search = _searcher(maid, effectiveness)
-    bindings = _pattern(maid, d, kind)
     out: list[PatternInstance] = []
-    for n, d_to_n in downstream:
-        n_owner = maid.nodes[n].owner
-        for u in own_utilities:
-            n_to_u = search(directed_effective_query, n, u)
-            if n_to_u is None:
-                continue
-            for u_prime in maid.utilities_of(n_owner):
-                for a, witnesses in bindings(n, u, u_prime):
-                    found = [("d_to_n", d_to_n), ("n_to_u", n_to_u)]
-                    for name, build, args in witnesses:
-                        path = search(build, *args)
-                        if path is None:
-                            break
-                        found.append((name, path))
-                    else:
-                        out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
-                                                   u_prime=u_prime, a=a,
-                                                   witness_paths=tuple(found)))
-                        if mode is DetectionMode.FIRST_WITNESS:
-                            return out
+    downstream = search = None
+    for kind in kinds:
+        if kind is PatternKind.DIRECT_EFFECT:
+            for u in own_utilities:
+                p = find_path(maid, decision_free_query(d, u), effectiveness)
+                if p is None:
+                    continue
+                out.append(PatternInstance(kind=kind, decision=d, u=u,
+                                           witness_paths=(("d_to_u", p),)))
+                if mode is DetectionMode.FIRST_WITNESS:
+                    return out
+            continue
+        if downstream is None:
+            downstream = sorted(decision_free_paths(maid, d, maid.decisions).items())
+            search = functools.cache(
+                lambda build, *args: find_path(maid, build(*args), effectiveness))
+        if not downstream:
+            continue
+        bindings = _pattern(maid, d, kind)
+        for n, d_to_n in downstream:
+            n_owner = maid.nodes[n].owner
+            for u in own_utilities:
+                n_to_u = search(directed_effective_query, n, u)
+                if n_to_u is None:
+                    continue
+                for u_prime in maid.utilities_of(n_owner):
+                    for a, witnesses in bindings(n, u, u_prime):
+                        found = [("d_to_n", d_to_n), ("n_to_u", n_to_u)]
+                        for name, build, args in witnesses:
+                            path = search(build, *args)
+                            if path is None:
+                                break
+                            found.append((name, path))
+                        else:
+                            out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
+                                                       u_prime=u_prime, a=a,
+                                                       witness_paths=tuple(found)))
+                            if mode is DetectionMode.FIRST_WITNESS:
+                                return out
     return out
 
 
@@ -195,17 +201,7 @@ def direct_effect(maid: Maid, d: str,
                   effectiveness: Mapping[str, bool] | None = None,
                   mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
     """One instance per own utility that ``d`` reaches decision-free."""
-    _require_decision(maid, d)
-    out: list[PatternInstance] = []
-    for u in maid.utilities_of(maid.nodes[d].owner):
-        p = find_path(maid, decision_free_query(d, u), effectiveness)
-        if p is None:
-            continue
-        out.append(PatternInstance(kind=PatternKind.DIRECT_EFFECT, decision=d, u=u,
-                                   witness_paths=(("d_to_u", p),)))
-        if mode is DetectionMode.FIRST_WITNESS:
-            break
-    return out
+    return _detect(maid, d, (PatternKind.DIRECT_EFFECT,), effectiveness, mode)
 
 
 def manipulation(maid: Maid, d: str,
@@ -214,7 +210,7 @@ def manipulation(maid: Maid, d: str,
     """Instances (n, u, u') where a downstream decision n carries ``d``'s
     influence to an own utility u, while ``d`` retains a route to n's
     utility u' that bypasses n (the lever it manipulates with)."""
-    return _detect(maid, d, PatternKind.MANIPULATION, effectiveness, mode)
+    return _detect(maid, d, (PatternKind.MANIPULATION,), effectiveness, mode)
 
 
 def signaling(maid: Maid, d: str,
@@ -228,7 +224,7 @@ def signaling(maid: Maid, d: str,
     descendants of ``d`` (what n observes anyway); the a .. u route is
     tested given the parents of ``d`` that are not descendants of a.
     """
-    return _detect(maid, d, PatternKind.SIGNALING, effectiveness, mode)
+    return _detect(maid, d, (PatternKind.SIGNALING,), effectiveness, mode)
 
 
 def reveal_deny(maid: Maid, d: str,
@@ -243,20 +239,18 @@ def reveal_deny(maid: Maid, d: str,
     node of any front-door path out of ``d`` is itself a descendant of
     ``d``, so no opener could then be in the blocking set.
     """
-    return _detect(maid, d, PatternKind.REVEAL_DENY, effectiveness, mode)
+    return _detect(maid, d, (PatternKind.REVEAL_DENY,), effectiveness, mode)
 
 
-# Looked up in the module at call time, so a wrapper installed on a
-# detector (a tracer, a test) sees every call.
-_DETECTORS = ("direct_effect", "manipulation", "signaling", "reveal_deny")
+# Every kind, cheapest first: the kinds of one full detection pass.
+_ALL_KINDS = tuple(PatternKind)
 
 
 def decision_is_effective(maid: Maid, d: str,
                           effectiveness: Mapping[str, bool] | None = None) -> bool:
-    """Does any pattern hold for ``d``? Detectors run cheapest first and
-    short-circuit on the first witness."""
-    return any(globals()[name](maid, d, effectiveness, DetectionMode.FIRST_WITNESS)
-               for name in _DETECTORS)
+    """Does any pattern hold for ``d``? One detection pass over every
+    kind, cheapest first, that stops at the first witness."""
+    return bool(_detect(maid, d, _ALL_KINDS, effectiveness, DetectionMode.FIRST_WITNESS))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -283,8 +277,7 @@ def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
         if not flags.get(d, False) or not graph.nodes[d].is_decision:
             instances[d] = ()
             continue
-        instances[d] = tuple(instance for name in _DETECTORS
-                             for instance in globals()[name](graph, d, flags, DetectionMode.ALL))
+        instances[d] = tuple(_detect(graph, d, _ALL_KINDS, flags, DetectionMode.ALL))
     return PatternReport(instances=instances, effectiveness=flags)
 
 
@@ -299,14 +292,17 @@ def check_instance(maid: Maid, instance: PatternInstance,
     bindings, through the same pattern definitions the detectors search,
     and checks the witness with :func:`maidkit.analysis.check_path`,
     without rerunning any search. An instance whose bindings do not fit the
-    pattern (a node the graph does not have, a u or u' that is not a
-    utility of the right owner, n equal to the decision) is rejected.
+    pattern (a node the graph does not have, a binding the pattern does not
+    use, a u or u' that is not a utility of the right owner, n equal to the
+    decision) is rejected.
     """
     d, u, n, u_prime = instance.decision, instance.u, instance.n, instance.u_prime
     decision = maid.nodes.get(d)
     if decision is None or not decision.is_decision or not _owns(maid, decision.owner, u):
         return False
     if instance.kind is PatternKind.DIRECT_EFFECT:
+        if n is not None or u_prime is not None or instance.a is not None:
+            return False
         queries = {"d_to_u": decision_free_query(d, u)}
     else:
         downstream = maid.nodes.get(n)

@@ -206,7 +206,7 @@ class _JointSpace:
     plus one byte per state of the whole space.
     """
 
-    def __init__(self, maid: Maid, max_states: int = MAX_JOINT_STATES):
+    def __init__(self, maid: Maid):
         diagnostics = validate(maid)
         if diagnostics:
             raise ValidationError(diagnostics)
@@ -217,9 +217,9 @@ class _JointSpace:
         self.pos = {n: i for i, n in enumerate(self.order)}
         self.domains = tuple(maid.nodes[n].domain for n in self.order)
         self.n_states = math.prod(len(d) for d in self.domains) if self.order else 1
-        if self.n_states > max_states:
+        if self.n_states > MAX_JOINT_STATES:
             raise ScaleGuardError(f"joint state space has {self.n_states} states "
-                                  f"(limit {max_states})")
+                                  f"(limit {MAX_JOINT_STATES})")
 
         def inputs(node):
             return (tuple(self.pos[p] for p in node.parents),
@@ -487,6 +487,13 @@ def _gap(maid: Maid, space: _JointSpace, profile: Mapping[str, DecisionRule],
 # -- equilibrium search ------------------------------------------------------------
 
 
+def _check_tol(tol: float) -> None:
+    """A tolerance is a finite number >= 0: with NaN or infinity every gap
+    passes, and a negative one fails even an exact equilibrium."""
+    if not (isinstance(tol, (int, float)) and 0 <= tol < math.inf):
+        raise MaidError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
                            max_profiles: int = MAX_PURE_PROFILES,
                            max_rounds: int = 50) -> dict[str, DecisionRule] | None:
@@ -498,6 +505,7 @@ def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
     every joint pure profile is checked in lexicographic order. The size of
     the pure profile space is guarded.
     """
+    _check_tol(tol)
     space = _JointSpace(maid)
     decisions = maid.decisions
     if not decisions:
@@ -549,6 +557,7 @@ def is_motivated_bruteforce(maid: Maid, d: str,
     configuration distribution does not depend on d's own behavior, so
     ``others`` needs no rule for d.
     """
+    _check_tol(tol)
     node = _require_decision(maid, d)
     if d in others:
         raise MaidError(f"others must not contain a rule for {d!r}")
@@ -618,6 +627,7 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     original game (eliminated decisions become uniform, surviving rules are
     lifted over their original parent lists), and measure every agent's
     best-response gap in the original game."""
+    _check_tol(tol)
     space = _JointSpace(maid)  # an invalid original fails before the search starts
     simplified = result.final
     eq = find_equilibrium_small(simplified, seed=seed, tol=tol)

@@ -28,7 +28,7 @@ from .core import (
     validate,
 )
 from .analysis import _reaches_any
-from .patterns import DetectionMode, decision_is_effective, direct_effect
+from .patterns import _ALL_KINDS, DetectionMode, PatternKind, _detect
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,10 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
         for d in _ordered(maid.decisions, rng):
             if not eff.get(d, False) or d in direct:
                 continue
-            if direct_effect(maid, d, eff, DetectionMode.FIRST_WITNESS):
-                direct.add(d)
-                continue
-            if decision_is_effective(maid, d, eff):
+            first = _detect(maid, d, _ALL_KINDS, eff, DetectionMode.FIRST_WITNESS)
+            if first:
+                if first[0].kind is PatternKind.DIRECT_EFFECT:
+                    direct.add(d)
                 continue
             eff[d] = False
             for p in maid.parents(d):

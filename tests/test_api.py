@@ -1,11 +1,15 @@
 """The public surface: exports, imports and the version."""
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
+import sys
 
 import maidkit
 
-PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_every_export_resolves():
@@ -27,3 +31,19 @@ def test_version_matches_pyproject():
     version = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
     assert version is not None
     assert maidkit.__version__ == version.group(1)
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # A renamed or removed function would turn its trace row into a
+    # "missing" entry that reads 0; every target must name a callable.
+    # The tracer is loaded without writing a bytecode cache next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for span, module_name, attr in tracer.TARGETS:
+        assert module_name.startswith("maidkit."), span
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"

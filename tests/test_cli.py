@@ -220,6 +220,14 @@ def test_verify_rejects_structure_only_games(capsys, pa_path):
     assert "structure-only" in err
 
 
+@pytest.mark.parametrize("tol", ("nan", "inf", "-1"))
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(capsys, card_path, tol):
+    code, out, err = run(capsys, "verify", card_path, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tol must be a finite number >= 0, got ")
+    assert tol in err
+
+
 # -- bench ------------------------------------------------------------------------
 
 

@@ -233,27 +233,6 @@ def test_detectors_reject_non_decisions(pa):
         decision_is_effective(pa, "U_P1")
 
 
-def test_detectors_are_read_from_the_module_at_call_time(monkeypatch, pa):
-    # A wrapper installed on a detector in maidkit.patterns, as the
-    # benchmark's tracer installs one, sees every call that
-    # decision_is_effective and enumerate_patterns make.
-    import maidkit.patterns as patterns
-
-    names = ("direct_effect", "manipulation", "signaling", "reveal_deny")
-    calls = []
-    for name in names:
-        def counting(maid, d, effectiveness=None, mode=DetectionMode.ALL, _name=name):
-            calls.append((_name, d, mode))
-            return []  # so that decision_is_effective asks every detector
-        monkeypatch.setattr(patterns, name, counting)
-
-    assert decision_is_effective(pa, "P1") is False
-    assert calls == [(name, "P1", DetectionMode.FIRST_WITNESS) for name in names]
-    calls.clear()
-    enumerate_patterns(pa, original=True)
-    assert calls == [(name, d, DetectionMode.ALL) for d in pa.decisions for name in names]
-
-
 def test_effectiveness_flags_mask_interior_decisions(pa):
     # Flags gate decisions appearing in the interior of a witness path, not
     # decisions standing at its endpoints (endpoint removal is conversion's
@@ -311,6 +290,14 @@ def test_check_instance_rejects_tampering(pa):
         inst = next(i for i in report.all_instances() if i.kind is kind)
         for slot in inst.bindings():
             assert not check_instance(pa, dataclasses.replace(inst, **{slot: "ghost"}), flags)
+    # Direct effect binds only u: an instance that also binds n, u' or a is
+    # rejected, even when each binding names a node of the right sort.
+    (direct,) = [i for i in report.instances["P1"] if i.kind is PatternKind.DIRECT_EFFECT]
+    assert check_instance(pa, direct, flags)
+    assert not check_instance(
+        pa, dataclasses.replace(direct, n="P2", u_prime="U_P2", a="r0"), flags)
+    for slot, value in (("n", "P2"), ("u_prime", "U_P2"), ("a", "r0")):
+        assert not check_instance(pa, dataclasses.replace(direct, **{slot: value}), flags)
 
 
 def test_check_instance_rejects_misattributed_decision(pa):
@@ -371,27 +358,69 @@ def _shared_owner_graphs(count):
     return out
 
 
-@pytest.mark.parametrize("detector", (manipulation, signaling, reveal_deny))
+@pytest.mark.parametrize("detector", (manipulation, signaling, reveal_deny, enumerate_patterns))
 def test_detector_calls_ask_each_query_once(monkeypatch, detector):
+    # One detector call searches each distinct query once. So does one
+    # decision's detection pass over all four kinds, in enumerate_patterns
+    # and in decision_is_effective, and the pass sweeps the decisions
+    # downstream of its decision at most once.
     import maidkit.patterns as patterns
 
     asked = []
-    search = patterns.find_path
+    search, sweep, detect = patterns.find_path, patterns.decision_free_paths, patterns._detect
 
     def recording(maid, query, effectiveness=None):
-        asked.append((query, None if effectiveness is None
+        asked.append(("query", query, None if effectiveness is None
                       else tuple(sorted(effectiveness.items()))))
         return search(maid, query, effectiveness)
 
+    def sweeping(maid, source, targets):
+        asked.append(("sweep", source))
+        return sweep(maid, source, targets)
+
+    def marking(maid, d, *args):
+        # Marks the decision whose pass makes the searches that follow.
+        asked.append(("pass", d))
+        return detect(maid, d, *args)
+
+    def once(searches):
+        return (len(searches) == len(set(searches))
+                and sum(s[0] == "sweep" for s in searches) <= 1)
+
     monkeypatch.setattr(patterns, "find_path", recording)
+    monkeypatch.setattr(patterns, "decision_free_paths", sweeping)
     for i, maid in enumerate(_shared_owner_graphs(60)):
         rng = random.Random(i)
+        if detector is enumerate_patterns:
+            monkeypatch.setattr(patterns, "_detect", marking)
+            asked.clear()
+            enumerate_patterns(maid, original=True)
+            monkeypatch.setattr(patterns, "_detect", detect)
+            passes: dict[str, list] = {}
+            searches: list = []
+            for item in asked:
+                if item[0] == "pass":
+                    searches = passes.setdefault(item[1], [])
+                else:
+                    searches.append(item)
+            for d in maid.decisions:
+                assert once(passes[d]), (i, d)
+                asked.clear()
+                decision_is_effective(maid, d, all_effective(maid))
+                # Stopping at the first witness asks a prefix of those.
+                assert asked == passes[d][:len(asked)], (i, d)
+            flags = {d: rng.random() < 0.7 for d in maid.decisions}
+            for d in maid.decisions:
+                asked.clear()
+                decision_is_effective(maid, d, flags)
+                assert once(asked), (i, d)
+            continue
         for flags in (all_effective(maid), {d: rng.random() < 0.7 for d in maid.decisions}):
             for d in maid.decisions:
                 asked.clear()
                 detector(maid, d, flags, DetectionMode.ALL)
                 every = list(asked)
-                assert len(every) == len(set(every)), (i, d)
+                assert once(every), (i, d)
                 # Stopping at the first instance asks a prefix of those.
                 asked.clear()
                 detector(maid, d, flags, DetectionMode.FIRST_WITNESS)

@@ -6,6 +6,7 @@ earns 10."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -391,6 +392,19 @@ def test_verification_without_pure_equilibrium_is_inconclusive(pennies):
     assert report.status == "inconclusive"
     assert not report.passed
     assert report.equilibrium is None and report.gaps == {}
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1.0))
+def test_tolerance_must_be_finite_and_non_negative(card1, tol):
+    # Under NaN or infinity every gap passes, and under a negative tolerance
+    # even an exact equilibrium fails; each is refused before any search.
+    others = {"A": uniform_rule(card1, "A"), "C": truthful(card1)}
+    calls = (lambda: verify_simplification(card1, simplify(card1), tol=tol),
+             lambda: find_equilibrium_small(card1, tol=tol),
+             lambda: is_motivated_bruteforce(card1, "B", others, tol=tol))
+    for call in calls:
+        with pytest.raises(MaidError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+            call()
 
 
 # -- scale guards ------------------------------------------------------------------
