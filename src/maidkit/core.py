@@ -14,6 +14,7 @@ import enum
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -342,17 +343,31 @@ def parent_configs(maid: Maid, node_id: str) -> Iterator[tuple[str, ...]]:
     return itertools.product(*parent_domains(maid, node_id))
 
 
-def _row_index(maid: Maid, node: Node, parent_values: Sequence[str]) -> int:
-    if len(parent_values) != len(node.parents):
+def _config_index(owner: str, parents: Sequence[str],
+                  domains: Sequence[Sequence[str]], parent_values: Sequence[str]) -> int:
+    """The row of ``parent_values`` in ``owner``'s table over ``parents``:
+    one row per configuration of ``domains``, last parent varying fastest."""
+    if len(parent_values) != len(parents):
         raise MaidError(
-            f"{node.id}: expected {len(node.parents)} parent values, got {len(parent_values)}")
+            f"{owner}: expected {len(parents)} parent values, got {len(parent_values)}")
     idx = 0
-    for p, v in zip(node.parents, parent_values):
-        dom = maid.node(p).domain
-        if dom is None or v not in dom:
-            raise MaidError(f"{node.id}: value {v!r} not in domain of parent {p!r}")
+    for p, dom, v in zip(parents, domains, parent_values):
+        if v not in dom:
+            raise MaidError(f"{owner}: {v!r} is not a value of parent {p!r}")
         idx = idx * len(dom) + dom.index(v)
     return idx
+
+
+def _table_row(maid: Maid, node: Node, flat: tuple[float, ...], width: int, what: str,
+               parent_values: Sequence[str]) -> tuple[float, ...]:
+    """The ``width`` entries of ``node``'s ``what`` table ``flat`` for one
+    parent configuration, after checking the table's length."""
+    domains = parent_domains(maid, node.id)
+    expected = math.prod(len(dom) for dom in domains) * width
+    if len(flat) != expected:
+        raise MaidError(f"{node.id}: {what} table has {len(flat)} entries, expected {expected}")
+    row = _config_index(node.id, node.parents, domains, parent_values)
+    return flat[row * width:(row + 1) * width]
 
 
 def chance_row(maid: Maid, node_id: str, parent_values: Sequence[str]) -> tuple[float, ...]:
@@ -360,16 +375,16 @@ def chance_row(maid: Maid, node_id: str, parent_values: Sequence[str]) -> tuple[
     node = maid.node(node_id)
     if not node.is_chance or node.cpt is None:
         raise MaidError(f"{node_id}: no probability table")
-    k = len(node.domain)
-    row = _row_index(maid, node, parent_values)
-    return node.cpt[row * k:(row + 1) * k]
+    if node.domain is None:
+        raise MaidError(f"{node_id}: no domain")
+    return _table_row(maid, node, node.cpt, len(node.domain), "probability", parent_values)
 
 
 def utility_value(maid: Maid, node_id: str, parent_values: Sequence[str]) -> float:
     node = maid.node(node_id)
     if not node.is_utility or node.table is None:
         raise MaidError(f"{node_id}: no payoff table")
-    return node.table[_row_index(maid, node, parent_values)]
+    return _table_row(maid, node, node.table, 1, "payoff", parent_values)[0]
 
 
 def is_fully_parameterized(maid: Maid) -> bool:
@@ -551,20 +566,15 @@ def _drop_parent(maid: Maid, node: Node, tail: str) -> Node:
 
 def _marginalize(flat: tuple[float, ...], sizes: list[int], axis: int,
                  width: int) -> tuple[float, ...]:
-    # Row index arithmetic for row-major tables, last parent fastest.
-    kept = sizes[:axis] + sizes[axis + 1:]
-    strides = [0] * len(sizes)
-    acc = 1
-    for i in range(len(sizes) - 1, -1, -1):
-        strides[i] = acc
-        acc *= sizes[i]
+    """``flat`` with parent ``axis`` averaged out: each block of the table
+    holds one run per value of that parent, summed in value order."""
+    n = sizes[axis]
+    run = math.prod(sizes[axis + 1:]) * width
     out: list[float] = []
-    for cfg in itertools.product(*(range(s) for s in kept)):
-        sums = [0.0] * width
-        for v in range(sizes[axis]):
-            full = list(cfg[:axis]) + [v] + list(cfg[axis:])
-            row = sum(i * s for i, s in zip(full, strides))
-            for j in range(width):
-                sums[j] += flat[row * width + j]
-        out.extend(s / sizes[axis] for s in sums)
+    for block in range(math.prod(sizes[:axis])):
+        start = block * n * run
+        sums = [0.0] * run
+        for v in range(n):
+            sums = list(map(operator.add, sums, flat[start + v * run:start + (v + 1) * run]))
+        out.extend(s / n for s in sums)
     return tuple(out)

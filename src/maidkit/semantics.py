@@ -7,10 +7,11 @@ brute-force motivation test, and the check that a simplification preserved
 equilibria. Enumeration sizes are guarded; callers hitting the guard get a
 :class:`ScaleGuardError` rather than an open-ended computation.
 
-Each joint space is enumerated once per space object, on its first sweep,
-into a table of compact columns (chance weights, decision codes, payoff
-totals); every expectation and best response on the space reads that
-table. One-shot calls build the table too.
+Each joint space is weighed by columns only, once per space object: its
+first sweep, one-shot calls included, multiplies a chance-weight column
+over the whole space (8 bytes per state while it is built) and keeps a
+table of compact columns (chance weights, decision codes, payoff totals)
+that every expectation and best response on the space reads.
 
 Decision rules are tables in the same layout as node parameters: one
 distribution per parent configuration, last parent varying fastest.
@@ -30,7 +31,9 @@ from .core import (
     MaidError,
     PROB_TOL,
     ValidationError,
+    _config_index,
     _require_decision,
+    chance_row,
     is_fully_parameterized,
     parent_domains,
     validate,
@@ -38,6 +41,7 @@ from .core import (
 
 MAX_JOINT_STATES = 2_000_000
 MAX_PURE_PROFILES = 1_000_000
+MAX_ROUNDS = 50
 _TIE_EPS = 1e-12
 
 
@@ -89,16 +93,7 @@ class DecisionRule:
                 raise MaidError(f"{self.decision}: row {i} is not a distribution")
 
     def config_index(self, parent_values: Sequence[str]) -> int:
-        if len(parent_values) != len(self.parents):
-            raise MaidError(f"{self.decision}: expected {len(self.parents)} parent "
-                            f"values, got {len(parent_values)}")
-        idx = 0
-        for parent, dom, v in zip(self.parents, self.parent_domains, parent_values):
-            if v not in dom:
-                raise MaidError(f"{self.decision}: {v!r} is not a value of parent "
-                                f"{parent!r}")
-            idx = idx * len(dom) + dom.index(v)
-        return idx
+        return _config_index(self.decision, self.parents, self.parent_domains, parent_values)
 
     def row_for(self, parent_values: Sequence[str]) -> tuple[float, ...]:
         return self.rows[self.config_index(parent_values)]
@@ -194,16 +189,23 @@ class _JointSpace:
     must pass :func:`validate` (so every probability and payoff is finite)
     and be fully parameterized, and the space must be within its bound.
 
-    The first sweep enumerates the space, one-shot calls included, and
-    keeps a table of the states of non-zero chance weight, the first node
-    varying slowest: each state's chance weight and, for each decision,
-    its rule row and action as one code ``row * k + action`` (``k`` the
-    decision's domain size). An agent's payoff totals are added the first
-    time that agent is asked for. Every later expectation and best
-    response on the space sweeps this table and computes no chance weight,
-    rule row or payoff again. The table takes 8 bytes per kept state for
-    the chance weight, 8 more per decision and 8 more per agent asked for,
-    plus one byte per state of the whole space.
+    The space is weighed by columns only. The first sweep, one-shot calls
+    included, multiplies one factor column per chance node over the whole
+    space and keeps a table of the states of non-zero chance weight, the
+    first node varying slowest: each state's chance weight and, for each
+    decision, its rule row and action as one code ``row * k + action``
+    (``k`` the decision's domain size). An agent's payoff totals are added
+    the first time that agent is asked for. Every later expectation and
+    best response sweeps this table and computes no chance weight, rule
+    row or payoff again. The table takes 8 bytes per kept state for the
+    chance weight, 8 more per decision and 8 more per agent asked for,
+    plus one byte per state of the whole space, and 8 more per state of
+    the whole space for the weight column while it is built.
+
+    Probabilities and rule entries are finite and non-negative, so a
+    product of them that reaches 0.0 stays 0.0: multiplying whole columns
+    gives every weight exactly as a state-by-state product stopping at its
+    first zero factor would.
     """
 
     def __init__(self, maid: Maid):
@@ -248,63 +250,38 @@ class _JointSpace:
         self._codes: dict[str, array] = {}
         self._payoffs: dict[str, array] = {}
 
-    @staticmethod
-    def _row(state: tuple[int, ...], positions: tuple[int, ...],
-             radices: tuple[int, ...]) -> int:
-        idx = 0
-        for p, r in zip(positions, radices):
-            idx = idx * r + state[p]
-        return idx
-
-    def chance_weight(self, state: tuple[int, ...]) -> float:
-        w = 1.0
-        for pos, k, cpt, ppos, prad in self.chance_factors:
-            w *= cpt[self._row(state, ppos, prad) * k + state[pos]]
-            if w == 0.0:
-                return 0.0
-        return w
-
-    def rule_weight(self, state: tuple[int, ...], profile: Mapping[str, DecisionRule],
-                    skip: frozenset[str] = frozenset()) -> float:
-        w = 1.0
-        for d, (pos, ppos, prad) in self.decision_inputs.items():
-            if d in skip:
-                continue
-            w *= profile[d].rows[self._row(state, ppos, prad)][state[pos]]
-            if w == 0.0:
-                return 0.0
-        return w
-
     def _states(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(len(d)) for d in self.domains))
+        """The states of the table, first node varying slowest: all of the
+        space until the first sweep keeps those of non-zero chance weight."""
+        states = itertools.product(*(range(len(d)) for d in self.domains))
+        return states if self._kept is None else itertools.compress(states, self._kept)
 
     def _enumerate(self) -> None:
-        kept = bytearray(self.n_states)
-        for i, state in enumerate(self._states()):
-            w = self.chance_weight(state)
-            if w != 0.0:
-                kept[i] = 1
-                self._chance.append(w)
-        self._kept = bytes(kept)
+        weights = itertools.repeat(1.0, self.n_states)
+        for pos, k, cpt, ppos, prad in self.chance_factors:
+            weights = map(operator.mul, weights,
+                          map(cpt.__getitem__, self._column((*ppos, pos), (*prad, k))))
+        weights = array("d", weights)
+        self._kept = bytes(map(bool, weights))
+        self._chance = array("d", itertools.compress(weights, weights))
         self._codes = {d: array("l", self._column((*ppos, pos), (*prad, len(self.domains[pos]))))
                        for d, (pos, ppos, prad) in self.decision_inputs.items()}
 
-    def _column(self, positions: tuple[int, ...], radices: tuple[int, ...]) -> list[int]:
+    def _column(self, positions: tuple[int, ...], radices: tuple[int, ...]) -> Iterator[int]:
         """The mixed-radix index of the values at ``positions`` in every
-        kept state, as ``_row`` computes it for one state."""
-        column = [0] * len(self._chance)
+        state of :meth:`_states`, the first position varying slowest."""
+        column = itertools.repeat(0, self.n_states if self._kept is None else len(self._chance))
         for p, r in zip(positions, radices):
-            values = map(operator.itemgetter(p), itertools.compress(self._states(), self._kept))
-            column = list(map(operator.add, map(operator.mul, column, itertools.repeat(r)), values))
+            column = map(operator.add, map(operator.mul, column, itertools.repeat(r)),
+                         map(operator.itemgetter(p), self._states()))
         return column
 
     def _payoff_totals(self, agent: str) -> array:
         totals = self._payoffs.get(agent)
         if totals is None:
-            column = [0.0] * len(self._chance)
+            column = itertools.repeat(0.0, len(self._chance))
             for table, ppos, prad in self.utility_readers[agent]:
-                column = list(map(operator.add, column,
-                                  map(table.__getitem__, self._column(ppos, prad))))
+                column = map(operator.add, column, map(table.__getitem__, self._column(ppos, prad)))
             totals = self._payoffs[agent] = array("d", column)
         return totals
 
@@ -315,22 +292,16 @@ class _JointSpace:
         the rule entries of every decision not in ``decisions``, multiplied
         in ``decision_inputs`` order; the key holds the codes of
         ``decisions`` in their order; the payoff is the agent's total.
-
-        Rule entries are finite and non-negative, so a product that reaches
-        0.0 stays 0.0: multiplying whole columns gives every weight exactly
-        as stopping at the first zero entry would.
         """
         if self._kept is None:
             self._enumerate()
         payoffs = self._payoff_totals(agent)
-        rule = None
+        rule = itertools.repeat(1.0, len(self._chance))
         for d in self.decision_inputs:
-            if d in decisions:
-                continue
-            entries = list(itertools.chain.from_iterable(profile[d].rows))
-            factor = map(entries.__getitem__, self._codes[d])
-            rule = list(factor) if rule is None else list(map(operator.mul, rule, factor))
-        weights = self._chance if rule is None else list(map(operator.mul, self._chance, rule))
+            if d not in decisions:
+                entries = list(itertools.chain.from_iterable(profile[d].rows))
+                rule = map(operator.mul, rule, map(entries.__getitem__, self._codes[d]))
+        weights = list(map(operator.mul, self._chance, rule))
         keys = zip(*(self._codes[d] for d in decisions)) if decisions else itertools.repeat(())
         return itertools.compress(zip(keys, weights, payoffs), weights)
 
@@ -348,14 +319,18 @@ def joint_probability(maid: Maid, profile: Mapping[str, DecisionRule],
         extra = sorted(set(assignment) - set(space.order))
         raise MaidError(f"assignment must cover exactly the chance and decision "
                         f"nodes (missing {missing}, unexpected {extra})")
-    state = []
+    picked = {}
     for n, dom in zip(space.order, space.domains):
-        v = assignment[n]
-        if v not in dom:
-            raise MaidError(f"{n}: value {v!r} not in domain")
-        state.append(dom.index(v))
-    state = tuple(state)
-    return space.chance_weight(state) * space.rule_weight(state, profile)
+        if assignment[n] not in dom:
+            raise MaidError(f"{n}: value {assignment[n]!r} not in domain")
+        picked[n] = dom.index(assignment[n])
+    config = {n: tuple(assignment[p] for p in maid.nodes[n].parents) for n in space.order}
+    chance = math.prod((chance_row(maid, c, config[c])[picked[c]] for c in maid.chance_nodes),
+                       start=1.0)
+    rules = math.prod((profile[d].row_for(config[d])[picked[d]] for d in maid.decisions),
+                      start=1.0)
+    # A zero probability is 0.0, also when a table entry is -0.0.
+    return chance * rules or 0.0
 
 
 def expected_utility(maid: Maid, profile: Mapping[str, DecisionRule],
@@ -403,23 +378,22 @@ def _profile_value_from_cells(cells: dict, decisions: tuple[str, ...],
     return total
 
 
-def _pure_profiles(shapes: Mapping[str, _RuleShape], max_profiles: int,
+def _pure_profiles(shapes: Mapping[str, _RuleShape],
                    space_name: str) -> Iterator[dict[str, DecisionRule]]:
     """Every joint pure profile of the decisions in ``shapes``, the first
     decision's picks varying slowest. Raises :class:`ScaleGuardError` at
-    once when there are more than ``max_profiles``."""
+    once when there are more than ``MAX_PURE_PROFILES``."""
     sizes = [(len(domain), _n_rows(pdoms)) for _, pdoms, domain in shapes.values()]
     n = math.prod(k ** rows for k, rows in sizes)
-    if n > max_profiles:
-        raise ScaleGuardError(f"{space_name} has {n} members (limit {max_profiles})")
+    if n > MAX_PURE_PROFILES:
+        raise ScaleGuardError(f"{space_name} has {n} members (limit {MAX_PURE_PROFILES})")
     choices = [itertools.product(range(k), repeat=rows) for k, rows in sizes]
     return ({d: _pure_rule(d, shape, picks) for (d, shape), picks in zip(shapes.items(), joint)}
             for joint in itertools.product(*choices))
 
 
 def _best_pure_response(maid: Maid, space: _JointSpace,
-                        profile: Mapping[str, DecisionRule], agent: str,
-                        max_profiles: int = MAX_PURE_PROFILES
+                        profile: Mapping[str, DecisionRule], agent: str
                         ) -> tuple[float, float, dict[str, DecisionRule]]:
     """The value of one agent's incumbent rules, and the value and rules of
     their best joint pure deviation, holding everyone else fixed. The agent
@@ -451,8 +425,7 @@ def _best_pure_response(maid: Maid, space: _JointSpace,
 
     best, best_rules = current, incumbent
     shapes = {d: _rule_shape(maid, d) for d in decisions}
-    for rules in _pure_profiles(shapes, max_profiles,
-                                f"joint pure deviation space for agent {agent!r}"):
+    for rules in _pure_profiles(shapes, f"joint pure deviation space for agent {agent!r}"):
         value = _profile_value_from_cells(cells, decisions, rules)
         if value > best + _TIE_EPS:
             best, best_rules = value, rules
@@ -494,16 +467,16 @@ def _check_tol(tol: float) -> None:
         raise MaidError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
-def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
-                           max_profiles: int = MAX_PURE_PROFILES,
-                           max_rounds: int = 50) -> dict[str, DecisionRule] | None:
+def find_equilibrium_small(maid: Maid, seed: int = 0,
+                           tol: float = 1e-9) -> dict[str, DecisionRule] | None:
     """A pure-strategy equilibrium of a small game, or None when no pure
     profile is an equilibrium.
 
     Best-response iteration from a seeded random pure profile is tried
-    first (agents keep their current rule on ties); if it fails to settle,
-    every joint pure profile is checked in lexicographic order. The size of
-    the pure profile space is guarded.
+    first (agents keep their current rule on ties); if it fails to settle
+    within ``MAX_ROUNDS`` rounds, every joint pure profile is checked in
+    lexicographic order. The size of the pure profile space is guarded by
+    ``MAX_PURE_PROFILES``.
     """
     _check_tol(tol)
     space = _JointSpace(maid)
@@ -511,7 +484,7 @@ def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
     if not decisions:
         return {}
     shapes = {d: _rule_shape(maid, d) for d in decisions}
-    candidates = _pure_profiles(shapes, max_profiles, "pure profile space")
+    candidates = _pure_profiles(shapes, "pure profile space")
     agents = sorted({maid.nodes[d].owner for d in decisions})
     rng = random.Random(seed)
 
@@ -521,11 +494,10 @@ def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
         picks = [rng.randrange(len(domain)) for _ in range(_n_rows(pdoms))]
         profile[d] = _pure_rule(d, shape, picks)
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         for agent in agents:
-            current, best, rules = _best_pure_response(maid, space, profile, agent,
-                                                       max_profiles=max_profiles)
+            current, best, rules = _best_pure_response(maid, space, profile, agent)
             if best > current + tol:
                 profile.update(rules)
                 changed = True
@@ -533,8 +505,7 @@ def find_equilibrium_small(maid: Maid, seed: int = 0, tol: float = 1e-9,
             return profile
 
     def stable(candidate, agent):
-        current, best, _ = _best_pure_response(maid, space, candidate, agent,
-                                               max_profiles=max_profiles)
+        current, best, _ = _best_pure_response(maid, space, candidate, agent)
         return best - current <= tol
 
     for candidate in candidates:
@@ -615,10 +586,9 @@ def _lift_rule(original: Maid, d: str, rule: DecisionRule) -> DecisionRule:
     if tuple(parents[i] for i in keep) != rule.parents:
         raise MaidError(f"{d}: simplified parents are not a subsequence of the "
                         f"original parents")
-    rows = []
-    for config in itertools.product(*pdoms):
-        rows.append(rule.row_for(tuple(config[i] for i in keep)))
-    return DecisionRule(d, parents, pdoms, domain, tuple(rows))
+    rows = tuple(rule.row_for(tuple(config[i] for i in keep))
+                 for config in itertools.product(*pdoms))
+    return DecisionRule(d, parents, pdoms, domain, rows)
 
 
 def verify_simplification(maid: Maid, result, seed: int = 0,

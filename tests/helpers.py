@@ -679,6 +679,29 @@ def reference_is_motivated(maid: Maid, space, d: str, others, tol: float = 1e-9)
     return False
 
 
+def reference_marginalize(flat: tuple[float, ...], sizes: list[int], axis: int,
+                          width: int) -> tuple[float, ...]:
+    """``core._marginalize`` as it was before it summed whole runs: every
+    kept parent configuration is rebuilt and indexed by strides."""
+    # Row index arithmetic for row-major tables, last parent fastest.
+    kept = sizes[:axis] + sizes[axis + 1:]
+    strides = [0] * len(sizes)
+    acc = 1
+    for i in range(len(sizes) - 1, -1, -1):
+        strides[i] = acc
+        acc *= sizes[i]
+    out: list[float] = []
+    for cfg in itertools.product(*(range(s) for s in kept)):
+        sums = [0.0] * width
+        for v in range(sizes[axis]):
+            full = list(cfg[:axis]) + [v] + list(cfg[axis:])
+            row = sum(i * s for i, s in zip(full, strides))
+            for j in range(width):
+                sums[j] += flat[row * width + j]
+        out.extend(s / sizes[axis] for s in sums)
+    return tuple(out)
+
+
 def _random_sparse_row(k: int, rng: random.Random) -> tuple[float, ...]:
     """A pure row, a row with some zero entries or a row with none."""
     kind = rng.random()

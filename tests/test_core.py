@@ -1,4 +1,5 @@
 """Graph model: construction, derived structure, validation, edits."""
+import math
 import random
 
 import pytest
@@ -108,6 +109,60 @@ def test_parameter_lookups(card1):
     assert utility_value(card1, "U_A", ("M",)) == 5.0
     assert utility_value(card1, "U_B", ("H", "H")) == 10.0
     assert utility_value(card1, "U_B", ("H", "L")) == 0.0
+    with pytest.raises(MaidError, match="U_B: 'X' is not a value of parent 'J'"):
+        utility_value(card1, "U_B", ("H", "X"))
+    with pytest.raises(MaidError, match="U_B: expected 2 parent values, got 1"):
+        utility_value(card1, "U_B", ("H",))
+
+
+def test_malformed_tables_raise_maid_errors():
+    # These escaped as an IndexError, a truncated row and a TypeError.
+    x = Node.chance("x", domain=("f", "t"), cpt=(0.5, 0.5))
+    u = Node(id="u", kind=NodeKind.UTILITY, owner="a", parents=("x",), table=(1.0,))
+    short = Node(id="c", kind=NodeKind.CHANCE, domain=("f", "t"), cpt=(0.5,))
+    bare = Node(id="c", kind=NodeKind.CHANCE, domain=None, cpt=(0.5,))
+    maid = Maid.build(["a"], [x, u, short])
+    with pytest.raises(MaidError, match="u: payoff table has 1 entries, expected 2"):
+        utility_value(maid, "u", ("t",))
+    with pytest.raises(MaidError, match="c: probability table has 1 entries, expected 2"):
+        chance_row(maid, "c", ())
+    with pytest.raises(MaidError, match="c: no domain"):
+        chance_row(maid.with_node(bare), "c", ())
+
+
+def _signed(values):
+    return [float.hex(v) for v in values]
+
+
+@st.composite
+def parameterized_heads(draw):
+    """A chance or utility head over 1-3 parents of 1-3 values each, with
+    a table whose entries include signed zeros, and the table's layout."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    parents = [Node.chance(f"p{i}", domain=[f"v{j}" for j in range(k)])
+               for i, k in enumerate(sizes)]
+    ids = [p.id for p in parents]
+    chance = draw(st.booleans())
+    width = draw(st.integers(1, 3)) if chance else 1
+    n = math.prod(sizes) * width
+    entry = st.one_of(st.sampled_from((0.0, -0.0, 1 / 3)), st.floats(-1e6, 1e6))
+    flat = draw(st.lists(entry, min_size=n, max_size=n))
+    if chance:
+        head = Node.chance("h", domain=[f"w{j}" for j in range(width)], parents=ids, cpt=flat)
+    else:
+        head = Node.utility("h", owner="a", parents=ids, table=flat)
+    return Maid.build(["a"], parents + [head]), sizes, width
+
+
+@given(case=parameterized_heads())
+def test_remove_edge_matches_reference_marginalize(case):
+    maid, sizes, width = case
+    head = maid.nodes["h"]
+    flat = head.cpt if head.is_chance else head.table
+    for axis, tail in enumerate(head.parents):
+        out = remove_edge(maid, tail, "h").nodes["h"]
+        got = out.cpt if head.is_chance else out.table
+        assert _signed(got) == _signed(helpers.reference_marginalize(flat, sizes, axis, width))
 
 
 def test_fixtures_validate_clean(card1, pa, cascade, pennies, sig_min):

@@ -18,6 +18,7 @@ from maidkit import (
     PatternKind,
     all_effective,
     ancestors,
+    chance_row,
     check_instance,
     constant_rule,
     convert_decision_to_chance,
@@ -31,6 +32,7 @@ from maidkit import (
     identification_phase,
     is_fully_parameterized,
     is_motivated_bruteforce,
+    joint_probability,
     leaf_metric,
     manipulation,
     parent_configs,
@@ -43,6 +45,7 @@ from maidkit import (
     strip_parameters,
     uniform_profile,
     uniform_rule,
+    utility_value,
     validate,
 )
 
@@ -78,6 +81,13 @@ def raw_maids(draw):
     return Maid.build(AGENTS, [draw(raw_nodes(node_id)) for node_id in ids])
 
 
+def _chance_rows(maid, x):
+    """Every row of ``x``'s probability table; each must have one entry per
+    value of ``x``."""
+    for config in parent_configs(maid, x):
+        assert len(chance_row(maid, x, config)) == len(maid.nodes[x].domain)
+
+
 def _ops(maid):
     """Every public operation on ``maid``, as zero-argument calls."""
     flags = all_effective(maid)
@@ -90,6 +100,9 @@ def _ops(maid):
     yield lambda: leaf_metric(maid)
     yield lambda: uniform_profile(maid)
     yield lambda: expected_utility(maid, uniform_profile(maid), AGENTS[0])
+    yield lambda: joint_probability(maid, uniform_profile(maid), {
+        n: node.domain[0] for n, node in maid.nodes.items()
+        if node.domain and not node.is_utility})
     yield lambda: find_equilibrium_small(maid)
     yield lambda: simplify(maid)
     yield lambda: enumerate_patterns(maid)
@@ -100,6 +113,11 @@ def _ops(maid):
         yield lambda x=x: descendants(maid, x)
         yield lambda x=x: ancestors(maid, x)
         yield lambda x=x: list(parent_configs(maid, x))
+        yield lambda x=x: _chance_rows(maid, x)
+        yield lambda x=x: [utility_value(maid, x, c) for c in parent_configs(maid, x)]
+        wrong = ("x",) * (len(maid.nodes[x].parents) + 1)
+        yield lambda x=x, wrong=wrong: chance_row(maid, x, wrong)
+        yield lambda x=x, wrong=wrong: utility_value(maid, x, wrong)
         for p in maid.nodes[x].parents:
             yield lambda x=x, p=p: remove_edge(maid, p, x)
         for y in maid.nodes:

@@ -147,6 +147,25 @@ def test_joint_probability_rejects_partial_assignments(card1):
         joint_probability(card1, uni, {"J": "H", "A": "H", "B": "H", "C": "X"})
 
 
+@given(seed=st.integers(0, 10_000), sparse_chance=st.booleans())
+def test_joint_probability_matches_reference(seed, sparse_chance):
+    # The reference weighs one state as the joint space once did: chance
+    # factors in chance-node order, rule factors in decision order, then
+    # the two products multiplied. Signs of zero are compared too.
+    rng = random.Random(seed)
+    maid = helpers.random_parameterized_maid(rng)
+    if sparse_chance:
+        maid = helpers.with_sparse_chance(maid, rng)
+    space = semantics._JointSpace(maid)
+    profile = {d: helpers.random_sparse_rule(maid, d, rng) for d in maid.decisions}
+    for _ in range(8):
+        state = tuple(rng.randrange(len(dom)) for dom in space.domains)
+        assignment = {n: dom[i] for n, dom, i in zip(space.order, space.domains, state)}
+        expected = helpers._reference_chance_weight(space, state) * \
+            helpers._reference_rule_weight(space, state, profile)
+        assert float.hex(joint_probability(maid, profile, assignment)) == float.hex(expected)
+
+
 def test_expected_utility_uniform(card1):
     uni = uniform_profile(card1)
     # The tipster's prize averages (10 + 5 + 2) / 3; each guesser matches a
@@ -253,16 +272,18 @@ def test_sweep_matches_reference(seed, source, sparse_chance):
                 helpers.reference_is_motivated(maid, space, d, others)
 
 
-def _count_chance_weights(monkeypatch) -> list[int]:
-    calls = [0]
-    weigh = semantics._JointSpace.chance_weight
+def _count_weighed_states(monkeypatch) -> list[int]:
+    """A one-item list that adds up the states of every joint space whose
+    table is built from now on."""
+    states = [0]
+    enumerate_space = semantics._JointSpace._enumerate
 
-    def counting(self, state):
-        calls[0] += 1
-        return weigh(self, state)
+    def counting(self):
+        states[0] += self.n_states
+        return enumerate_space(self)
 
-    monkeypatch.setattr(semantics._JointSpace, "chance_weight", counting)
-    return calls
+    monkeypatch.setattr(semantics._JointSpace, "_enumerate", counting)
+    return states
 
 
 def test_verification_weighs_each_state_once(monkeypatch):
@@ -270,7 +291,7 @@ def test_verification_weighs_each_state_once(monkeypatch):
     # states; every best response used to weigh all of them again.
     game = card_game(5)
     result = simplify(game)
-    calls = _count_chance_weights(monkeypatch)
+    calls = _count_weighed_states(monkeypatch)
     assert verify_simplification(game, result).passed
     assert calls[0] == 2 * 3 ** 8
 
@@ -418,7 +439,7 @@ def test_joint_state_guard(monkeypatch):
     # 3^15 joint states in the card game with twelve side players.
     game = card_game(12)
     result = simplify(game)
-    calls = _count_chance_weights(monkeypatch)
+    calls = _count_weighed_states(monkeypatch)
     with pytest.raises(ScaleGuardError, match="joint state"):
         expected_utility(big, {}, "z")
     with pytest.raises(ScaleGuardError, match="joint state space has 14348907 states"):
