@@ -17,7 +17,7 @@ import sys
 import time
 
 from .core import Maid, MaidError, is_fully_parameterized, validate
-from .maidfile import MaidParseError, parse_maidfile, render_maidfile
+from .maidfile import parse_maidfile, render_maidfile
 from .fixtures import FIXTURE_NAMES, card_game, fixture
 from .patterns import enumerate_patterns
 from .simplify import simplify
@@ -29,16 +29,19 @@ def _read_graph(path: str) -> Maid:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise MaidParseError(f"cannot read {path}: {exc.strerror}", 0, 0) from exc
+        raise MaidError(f"cannot read {path}: {exc.strerror}") from exc
     return parse_maidfile(text)
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise MaidError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _print_json(obj) -> None:

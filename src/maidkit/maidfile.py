@@ -205,8 +205,9 @@ def render_maidfile(maid: Maid) -> str:
     """Canonical text for a graph: agents sorted, nodes in dependency order,
     two-space indents. Parsing the output reproduces the graph exactly.
 
-    Agents, node ids and domain values must lex as identifiers; anything
-    else would not survive a round trip and is rejected up front."""
+    Agents, node ids, parent names and domain values must lex as
+    identifiers; anything else would not survive a round trip and is
+    rejected up front."""
     lines: list[str] = []
     for agent in sorted(maid.agents):
         lines.append(f"agent {_require_ident(agent, 'agent')};")
@@ -225,7 +226,8 @@ def render_maidfile(maid: Maid) -> str:
             values = " ".join(_require_ident(v, "domain value") for v in node.domain)
             lines.append(f"  domain {values};")
         if node.parents:
-            lines.append(f"  parents {' '.join(node.parents)};")
+            parents = " ".join(_require_ident(p, "parent") for p in node.parents)
+            lines.append(f"  parents {parents};")
         if node.cpt is not None:
             lines.append(f"  cpt {' '.join(_format_number(v) for v in node.cpt)};")
         if node.table is not None:

@@ -14,7 +14,9 @@ table of compact columns (chance weights, decision codes, payoff totals)
 that every expectation and best response on the space reads.
 
 Decision rules are tables in the same layout as node parameters: one
-distribution per parent configuration, last parent varying fastest.
+distribution per parent configuration, last parent varying fastest. A
+profile is checked once on entry and then read as flat tables, rows one
+after another; the search builds rules only for the profile it returns.
 """
 from __future__ import annotations
 
@@ -117,12 +119,16 @@ def _n_rows(parent_domains: Sequence[Sequence[str]]) -> int:
     return math.prod(len(dom) for dom in parent_domains)
 
 
-def _pure_rule(d: str, shape: _RuleShape, picks: Iterable[int]) -> DecisionRule:
-    """The pure rule that takes action index ``picks[i]`` in the i-th parent
-    configuration of a rule of the given shape."""
+def _pure_table(k: int, picks: Iterable[int]) -> list[float]:
+    """The flat table of the pure rule over ``k`` actions that takes action
+    index ``picks[i]`` in the i-th parent configuration."""
+    return [1.0 if i == a else 0.0 for a in picks for i in range(k)]
+
+
+def _table_rule(d: str, shape: _RuleShape, table: Sequence[float]) -> DecisionRule:
     parents, pdoms, domain = shape
     k = len(domain)
-    rows = tuple(tuple(1.0 if i == a else 0.0 for i in range(k)) for a in picks)
+    rows = tuple(tuple(table[r * k:r * k + k]) for r in range(_n_rows(pdoms)))
     return DecisionRule(d, parents, pdoms, domain, rows)
 
 
@@ -138,7 +144,7 @@ def constant_rule(maid: Maid, d: str, action: str) -> DecisionRule:
     _, pdoms, domain = shape
     if action not in domain:
         raise MaidError(f"{d}: {action!r} is not in the domain")
-    return _pure_rule(d, shape, [domain.index(action)] * _n_rows(pdoms))
+    return _table_rule(d, shape, [1.0 if a == action else 0.0 for a in domain] * _n_rows(pdoms))
 
 
 def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
@@ -152,13 +158,16 @@ def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
         if action not in domain:
             raise MaidError(f"{d}: {action!r} is not in the domain")
         picks.append(domain.index(action))
-    return _pure_rule(d, shape, picks)
+    return _table_rule(d, shape, _pure_table(len(domain), picks))
 
 
 def rule_from_rows(maid: Maid, d: str, rows: Iterable[Iterable[float]]) -> DecisionRule:
     parents, pdoms, domain = _rule_shape(maid, d)
-    return DecisionRule(d, parents, pdoms, domain,
-                        tuple(tuple(float(v) for v in row) for row in rows))
+    try:
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MaidError(f"{d}: rule rows must be rows of numbers ({exc})") from None
+    return DecisionRule(d, parents, pdoms, domain, rows)
 
 
 def uniform_profile(maid: Maid) -> dict[str, DecisionRule]:
@@ -166,7 +175,9 @@ def uniform_profile(maid: Maid) -> dict[str, DecisionRule]:
 
 
 def _check_profile(maid: Maid, profile: Mapping[str, DecisionRule],
-                   exclude: frozenset[str] = frozenset()) -> None:
+                   exclude: frozenset[str] = frozenset()) -> dict[str, list[float]]:
+    """Check the rule of every decision not in ``exclude``; return their flat tables."""
+    tables = {}
     for d in maid.decisions:
         if d in exclude:
             continue
@@ -177,6 +188,8 @@ def _check_profile(maid: Maid, profile: Mapping[str, DecisionRule],
         if rule.decision != d or rule.parents != parents or rule.domain != domain \
                 or rule.parent_domains != pdoms:
             raise MaidError(f"rule for {d!r} was built against a different structure")
+        tables[d] = list(itertools.chain.from_iterable(rule.rows))
+    return tables
 
 
 # -- joint state enumeration ----------------------------------------------------
@@ -285,11 +298,11 @@ class _JointSpace:
             totals = self._payoffs[agent] = array("d", column)
         return totals
 
-    def sweep(self, profile: Mapping[str, DecisionRule], decisions: tuple[str, ...],
+    def sweep(self, tables: Mapping[str, Sequence[float]], decisions: tuple[str, ...],
               agent: str) -> Iterator[tuple[tuple[int, ...], float, float]]:
         """``(key, weight, payoff)`` for every state of non-zero weight,
         first node varying slowest. The weight is the chance weight times
-        the rule entries of every decision not in ``decisions``, multiplied
+        the table entries of every decision not in ``decisions``, multiplied
         in ``decision_inputs`` order; the key holds the codes of
         ``decisions`` in their order; the payoff is the agent's total.
         """
@@ -299,8 +312,7 @@ class _JointSpace:
         rule = itertools.repeat(1.0, len(self._chance))
         for d in self.decision_inputs:
             if d not in decisions:
-                entries = list(itertools.chain.from_iterable(profile[d].rows))
-                rule = map(operator.mul, rule, map(entries.__getitem__, self._codes[d]))
+                rule = map(operator.mul, rule, map(tables[d].__getitem__, self._codes[d]))
         weights = list(map(operator.mul, self._chance, rule))
         keys = zip(*(self._codes[d] for d in decisions)) if decisions else itertools.repeat(())
         return itertools.compress(zip(keys, weights, payoffs), weights)
@@ -336,42 +348,37 @@ def joint_probability(maid: Maid, profile: Mapping[str, DecisionRule],
 def expected_utility(maid: Maid, profile: Mapping[str, DecisionRule],
                      agent: str) -> float:
     """Expected total utility of one agent under a full strategy profile."""
-    _check_profile(maid, profile)
+    tables = _check_profile(maid, profile)
     if agent not in maid.agents:
         raise MaidError(f"unknown agent: {agent!r}")
-    space = _JointSpace(maid)
-    total = 0.0
-    for _, w, u in space.sweep(profile, (), agent):
-        total += w * u
-    return total
+    return _response_cells(_JointSpace(maid), tables, (), agent).get((), 0.0)
 
 
 # -- best response over joint pure deviations -------------------------------------
 
 
-def _response_cells(space: _JointSpace, profile: Mapping[str, DecisionRule],
+def _response_cells(space: _JointSpace, tables: Mapping[str, Sequence[float]],
                     decisions: tuple[str, ...], agent: str) -> dict:
-    """Aggregate opponent-weighted utility by the (row, action) tuple of each
-    deviating decision.
+    """Aggregate opponent-weighted utility by the tuple of the codes
+    ``row * k + action`` of the deviating decisions.
 
     The resulting table S satisfies: the expected utility of any behavior at
     ``decisions`` (others fixed) is the S-weighted sum of the probabilities
     that behavior assigns to each cell.
     """
     cells: dict[tuple, float] = {}
-    for key, w, u in space.sweep(profile, decisions, agent):
+    for key, w, u in space.sweep(tables, decisions, agent):
         cells[key] = cells.get(key, 0.0) + w * u
-    radices = [len(space.domains[space.pos[d]]) for d in decisions]
-    return {tuple(map(divmod, key, radices)): s for key, s in cells.items()}
+    return cells
 
 
 def _profile_value_from_cells(cells: dict, decisions: tuple[str, ...],
-                              rules: Mapping[str, DecisionRule]) -> float:
+                              tables: Mapping[str, Sequence[float]]) -> float:
     total = 0.0
     for key, s in cells.items():
         prob = 1.0
-        for d, (row, action) in zip(decisions, key):
-            prob *= rules[d].rows[row][action]
+        for d, code in zip(decisions, key):
+            prob *= tables[d][code]
             if prob == 0.0:
                 break
         total += prob * s
@@ -379,57 +386,55 @@ def _profile_value_from_cells(cells: dict, decisions: tuple[str, ...],
 
 
 def _pure_profiles(shapes: Mapping[str, _RuleShape],
-                   space_name: str) -> Iterator[dict[str, DecisionRule]]:
-    """Every joint pure profile of the decisions in ``shapes``, the first
-    decision's picks varying slowest. Raises :class:`ScaleGuardError` at
-    once when there are more than ``MAX_PURE_PROFILES``."""
+                   space_name: str) -> Iterator[dict[str, list[float]]]:
+    """The flat tables of every joint pure profile of the decisions in
+    ``shapes``, the first decision's picks varying slowest. Raises
+    :class:`ScaleGuardError` at once when there are more than
+    ``MAX_PURE_PROFILES``."""
     sizes = [(len(domain), _n_rows(pdoms)) for _, pdoms, domain in shapes.values()]
     n = math.prod(k ** rows for k, rows in sizes)
     if n > MAX_PURE_PROFILES:
         raise ScaleGuardError(f"{space_name} has {n} members (limit {MAX_PURE_PROFILES})")
     choices = [itertools.product(range(k), repeat=rows) for k, rows in sizes]
-    return ({d: _pure_rule(d, shape, picks) for (d, shape), picks in zip(shapes.items(), joint)}
+    return ({d: _pure_table(k, picks) for d, (k, _), picks in zip(shapes, sizes, joint)}
             for joint in itertools.product(*choices))
 
 
 def _best_pure_response(maid: Maid, space: _JointSpace,
-                        profile: Mapping[str, DecisionRule], agent: str
-                        ) -> tuple[float, float, dict[str, DecisionRule]]:
-    """The value of one agent's incumbent rules, and the value and rules of
-    their best joint pure deviation, holding everyone else fixed. The agent
-    must own a decision. Ties keep the incumbent rules; a lone decision
-    keeps its incumbent's most likely action in parent configurations that
-    have zero probability."""
+                        tables: Mapping[str, Sequence[float]], agent: str
+                        ) -> tuple[float, float, dict[str, Sequence[float]]]:
+    """The value of one agent's incumbent tables, and the value and tables
+    of their best joint pure deviation, holding everyone else fixed. Ties
+    keep the incumbent tables; a lone decision keeps its incumbent's most
+    likely action in parent configurations that have zero probability."""
     decisions = maid.decisions_of(agent)
-    cells = _response_cells(space, profile, decisions, agent)
-    incumbent = {d: profile[d] for d in decisions}
+    cells = _response_cells(space, tables, decisions, agent)
+    incumbent = {d: tables[d] for d in decisions}
     current = _profile_value_from_cells(cells, decisions, incumbent)
 
     if len(decisions) == 1:
         d = decisions[0]
-        by_row: dict[int, dict[int, float]] = {}
-        for ((row, action),), s in cells.items():
-            by_row.setdefault(row, {})[action] = s
+        k = len(maid.nodes[d].domain)
         picks = []
         best = 0.0
-        for row, incumbent_row in enumerate(incumbent[d].rows):
-            keep = max(range(len(incumbent_row)), key=incumbent_row.__getitem__)
-            options = by_row.get(row)
+        for start in range(0, len(incumbent[d]), k):
+            keep = max(range(k), key=incumbent[d][start:start + k].__getitem__)
+            options = {a: cells[(start + a,)] for a in range(k) if (start + a,) in cells}
             if options:
                 top = max(options.values())
                 best += top
                 if options.get(keep, -math.inf) < top - _TIE_EPS:
                     keep = min(a for a, v in options.items() if v >= top - _TIE_EPS)
             picks.append(keep)
-        return current, best, {d: _pure_rule(d, _rule_shape(maid, d), picks)}
+        return current, best, {d: _pure_table(k, picks)}
 
-    best, best_rules = current, incumbent
+    best, best_tables = current, incumbent
     shapes = {d: _rule_shape(maid, d) for d in decisions}
-    for rules in _pure_profiles(shapes, f"joint pure deviation space for agent {agent!r}"):
-        value = _profile_value_from_cells(cells, decisions, rules)
+    for candidate in _pure_profiles(shapes, f"joint pure deviation space for agent {agent!r}"):
+        value = _profile_value_from_cells(cells, decisions, candidate)
         if value > best + _TIE_EPS:
-            best, best_rules = value, rules
-    return current, best, best_rules
+            best, best_tables = value, candidate
+    return current, best, best_tables
 
 
 def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
@@ -437,20 +442,17 @@ def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
     """How much one agent can gain by jointly deviating all of their
     decisions to the best pure alternative. Zero (up to float noise) means
     the profile is a best response for that agent."""
-    _check_profile(maid, profile)
+    tables = _check_profile(maid, profile)
     if agent not in maid.agents:
         raise MaidError(f"unknown agent: {agent!r}")
-    space = _JointSpace(maid)
-    if not maid.decisions_of(agent):
-        return 0.0
-    return _gap(maid, space, profile, agent)
+    return _gap(maid, _JointSpace(maid), tables, agent)
 
 
-def _gap(maid: Maid, space: _JointSpace, profile: Mapping[str, DecisionRule],
+def _gap(maid: Maid, space: _JointSpace, tables: Mapping[str, Sequence[float]],
          agent: str) -> float:
     """One agent's best-response gap on a space already built. Finite
     payoffs can still give an infinite gap, which is an error."""
-    current, best, _ = _best_pure_response(maid, space, profile, agent)
+    current, best, _ = _best_pure_response(maid, space, tables, agent)
     gap = best - current
     if not math.isfinite(gap):
         raise MaidError(f"best-response gap of agent {agent!r} is not finite")
@@ -480,29 +482,28 @@ def find_equilibrium_small(maid: Maid, seed: int = 0,
     """
     _check_tol(tol)
     space = _JointSpace(maid)
-    decisions = maid.decisions
-    if not decisions:
-        return {}
-    shapes = {d: _rule_shape(maid, d) for d in decisions}
+    shapes = {d: _rule_shape(maid, d) for d in maid.decisions}
     candidates = _pure_profiles(shapes, "pure profile space")
-    agents = sorted({maid.nodes[d].owner for d in decisions})
+    agents = sorted({maid.nodes[d].owner for d in maid.decisions})
     rng = random.Random(seed)
 
-    profile: dict[str, DecisionRule] = {}
-    for d, shape in shapes.items():
-        _, pdoms, domain = shape
+    def as_rules(tables):
+        return {d: _table_rule(d, shape, tables[d]) for d, shape in shapes.items()}
+
+    profile: dict[str, Sequence[float]] = {}
+    for d, (_, pdoms, domain) in shapes.items():
         picks = [rng.randrange(len(domain)) for _ in range(_n_rows(pdoms))]
-        profile[d] = _pure_rule(d, shape, picks)
+        profile[d] = _pure_table(len(domain), picks)
 
     for _ in range(MAX_ROUNDS):
         changed = False
         for agent in agents:
-            current, best, rules = _best_pure_response(maid, space, profile, agent)
+            current, best, tables = _best_pure_response(maid, space, profile, agent)
             if best > current + tol:
-                profile.update(rules)
+                profile.update(tables)
                 changed = True
         if not changed:
-            return profile
+            return as_rules(profile)
 
     def stable(candidate, agent):
         current, best, _ = _best_pure_response(maid, space, candidate, agent)
@@ -510,7 +511,7 @@ def find_equilibrium_small(maid: Maid, seed: int = 0,
 
     for candidate in candidates:
         if all(stable(candidate, agent) for agent in agents):
-            return candidate
+            return as_rules(candidate)
     return None
 
 
@@ -532,13 +533,13 @@ def is_motivated_bruteforce(maid: Maid, d: str,
     node = _require_decision(maid, d)
     if d in others:
         raise MaidError(f"others must not contain a rule for {d!r}")
-    _check_profile(maid, others, exclude=frozenset((d,)))
+    tables = _check_profile(maid, others, exclude=frozenset((d,)))
     space = _JointSpace(maid)
 
     # Keyed by d's code row * k + action.
     value: dict[int, float] = {}
     mass: dict[int, float] = {}
-    for (code,), w, u in space.sweep(others, (d,), node.owner):
+    for (code,), w, u in space.sweep(tables, (d,), node.owner):
         mass[code] = mass.get(code, 0.0) + w
         value[code] = value.get(code, 0.0) + w * u
 
@@ -612,9 +613,10 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
         else:
             extended[d] = uniform_rule(maid, d)
     agents = sorted({maid.nodes[d].owner for d in maid.decisions})
+    tables = _check_profile(maid, extended)
     gaps = {}
     for agent in agents:
-        gaps[agent] = _gap(maid, space, extended, agent)
+        gaps[agent] = _gap(maid, space, tables, agent)
     failing = sorted(a for a, g in gaps.items() if g > tol)
     if failing:
         detail = "deviation improves " + ", ".join(

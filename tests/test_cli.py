@@ -56,10 +56,20 @@ def test_validate_reports_diagnostics(capsys, tmp_path):
     assert "acyclic" in err
 
 
-def test_missing_file_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "validate", "/nonexistent/game.maid")
+def test_missing_file_is_a_usage_error(capsys, card_path, tmp_path):
+    code, _, err = run(capsys, "validate", str(tmp_path / "missing.maid"))
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith(f"error: cannot read {tmp_path / 'missing.maid'}: ")
+    assert "line 0" not in err
+    # An --out that cannot be opened is the user's error, not a bug.
+    out = str(tmp_path / "missing" / "x.maid")
+    for argv in (("fixture", "card-game", "--out", out),
+                 ("simplify", card_path, "--out", out),
+                 ("export-dot", card_path, "--out", out)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "internal error" not in err
 
 
 def test_syntax_error_is_a_usage_error(capsys, tmp_path):

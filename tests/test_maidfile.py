@@ -148,6 +148,11 @@ def test_render_rejects_unwritable_names():
                    nodes=[Node.chance("x", domain=("0", "1"), cpt=(0.5, 0.5))])
     with pytest.raises(MaidError, match="cannot be written"):
         render_maidfile(m)
+    # An unresolved parent is written by name, so its name must lex too.
+    m = Maid.build(agents=["z"],
+                   nodes=[Node.chance("x", domain=("f", "t"), parents=("a-b",))])
+    with pytest.raises(MaidError, match="parent 'a-b' cannot be written"):
+        render_maidfile(m)
 
 
 def test_render_orders_nodes_topologically(pa):

@@ -102,6 +102,13 @@ def test_malformed_rules_raise_maid_errors(card1):
     with pytest.raises(MaidError, match="B: row 0 is not a distribution"):
         DecisionRule("B", uni.parents, uni.parent_domains, uni.domain,
                      rows=(("1", "0", "0"),) * 9)
+    # rule_from_rows converts entries to floats before the rule checks them.
+    with pytest.raises(MaidError, match="C: rule rows must be rows of numbers"):
+        rule_from_rows(card1, "C", None)
+    with pytest.raises(MaidError, match="C: rule rows must be rows of numbers"):
+        rule_from_rows(card1, "C", [("a", "b", "c")] * 3)
+    with pytest.raises(MaidError, match="C: rule rows must be rows of numbers"):
+        rule_from_rows(card1, "C", [(1.0, 0.0, 0.0), None, (0.0, 0.0, 1.0)])
 
 
 def test_rule_rejects_nan_rows(card1):
@@ -260,8 +267,14 @@ def test_sweep_matches_reference(seed, source, sparse_chance):
         profile = {d: helpers.random_sparse_rule(maid, d, rng) for d in maid.decisions}
         agent = rng.choice(sorted(maid.agents))
         decisions = tuple(rng.sample(maid.decisions, rng.randint(0, len(maid.decisions))))
-        cells = semantics._response_cells(space, profile, decisions, agent)
-        expected = helpers.reference_response_cells(space, profile, decisions, agent)
+        cells = semantics._response_cells(space, semantics._check_profile(maid, profile),
+                                          decisions, agent)
+        # The reference keys cells by (row, action); the table stores the
+        # code row * k + action.
+        radices = [len(maid.nodes[d].domain) for d in decisions]
+        expected = {tuple(row * k + action for (row, action), k in zip(key, radices)): s
+                    for key, s in helpers.reference_response_cells(
+                        space, profile, decisions, agent).items()}
         assert list(cells.items()) == list(expected.items())
         assert expected_utility(maid, profile, agent) == \
             helpers.reference_expected_utility(space, profile, agent)
@@ -356,6 +369,31 @@ def test_equilibrium_of_simplified_card_game(card1):
 
 def test_no_pure_equilibrium_returns_none(pennies):
     assert find_equilibrium_small(pennies) is None
+
+
+def test_search_builds_rules_only_for_what_it_returns(monkeypatch):
+    # The search works on flat tables; a DecisionRule is built, and
+    # checked, once per decision of a returned profile.
+    built = []
+    check = DecisionRule.__post_init__
+
+    def counting(rule):
+        built.append(rule.decision)
+        check(rule)
+
+    monkeypatch.setattr(DecisionRule, "__post_init__", counting)
+    game = card_game(2)
+    result = simplify(game)
+    assert len(find_equilibrium_small(result.final)) == 3
+    assert len(built) == 3
+    built.clear()
+    # Three rules found in the simplified game, three of them lifted and a
+    # uniform rule for the eliminated decision.
+    assert verify_simplification(game, result).passed
+    assert len(built) == 7
+    built.clear()
+    assert find_equilibrium_small(helpers.matching_pennies()) is None
+    assert built == []
 
 
 def test_equilibrium_of_decision_free_game():
