@@ -26,7 +26,7 @@ import operator
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Maid,
@@ -163,11 +163,16 @@ def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
 
 def rule_from_rows(maid: Maid, d: str, rows: Iterable[Iterable[float]]) -> DecisionRule:
     parents, pdoms, domain = _rule_shape(maid, d)
+    table = []
     try:
-        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        for row in rows:
+            # A string iterates as characters, each of which may parse as a number.
+            if isinstance(row, str):
+                raise TypeError(f"row {len(table)} is a string")
+            table.append(tuple(float(v) for v in row))
     except (TypeError, ValueError, OverflowError) as exc:
         raise MaidError(f"{d}: rule rows must be rows of numbers ({exc})") from None
-    return DecisionRule(d, parents, pdoms, domain, rows)
+    return DecisionRule(d, parents, pdoms, domain, tuple(table))
 
 
 def uniform_profile(maid: Maid) -> dict[str, DecisionRule]:
@@ -402,39 +407,45 @@ def _pure_profiles(shapes: Mapping[str, _RuleShape],
 
 def _best_pure_response(maid: Maid, space: _JointSpace,
                         tables: Mapping[str, Sequence[float]], agent: str
-                        ) -> tuple[float, float, dict[str, Sequence[float]]]:
-    """The value of one agent's incumbent tables, and the value and tables
-    of their best joint pure deviation, holding everyone else fixed. Ties
-    keep the incumbent tables; a lone decision keeps its incumbent's most
-    likely action in parent configurations that have zero probability."""
+                        ) -> tuple[float, float, Callable[[], dict[str, Sequence[float]]]]:
+    """The value of one agent's incumbent tables, the value of their best
+    joint pure deviation holding everyone else fixed, and a function that
+    builds that deviation's tables, which only a best-response round needs.
+    Ties keep the incumbent tables; a lone decision keeps its incumbent's
+    most likely action in parent configurations that have zero probability."""
     decisions = maid.decisions_of(agent)
     cells = _response_cells(space, tables, decisions, agent)
-    incumbent = {d: tables[d] for d in decisions}
-    current = _profile_value_from_cells(cells, decisions, incumbent)
-
+    current = _profile_value_from_cells(cells, decisions, tables)
     if len(decisions) == 1:
         d = decisions[0]
         k = len(maid.nodes[d].domain)
-        picks = []
+        incumbent = tables[d]
+        tops: dict[int, float] = {}  # each row's best cell; no cell is NaN or -0.0
+        for (code,), s in cells.items():
+            if s > tops.get(code // k, -math.inf):
+                tops[code // k] = s
         best = 0.0
-        for start in range(0, len(incumbent[d]), k):
-            keep = max(range(k), key=incumbent[d][start:start + k].__getitem__)
-            options = {a: cells[(start + a,)] for a in range(k) if (start + a,) in cells}
-            if options:
-                top = max(options.values())
-                best += top
-                if options.get(keep, -math.inf) < top - _TIE_EPS:
-                    keep = min(a for a, v in options.items() if v >= top - _TIE_EPS)
-            picks.append(keep)
-        return current, best, {d: _pure_table(k, picks)}
+        for row in sorted(tops):
+            best += tops[row]
 
-    best, best_tables = current, incumbent
+        def deviation() -> dict[str, Sequence[float]]:
+            picks = []
+            for start in range(0, len(incumbent), k):
+                keep = max(range(k), key=incumbent[start:start + k].__getitem__)
+                floor = tops.get(start // k, -math.inf) - _TIE_EPS
+                if cells.get((start + keep,), -math.inf) < floor:
+                    keep = min(a for a in range(k) if cells.get((start + a,), -math.inf) >= floor)
+                picks.append(keep)
+            return {d: _pure_table(k, picks)}
+        return current, best, deviation
+
+    best, best_tables = current, {d: tables[d] for d in decisions}
     shapes = {d: _rule_shape(maid, d) for d in decisions}
     for candidate in _pure_profiles(shapes, f"joint pure deviation space for agent {agent!r}"):
         value = _profile_value_from_cells(cells, decisions, candidate)
         if value > best + _TIE_EPS:
             best, best_tables = value, candidate
-    return current, best, best_tables
+    return current, best, lambda: best_tables
 
 
 def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
@@ -463,10 +474,23 @@ def _gap(maid: Maid, space: _JointSpace, tables: Mapping[str, Sequence[float]],
 
 
 def _check_tol(tol: float) -> None:
-    """A tolerance is a finite number >= 0: with NaN or infinity every gap
-    passes, and a negative one fails even an exact equilibrium."""
-    if not (isinstance(tol, (int, float)) and 0 <= tol < math.inf):
+    """A tolerance is a number >= 0 that converts to a finite float: with NaN
+    or infinity every gap passes, a negative one fails even an exact
+    equilibrium, and an int too large for a float overflows in the first
+    comparison."""
+    try:
+        valid = isinstance(tol, (int, float)) and 0 <= float(tol) < math.inf
+    except OverflowError:
+        valid = False
+    if not valid:
         raise MaidError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def _check_seed(seed: int) -> None:
+    """The search starts from a seeded draw; ``random.Random`` would seed
+    ``None`` from the operating system, so that run could not be repeated."""
+    if not isinstance(seed, int):
+        raise MaidError(f"seed must be an int, got {seed!r}")
 
 
 def find_equilibrium_small(maid: Maid, seed: int = 0,
@@ -481,6 +505,7 @@ def find_equilibrium_small(maid: Maid, seed: int = 0,
     ``MAX_PURE_PROFILES``.
     """
     _check_tol(tol)
+    _check_seed(seed)
     space = _JointSpace(maid)
     shapes = {d: _rule_shape(maid, d) for d in maid.decisions}
     candidates = _pure_profiles(shapes, "pure profile space")
@@ -495,12 +520,21 @@ def find_equilibrium_small(maid: Maid, seed: int = 0,
         picks = [rng.randrange(len(domain)) for _ in range(_n_rows(pdoms))]
         profile[d] = _pure_table(len(domain), picks)
 
+    # A round is a function of the profile it starts from (agent order, tol,
+    # space and tie rule are fixed; the rng only draws the start), so once a
+    # round starts where an earlier one did, the rounds cycle without ever
+    # settling, to the fallback that MAX_ROUNDS rounds would reach.
+    starts = set()
     for _ in range(MAX_ROUNDS):
+        start = tuple(itertools.chain.from_iterable(profile.values()))
+        if start in starts:
+            break
+        starts.add(start)
         changed = False
         for agent in agents:
-            current, best, tables = _best_pure_response(maid, space, profile, agent)
+            current, best, deviation = _best_pure_response(maid, space, profile, agent)
             if best > current + tol:
-                profile.update(tables)
+                profile.update(deviation())
                 changed = True
         if not changed:
             return as_rules(profile)
@@ -597,11 +631,18 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     """Find a pure equilibrium of the simplified game, extend it to the
     original game (eliminated decisions become uniform, surviving rules are
     lifted over their original parent lists), and measure every agent's
-    best-response gap in the original game."""
+    best-response gap in the original game. ``result`` must be the
+    simplification of ``maid``: it needs ``original`` and ``final``, and
+    ``result.original == maid``."""
     _check_tol(tol)
+    _check_seed(seed)
+    if not (hasattr(result, "original") and hasattr(result, "final")):
+        raise MaidError(f"result must have original and final graphs, got a "
+                        f"{type(result).__name__}")
+    if result.original != maid:
+        raise MaidError("result is the simplification of another game")
     space = _JointSpace(maid)  # an invalid original fails before the search starts
-    simplified = result.final
-    eq = find_equilibrium_small(simplified, seed=seed, tol=tol)
+    eq = find_equilibrium_small(result.final, seed=seed, tol=tol)
     if eq is None:
         return VerificationReport(status="inconclusive", gaps={}, equilibrium=None,
                                   detail="the simplified game has no pure-strategy "

@@ -6,8 +6,9 @@ exhaustive recursive witness search that ``find_path`` must agree with,
 the edge-by-edge retraction loop that ``retract_edges`` must agree with,
 the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
 with, the state-at-a-time joint-space sweep that the numeric layer's
-enumerated table must agree with, small hand-built games, and samplers
-for strategy profiles. The
+enumerated table must agree with, the equilibrium search that runs every
+best-response round, which ``find_equilibrium_small`` must agree with,
+small hand-built games, and samplers for strategy profiles. The
 d-separation oracle works on raw edge lists so it shares no graph code
 with the package.
 """
@@ -18,6 +19,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from maidkit import Maid, MaidParseError, Node, NodeKind, Path, remove_edge, validate
 from maidkit.analysis import (
@@ -30,7 +32,21 @@ from maidkit.analysis import (
     collider_blocked,
     d_separated,
 )
-from maidkit.semantics import DecisionRule, rule_from_rows
+from maidkit.semantics import (
+    MAX_ROUNDS,
+    _TIE_EPS,
+    DecisionRule,
+    _check_tol,
+    _JointSpace,
+    _n_rows,
+    _profile_value_from_cells,
+    _pure_profiles,
+    _pure_table,
+    _response_cells,
+    _rule_shape,
+    _table_rule,
+    rule_from_rows,
+)
 
 AGENTS = ("p0", "p1", "p2", "p3")
 _DOMAIN_VALUES = ("v0", "v1", "v2")
@@ -738,6 +754,97 @@ def with_sparse_chance(maid: Maid, rng: random.Random) -> Maid:
     return maid
 
 
+# -- reference equilibrium search --------------------------------------------
+#
+# ``find_equilibrium_small`` and its best response as they were before the
+# search stopped at the first repeated round-start profile and before
+# stability was checked by value alone: every one of the ``MAX_ROUNDS``
+# rounds is run, and every best response builds its deviation's tables.
+
+
+def reference_best_pure_response(maid: Maid, space: _JointSpace,
+                                 tables: Mapping[str, Sequence[float]], agent: str
+                                 ) -> tuple[float, float, dict[str, Sequence[float]]]:
+    """The value of one agent's incumbent tables, and the value and tables
+    of their best joint pure deviation, holding everyone else fixed. Ties
+    keep the incumbent tables; a lone decision keeps its incumbent's most
+    likely action in parent configurations that have zero probability."""
+    decisions = maid.decisions_of(agent)
+    cells = _response_cells(space, tables, decisions, agent)
+    incumbent = {d: tables[d] for d in decisions}
+    current = _profile_value_from_cells(cells, decisions, incumbent)
+
+    if len(decisions) == 1:
+        d = decisions[0]
+        k = len(maid.nodes[d].domain)
+        picks = []
+        best = 0.0
+        for start in range(0, len(incumbent[d]), k):
+            keep = max(range(k), key=incumbent[d][start:start + k].__getitem__)
+            options = {a: cells[(start + a,)] for a in range(k) if (start + a,) in cells}
+            if options:
+                top = max(options.values())
+                best += top
+                if options.get(keep, -math.inf) < top - _TIE_EPS:
+                    keep = min(a for a, v in options.items() if v >= top - _TIE_EPS)
+            picks.append(keep)
+        return current, best, {d: _pure_table(k, picks)}
+
+    best, best_tables = current, incumbent
+    shapes = {d: _rule_shape(maid, d) for d in decisions}
+    for candidate in _pure_profiles(shapes, f"joint pure deviation space for agent {agent!r}"):
+        value = _profile_value_from_cells(cells, decisions, candidate)
+        if value > best + _TIE_EPS:
+            best, best_tables = value, candidate
+    return current, best, best_tables
+
+
+def reference_find_equilibrium(maid: Maid, seed: int = 0,
+                               tol: float = 1e-9) -> dict[str, DecisionRule] | None:
+    """A pure-strategy equilibrium of a small game, or None when no pure
+    profile is an equilibrium.
+
+    Best-response iteration from a seeded random pure profile is tried
+    first (agents keep their current rule on ties); if it fails to settle
+    within ``MAX_ROUNDS`` rounds, every joint pure profile is checked in
+    lexicographic order. The size of the pure profile space is guarded by
+    ``MAX_PURE_PROFILES``.
+    """
+    _check_tol(tol)
+    space = _JointSpace(maid)
+    shapes = {d: _rule_shape(maid, d) for d in maid.decisions}
+    candidates = _pure_profiles(shapes, "pure profile space")
+    agents = sorted({maid.nodes[d].owner for d in maid.decisions})
+    rng = random.Random(seed)
+
+    def as_rules(tables):
+        return {d: _table_rule(d, shape, tables[d]) for d, shape in shapes.items()}
+
+    profile: dict[str, Sequence[float]] = {}
+    for d, (_, pdoms, domain) in shapes.items():
+        picks = [rng.randrange(len(domain)) for _ in range(_n_rows(pdoms))]
+        profile[d] = _pure_table(len(domain), picks)
+
+    for _ in range(MAX_ROUNDS):
+        changed = False
+        for agent in agents:
+            current, best, tables = reference_best_pure_response(maid, space, profile, agent)
+            if best > current + tol:
+                profile.update(tables)
+                changed = True
+        if not changed:
+            return as_rules(profile)
+
+    def stable(candidate, agent):
+        current, best, _ = reference_best_pure_response(maid, space, candidate, agent)
+        return best - current <= tol
+
+    for candidate in candidates:
+        if all(stable(candidate, agent) for agent in agents):
+            return as_rules(candidate)
+    return None
+
+
 # -- small hand-built games --------------------------------------------------
 
 
@@ -804,3 +911,46 @@ def minimal_signaling() -> Maid:
         Node.utility("u_A", owner="A", parents=("d_B",)),
         Node.utility("u_B", owner="B", parents=("d_B", "h")),
     ])
+
+
+def two_decision_game(rng: random.Random) -> Maid:
+    """One agent owns two decisions, so its best response is a joint
+    deviation over both rules; a second agent plays alongside. D2 does not
+    see c, so D1 can pass c on to it: simplify still eliminates D1, and on
+    some seeds verification reports fail. ``tests/data/golden_numeric.json``
+    pins that as well."""
+    def row(k):
+        raw = [rng.random() + 0.05 for _ in range(k)]
+        return tuple(v / sum(raw) for v in raw)
+
+    def payoffs(n):
+        return tuple(rng.uniform(-5.0, 10.0) for _ in range(n))
+
+    two = ("v0", "v1")
+    return Maid.build(agents=["p", "q"], nodes=[
+        Node.chance("c", domain=two, cpt=row(2)),
+        Node.decision("D1", owner="p", domain=two, parents=("c",)),
+        Node.decision("D2", owner="p", domain=two, parents=("D1",)),
+        Node.decision("E", owner="q", domain=two, parents=("c",)),
+        Node.utility("u_p", owner="p", parents=("D2", "E", "c"), table=payoffs(8)),
+        Node.utility("u_q", owner="q", parents=("D1", "E"), table=payoffs(4)),
+    ])
+
+
+def pennies_with_chance(rng: random.Random) -> Maid:
+    """Matching pennies played in every state of a chance node C that both
+    decisions observe. Payoffs get a random shift per state and outcome;
+    the stakes are drawn too, so in some states the shift outweighs them
+    and a pure equilibrium can exist."""
+    values = ("v0", "v1", "v2")[:rng.randint(2, 3)]
+    raw = [rng.random() + 0.05 for _ in values]
+    nodes = [Node.chance("C", domain=values, cpt=tuple(v / sum(raw) for v in raw)),
+             Node.decision("X", owner="x", domain=("h", "t"), parents=("C",)),
+             Node.decision("Y", owner="y", domain=("h", "t"), parents=("C",))]
+    for agent, wins_on_match in (("x", True), ("y", False)):
+        stake = rng.choice((0.0, 1.0, 10.0))
+        table = tuple(stake * ((a == b) == wins_on_match) + rng.randrange(0, 5)
+                      for _ in values for a in range(2) for b in range(2))
+        nodes.append(Node.utility(f"U_{agent.upper()}", owner=agent,
+                                  parents=("C", "X", "Y"), table=table))
+    return Maid.build(agents=["x", "y"], nodes=nodes)

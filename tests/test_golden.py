@@ -27,8 +27,6 @@ import random
 import sys
 
 from maidkit import (
-    Maid,
-    Node,
     best_response_gap,
     card_game,
     enumerate_patterns,
@@ -85,29 +83,6 @@ def golden_line(maid) -> str:
     ])
 
 
-def two_decision_game(rng: random.Random) -> Maid:
-    """One agent owns two decisions, so its best response is a joint
-    deviation over both rules; a second agent plays alongside. D2 does not
-    see c, so D1 can pass c on to it: simplify still eliminates D1, and on
-    some seeds verification reports fail. The record pins that as well."""
-    def row(k):
-        raw = [rng.random() + 0.05 for _ in range(k)]
-        return tuple(v / sum(raw) for v in raw)
-
-    def payoffs(n):
-        return tuple(rng.uniform(-5.0, 10.0) for _ in range(n))
-
-    two = ("v0", "v1")
-    return Maid.build(agents=["p", "q"], nodes=[
-        Node.chance("c", domain=two, cpt=row(2)),
-        Node.decision("D1", owner="p", domain=two, parents=("c",)),
-        Node.decision("D2", owner="p", domain=two, parents=("D1",)),
-        Node.decision("E", owner="q", domain=two, parents=("c",)),
-        Node.utility("u_p", owner="p", parents=("D2", "E", "c"), table=payoffs(8)),
-        Node.utility("u_q", owner="q", parents=("D1", "E"), table=payoffs(4)),
-    ])
-
-
 def numeric_graphs():
     for n in (1, 2, 3):
         yield f"card{n}", card_game(n)
@@ -115,7 +90,7 @@ def numeric_graphs():
     for s in range(40):
         yield f"param{s}", helpers.random_parameterized_maid(random.Random(s))
     for s in range(5):
-        yield f"pair{s}", two_decision_game(random.Random(s))
+        yield f"pair{s}", helpers.two_decision_game(random.Random(s))
 
 
 def _rows(profile) -> str:

@@ -8,10 +8,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maidkit import semantics
@@ -109,6 +110,9 @@ def test_malformed_rules_raise_maid_errors(card1):
         rule_from_rows(card1, "C", [("a", "b", "c")] * 3)
     with pytest.raises(MaidError, match="C: rule rows must be rows of numbers"):
         rule_from_rows(card1, "C", [(1.0, 0.0, 0.0), None, (0.0, 0.0, 1.0)])
+    # A string iterates as characters, each of which parses as a number.
+    with pytest.raises(MaidError, match="C: rule rows must be rows of numbers"):
+        rule_from_rows(card1, "C", ["100", "010", "001"])
 
 
 def test_rule_rejects_nan_rows(card1):
@@ -371,6 +375,42 @@ def test_no_pure_equilibrium_returns_none(pennies):
     assert find_equilibrium_small(pennies) is None
 
 
+def test_search_stops_at_the_first_repeated_round(monkeypatch):
+    # Seed 0 draws (t, t); the rounds start at (t, t), (t, h), (h, t) and
+    # then (t, h) again: three rounds of two best responses. The fallback
+    # then checks (h, h) and (t, t) for both agents and (h, t) and (t, h)
+    # for x only. Running all MAX_ROUNDS rounds made 2 * 50 + 6 calls.
+    calls = []
+    respond = semantics._best_pure_response
+
+    def counting(maid, space, tables, agent):
+        calls.append(agent)
+        return respond(maid, space, tables, agent)
+
+    monkeypatch.setattr(semantics, "_best_pure_response", counting)
+    assert find_equilibrium_small(helpers.matching_pennies()) is None
+    assert len(calls) == 12
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 10_000), family=st.sampled_from(["random", "pair", "pennies"]),
+       tol=st.sampled_from([0.0, 1e-9, 0.5]))
+def test_equilibrium_search_matches_reference(seed, family, tol):
+    # The reference runs every round and builds every best response's
+    # tables; the search must return the same tables, or None, from every
+    # start. The families cover one decision per agent, an agent owning two
+    # decisions, and cycling best responses with a chance parent.
+    make = {"random": helpers.random_parameterized_maid,
+            "pair": helpers.two_decision_game,
+            "pennies": helpers.pennies_with_chance}[family]
+    rng = random.Random(seed)
+    maid = make(rng)
+    for game in (maid, simplify(maid).final):
+        for start in rng.sample(range(1000), 4):
+            expected = helpers.reference_find_equilibrium(game, seed=start, tol=tol)
+            assert find_equilibrium_small(game, seed=start, tol=tol) == expected
+
+
 def test_search_builds_rules_only_for_what_it_returns(monkeypatch):
     # The search works on flat tables; a DecisionRule is built, and
     # checked, once per decision of a returned profile.
@@ -446,6 +486,16 @@ def test_unsound_reduction_is_caught(card1):
     assert verify_simplification(card1, claim, seed=2).status == "pass"
 
 
+def test_verification_refuses_a_result_of_another_game(card1):
+    # Replaying card_game(2)'s equilibrium in card_game(1) reported "fail".
+    with pytest.raises(MaidError, match="simplification of another game"):
+        verify_simplification(card1, simplify(card_game(2)))
+    with pytest.raises(MaidError, match="must have original and final graphs"):
+        verify_simplification(card1, None)
+    # An equal graph built apart is the same game.
+    assert verify_simplification(card1, simplify(card_game(1))).passed
+
+
 def test_verification_without_pure_equilibrium_is_inconclusive(pennies):
     report = verify_simplification(pennies, simplify(pennies))
     assert report.status == "inconclusive"
@@ -453,16 +503,29 @@ def test_verification_without_pure_equilibrium_is_inconclusive(pennies):
     assert report.equilibrium is None and report.gaps == {}
 
 
-@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1.0))
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1.0,
+                                 pytest.param(10 ** 400, id="10**400")))
 def test_tolerance_must_be_finite_and_non_negative(card1, tol):
-    # Under NaN or infinity every gap passes, and under a negative tolerance
-    # even an exact equilibrium fails; each is refused before any search.
+    # Under NaN or infinity every gap passes, under a negative tolerance
+    # even an exact equilibrium fails, and an int beyond the float range
+    # overflows in the first comparison; each is refused before any search.
     others = {"A": uniform_rule(card1, "A"), "C": truthful(card1)}
     calls = (lambda: verify_simplification(card1, simplify(card1), tol=tol),
              lambda: find_equilibrium_small(card1, tol=tol),
              lambda: is_motivated_bruteforce(card1, "B", others, tol=tol))
     for call in calls:
         with pytest.raises(MaidError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+            call()
+
+
+@pytest.mark.parametrize("seed", (None, [1], 1.5, "0"))
+def test_seed_must_be_an_int(card1, seed):
+    # None seeds from the operating system, so the run could not be
+    # repeated; a list raised a TypeError.
+    calls = (lambda: find_equilibrium_small(card1, seed=seed),
+             lambda: verify_simplification(card1, simplify(card1), seed=seed))
+    for call in calls:
+        with pytest.raises(MaidError, match=re.escape(f"seed must be an int, got {seed!r}")):
             call()
 
 
