@@ -81,6 +81,14 @@ class Path:
         return tuple(out)
 
 
+def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
+    """``ids`` as a set of node ids. A string is refused: it would iterate
+    as its characters, each taken for a node id."""
+    if isinstance(ids, str):
+        raise MaidError(f"{what} must be a collection of node ids, not the string {ids!r}")
+    return frozenset(ids)
+
+
 @dataclass(frozen=True)
 class PathQuery:
     """Everything :func:`find_path` needs to know about the path it wants."""
@@ -95,8 +103,8 @@ class PathQuery:
     require_collider: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "avoid", frozenset(self.avoid))
-        object.__setattr__(self, "blocking_set", frozenset(self.blocking_set))
+        object.__setattr__(self, "avoid", _id_set(self.avoid, "avoid set"))
+        object.__setattr__(self, "blocking_set", _id_set(self.blocking_set, "blocking set"))
         if self.source == self.target:
             raise MaidError("path source and target must differ")
         if self.source in self.avoid or self.target in self.avoid:
@@ -107,7 +115,10 @@ def collider_blocked(maid: Maid, b: str, w: Iterable[str]) -> bool:
     """True iff converging arrows at ``b`` block a path given ``w``: neither
     ``b`` nor any descendant of ``b`` is in ``w``, so ``b`` is not in An(w)."""
     maid.node(b)
-    return b not in _reach(maid._parents_map, w)
+    wset = _id_set(w, "conditioning set")
+    for v in wset:
+        maid.node(v)
+    return b not in _reach(maid._parents_map, wset)
 
 
 # -- d-separation -----------------------------------------------------------
@@ -122,7 +133,7 @@ def d_separated(maid: Maid, x: str, y: str, w: Iterable[str],
     """
     maid.node(x)
     maid.node(y)
-    wset = frozenset(w)
+    wset = _id_set(w, "conditioning set")
     for v in wset:
         maid.node(v)
     if x in wset or y in wset:
@@ -250,7 +261,7 @@ def decision_free_paths(maid: Maid, x: str, targets: Iterable[str]) -> dict[str,
     ``find_path(maid, decision_free_query(x, target))`` returns, all from
     one O(V + E) search."""
     maid.node(x)
-    wanted = frozenset(targets) - {x}
+    wanted = _id_set(targets, "targets") - {x}
     for t in wanted - maid.nodes.keys():
         maid.node(t)  # raises UnknownNodeError
     if not wanted:
@@ -426,25 +437,25 @@ def decision_free_query(x: str, y: str) -> PathQuery:
 def directed_effective_query(x: str, y: str, avoid: Iterable[str] = ()) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.DIRECTED_ONLY,
                      interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     avoid=frozenset(avoid))
+                     avoid=avoid)
 
 
 def back_door_query(x: str, y: str, w: Iterable[str]) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.UNDIRECTED,
                      first_edge=FirstEdge.INTO_SOURCE,
                      interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     blocking_set=frozenset(w))
+                     blocking_set=w)
 
 
 def front_door_query(x: str, y: str, w: Iterable[str]) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.UNDIRECTED,
                      first_edge=FirstEdge.OUT_OF_SOURCE,
                      interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     blocking_set=frozenset(w), require_collider=True)
+                     blocking_set=w, require_collider=True)
 
 
 def effective_query(x: str, y: str, w: Iterable[str] = ()) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.UNDIRECTED,
                      first_edge=FirstEdge.ANY,
                      interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     blocking_set=frozenset(w))
+                     blocking_set=w)

@@ -27,6 +27,8 @@ def card_game(n: int = 1) -> Maid:
     how high B's guess is. With a single side player the plain names C and
     U_C are used.
     """
+    if not isinstance(n, int):
+        raise MaidError(f"card game needs an int number of side players, got {n!r}")
     if n < 1:
         raise MaidError(f"card game needs at least one side player, got {n}")
     if n == 1:

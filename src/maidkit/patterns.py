@@ -294,8 +294,10 @@ def check_instance(maid: Maid, instance: PatternInstance,
     without rerunning any search. An instance whose bindings do not fit the
     pattern (a node the graph does not have, a binding the pattern does not
     use, a u or u' that is not a utility of the right owner, n equal to the
-    decision) is rejected.
+    decision, a kind that is not a :class:`PatternKind`) is rejected.
     """
+    if not isinstance(instance.kind, PatternKind):
+        return False
     d, u, n, u_prime = instance.decision, instance.u, instance.n, instance.u_prime
     decision = maid.nodes.get(d)
     if decision is None or not decision.is_decision or not _owns(maid, decision.owner, u):

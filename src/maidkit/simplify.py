@@ -88,17 +88,23 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
     the same phase see a consistent graph.
 
     A decision with a direct effect is not checked again in the phase's
-    later passes: a demotion removes only edges into a decision, which no
+    later passes, nor in the later phases of a :func:`simplify` run:
+    demotion and retraction remove only edges into decisions, which no
     decision-free path uses, and the flags do not bear on decision-free
     paths.
     """
+    return _identify(maid, effectiveness, rng, set())
+
+
+def _identify(maid: Maid, effectiveness: Mapping[str, bool],
+              rng: random.Random | None, direct: set[str]) -> PhaseOutcome:
+    """:func:`identification_phase`, skipping the decisions in ``direct``,
+    to which it adds each decision it finds a direct effect for."""
     eff = dict(effectiveness)
     eliminated: list[str] = []
     removed: list[tuple[str, str]] = []
-    direct: set[str] = set()
-    changed_any = False
     while True:
-        changed = False
+        before = len(eliminated)
         for d in _ordered(maid.decisions, rng):
             if not eff.get(d, False) or d in direct:
                 continue
@@ -108,15 +114,12 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
                     direct.add(d)
                 continue
             eff[d] = False
-            for p in maid.parents(d):
-                removed.append((p, d))
+            removed.extend((p, d) for p in maid.parents(d))
             maid = convert_decision_to_chance(maid, d)
             eliminated.append(d)
-            changed = True
-            changed_any = True
-        if not changed:
+        if len(eliminated) == before:
             break
-    return PhaseOutcome(maid=maid, effectiveness=eff, changed=changed_any,
+    return PhaseOutcome(maid=maid, effectiveness=eff, changed=bool(eliminated),
                         eliminated=tuple(eliminated), removed_edges=tuple(removed))
 
 
@@ -138,8 +141,6 @@ def retract_edges(maid: Maid,
     decision_order = [n for n in maid.topological_order
                       if maid.nodes[n].is_decision]
     info_edges = [(p, d) for d in decision_order for p in maid.parents(d)]
-    if not info_edges:
-        return maid, (), False
     order = list(info_edges)
     if rng is not None:
         rng.shuffle(order)
@@ -195,31 +196,25 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
         raise ValidationError(diagnostics)
     rng = random.Random(order_seed) if order_seed is not None else None
     original = maid
-    eff: dict[str, bool] = dict(all_effective(maid))
-    eliminated_all: list[str] = []
-    removed_all: list[tuple[str, str]] = []
+    eff: Mapping[str, bool] = all_effective(maid)
+    direct: set[str] = set()
     trace: list[IterationRecord] = []
     bound = len(maid.edges) + 2
-    iterations = 0
     while True:
-        iterations += 1
-        if iterations > bound:
+        if len(trace) == bound:
             raise MaidError("simplification did not reach a fixed point within "
                             "the structural bound")
-        phase = identification_phase(maid, eff, rng=rng)
-        maid = phase.maid
-        eff = dict(phase.effectiveness)
-        maid, pruned, pruned_changed = retract_edges(maid, rng=rng)
-        trace.append(IterationRecord(index=iterations, eliminated=phase.eliminated,
+        phase = _identify(maid, eff, rng, direct)
+        eff = phase.effectiveness
+        maid, pruned, _ = retract_edges(phase.maid, rng=rng)
+        trace.append(IterationRecord(index=len(trace) + 1, eliminated=phase.eliminated,
                                      conversion_removed_edges=phase.removed_edges,
                                      pruned_edges=pruned))
-        eliminated_all.extend(phase.eliminated)
-        removed_all.extend(phase.removed_edges)
-        removed_all.extend(pruned)
-        if not phase.changed and not pruned_changed:
+        if not (phase.eliminated or pruned):
             break
-    return SimplificationResult(original=original, final=maid,
-                                eliminated=tuple(eliminated_all),
-                                removed_edges=tuple(removed_all),
-                                effectiveness=eff, iterations=iterations,
-                                trace=tuple(trace))
+    return SimplificationResult(
+        original=original, final=maid,
+        eliminated=tuple(d for rec in trace for d in rec.eliminated),
+        removed_edges=tuple(e for rec in trace
+                            for e in rec.conversion_removed_edges + rec.pruned_edges),
+        effectiveness=eff, iterations=len(trace), trace=tuple(trace))

@@ -4,6 +4,8 @@ Random graph generators sized for the property suites, an independent
 d-separation oracle built on exhaustive simple-trail enumeration, the
 exhaustive recursive witness search that ``find_path`` must agree with,
 the edge-by-edge retraction loop that ``retract_edges`` must agree with,
+the simplification loop that proves direct effects again in every phase,
+which ``simplify`` must agree with,
 the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
 with, the state-at-a-time joint-space sweep that the numeric layer's
 enumerated table must agree with, the equilibrium search that runs every
@@ -21,7 +23,22 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from maidkit import Maid, MaidParseError, Node, NodeKind, Path, remove_edge, validate
+from maidkit import (
+    IterationRecord,
+    Maid,
+    MaidError,
+    MaidParseError,
+    Node,
+    NodeKind,
+    Path,
+    SimplificationResult,
+    ValidationError,
+    all_effective,
+    identification_phase,
+    remove_edge,
+    retract_edges,
+    validate,
+)
 from maidkit.analysis import (
     BACKWARD,
     FORWARD,
@@ -254,6 +271,51 @@ def reference_retract_edges(maid: Maid, rng: random.Random | None = None
     for p, d in removed:
         maid = remove_edge(maid, p, d)
     return maid, removed, bool(removed)
+
+
+# The simplification loop whose identification phases each start from an
+# empty direct-effect set, so every phase proves its direct effects again.
+def reference_simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
+    """Alternate identification and retraction until neither changes the
+    graph. The final graph, the order of every removal, and the surviving
+    participation flags are all reported.
+
+    ``order_seed`` permutes the per-pass visiting order of decisions and
+    edges; the fixed point does not depend on it.
+    """
+    diagnostics = validate(maid)
+    if diagnostics:
+        raise ValidationError(diagnostics)
+    rng = random.Random(order_seed) if order_seed is not None else None
+    original = maid
+    eff: dict[str, bool] = dict(all_effective(maid))
+    eliminated_all: list[str] = []
+    removed_all: list[tuple[str, str]] = []
+    trace: list[IterationRecord] = []
+    bound = len(maid.edges) + 2
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > bound:
+            raise MaidError("simplification did not reach a fixed point within "
+                            "the structural bound")
+        phase = identification_phase(maid, eff, rng=rng)
+        maid = phase.maid
+        eff = dict(phase.effectiveness)
+        maid, pruned, pruned_changed = retract_edges(maid, rng=rng)
+        trace.append(IterationRecord(index=iterations, eliminated=phase.eliminated,
+                                     conversion_removed_edges=phase.removed_edges,
+                                     pruned_edges=pruned))
+        eliminated_all.extend(phase.eliminated)
+        removed_all.extend(phase.removed_edges)
+        removed_all.extend(pruned)
+        if not phase.changed and not pruned_changed:
+            break
+    return SimplificationResult(original=original, final=maid,
+                                eliminated=tuple(eliminated_all),
+                                removed_edges=tuple(removed_all),
+                                effectiveness=eff, iterations=iterations,
+                                trace=tuple(trace))
 
 
 def reference_find_path(maid: Maid, query: PathQuery,

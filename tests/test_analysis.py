@@ -12,6 +12,7 @@ from maidkit import (
     Node,
     Path,
     PathQuery,
+    UnknownNodeError,
     ancestors,
     check_path,
     collider_blocked,
@@ -62,6 +63,44 @@ def test_query_rejects_degenerate_endpoints():
         PathQuery(source="A", target="A")
     with pytest.raises(MaidError):
         PathQuery(source="A", target="B", avoid=("A",))
+
+
+def string_set_maid():
+    """Roots A and B, X <- A, Y <- A, B, and X -> D -> U."""
+    b = ("f", "t")
+    return Maid.build(agents=["x"], nodes=[
+        Node.chance("A", b), Node.chance("B", b),
+        Node.chance("X", b, parents=("A",)), Node.chance("Y", b, parents=("A", "B")),
+        Node.decision("D", owner="x", domain=b, parents=("X",)),
+        Node.utility("U", owner="x", parents=("D",)),
+    ])
+
+
+def test_a_string_is_not_a_set_of_node_ids():
+    # A string would iterate as its characters: "AB" conditioned on A and
+    # B, and "DU" asked for paths to D and U.
+    g = string_set_maid()
+    assert d_separated(g, "X", "Y", ["A", "B"])
+    assert collider_blocked(g, "Y", ["A", "B"])
+    string_sets = [
+        lambda: d_separated(g, "X", "Y", "AB"),
+        lambda: collider_blocked(g, "Y", "AB"),
+        lambda: decision_free_paths(g, "X", "DU"),
+        lambda: PathQuery(source="X", target="Y", blocking_set="AB"),
+        lambda: PathQuery(source="X", target="Y", avoid="AB"),
+        lambda: directed_effective_query("X", "U", "A"),
+        lambda: back_door_query("X", "Y", "AB"),
+        lambda: front_door_query("X", "Y", "AB"),
+        lambda: effective_query("X", "Y", "AB"),
+    ]
+    for call in string_sets:
+        with pytest.raises(MaidError, match="not the string"):
+            call()
+    # collider_blocked checks its conditioning set's ids as d_separated does.
+    for call in (lambda: d_separated(g, "X", "Y", ["AB"]),
+                 lambda: collider_blocked(g, "Y", ["nope"])):
+        with pytest.raises(UnknownNodeError):
+            call()
 
 
 # -- d-separation ----------------------------------------------------------------

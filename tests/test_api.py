@@ -3,13 +3,16 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import os
 import re
+import subprocess
 import sys
 
 import maidkit
 
 ROOT = pathlib.Path(__file__).parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 
 
 def test_every_export_resolves():
@@ -47,3 +50,12 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         assert module_name.startswith("maidkit."), span
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"
+
+
+def test_readme_library_example_runs():
+    (example,) = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                            re.MULTILINE | re.DOTALL)
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-c", example], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -18,6 +18,7 @@ from maidkit import (
     ValidationError,
     all_effective,
     ancestors,
+    card_game,
     chance_row,
     convert_decision_to_chance,
     descendants,
@@ -168,6 +169,14 @@ def test_remove_edge_matches_reference_marginalize(case):
 def test_fixtures_validate_clean(card1, pa, cascade, pennies, sig_min):
     for maid in (card1, pa, cascade, pennies, sig_min):
         assert validate(maid) == []
+
+
+def test_card_game_rejects_a_side_count_that_is_not_an_int():
+    for n in (2.5, "3", None):
+        with pytest.raises(MaidError, match="int number of side players"):
+            card_game(n)
+    with pytest.raises(MaidError, match="at least one side player"):
+        card_game(0)
 
 
 def _single(rule, diagnostics):

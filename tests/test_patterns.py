@@ -300,6 +300,18 @@ def test_check_instance_rejects_tampering(pa):
         assert not check_instance(pa, dataclasses.replace(direct, **{slot: value}), flags)
 
 
+def test_check_instance_rejects_a_kind_that_is_no_pattern_kind(pa):
+    # Any kind other than the three downstream ones used to fall through to
+    # the signaling definition, so a signaling instance passed with these.
+    report = enumerate_patterns(pa, original=True)
+    flags = all_effective(pa)
+    for kind in PatternKind:
+        inst = next(i for i in report.all_instances() if i.kind is kind)
+        assert check_instance(pa, inst, flags)
+        for bogus in ("bogus", None, "signaling"):
+            assert not check_instance(pa, dataclasses.replace(inst, kind=bogus), flags)
+
+
 def test_check_instance_rejects_misattributed_decision(pa):
     report = enumerate_patterns(pa, original=True)
     (df,) = report.instances["D2"]

@@ -165,6 +165,51 @@ def test_direct_effects_are_not_checked_again_within_a_phase(monkeypatch):
     assert sorted(asked) == sorted(game.decisions)
 
 
+def test_direct_effects_are_not_checked_again_within_a_run(monkeypatch):
+    # The confirming iteration of simplify(card_game(5)) asks no detector
+    # about B or C_k either: one detection pass per decision in the run.
+    game = card_game(5)
+    asked = []
+    detect = simplify_module._detect
+
+    def recording(maid, d, *args, **kwargs):
+        asked.append(d)
+        return detect(maid, d, *args, **kwargs)
+
+    monkeypatch.setattr(simplify_module, "_detect", recording)
+    result = simplify(game)
+    assert result.eliminated == ("A",) and result.iterations == 2
+    assert len(asked) == 7
+    assert sorted(asked) == sorted(game.decisions)
+
+
+def assert_simplify_matches_reference(maid, order_seed):
+    result = simplify(maid, order_seed=order_seed)
+    ref = helpers.reference_simplify(maid, order_seed=order_seed)
+    assert result.final == ref.final
+    assert result.eliminated == ref.eliminated
+    assert result.removed_edges == ref.removed_edges
+    assert result.effectiveness == ref.effectiveness
+    assert result.iterations == ref.iterations
+    assert result.trace == ref.trace
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 10_000), order_seed=st.none() | st.integers(0, 1000),
+       family=st.sampled_from(("structure", "parameterized", "two_decision")))
+def test_simplify_matches_reference(seed, order_seed, family):
+    generate = {"structure": helpers.random_structure_maid,
+                "parameterized": helpers.random_parameterized_maid,
+                "two_decision": helpers.two_decision_game}[family]
+    assert_simplify_matches_reference(generate(random.Random(seed)), order_seed)
+
+
+def test_simplify_matches_reference_on_fixtures(card1, pa, cascade, sig_min):
+    for maid in (card1, card_game(5), pa, cascade, sig_min):
+        for order_seed in (None, *range(4)):
+            assert_simplify_matches_reference(maid, order_seed)
+
+
 # -- retraction against the edge-by-edge loop ------------------------------------
 
 
