@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
-from .core import Maid, MaidError, _reach
+from .core import Maid, MaidError, _id_set, _reach
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -79,14 +79,6 @@ class Path:
             a, b = self.nodes[i], self.nodes[i + 1]
             out.append((a, b) if d == FORWARD else (b, a))
         return tuple(out)
-
-
-def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
-    """``ids`` as a set of node ids. A string is refused: it would iterate
-    as its characters, each taken for a node id."""
-    if isinstance(ids, str):
-        raise MaidError(f"{what} must be a collection of node ids, not the string {ids!r}")
-    return frozenset(ids)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ def _read_graph(path: str) -> Maid:
             text = fh.read()
     except OSError as exc:
         raise MaidError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise MaidError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
     return parse_maidfile(text)
 
 

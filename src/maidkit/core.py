@@ -76,6 +76,19 @@ class Diagnostic:
         return f"{where}{self.message} [{self.rule}]"
 
 
+def _not_a_string(values: Iterable, what: str, items: str) -> Iterable:
+    """``values``, a collection of ``items``. A string is refused: it would
+    iterate as its characters, each taken for one of the items."""
+    if isinstance(values, str):
+        raise MaidError(f"{what} must be a collection of {items}, not the string {values!r}")
+    return values
+
+
+def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
+    """``ids`` as a set of node ids."""
+    return frozenset(_not_a_string(ids, what, "node ids"))
+
+
 def _flatten_params(values: Iterable) -> tuple[float, ...]:
     vals = list(values)
     if vals and isinstance(vals[0], (list, tuple)):
@@ -104,21 +117,23 @@ class Node:
     @classmethod
     def chance(cls, node_id: str, domain: Sequence[str], parents: Sequence[str] = (),
                cpt: Iterable | None = None) -> "Node":
-        return cls(id=node_id, kind=NodeKind.CHANCE, domain=tuple(domain),
-                   parents=tuple(parents),
+        return cls(id=node_id, kind=NodeKind.CHANCE,
+                   domain=tuple(_not_a_string(domain, "domain", "values")),
+                   parents=tuple(_not_a_string(parents, "parents", "node ids")),
                    cpt=None if cpt is None else _flatten_params(cpt))
 
     @classmethod
     def decision(cls, node_id: str, owner: str, domain: Sequence[str],
                  parents: Sequence[str] = ()) -> "Node":
         return cls(id=node_id, kind=NodeKind.DECISION, owner=owner,
-                   domain=tuple(domain), parents=tuple(parents))
+                   domain=tuple(_not_a_string(domain, "domain", "values")),
+                   parents=tuple(_not_a_string(parents, "parents", "node ids")))
 
     @classmethod
     def utility(cls, node_id: str, owner: str, parents: Sequence[str] = (),
                 table: Iterable | None = None) -> "Node":
         return cls(id=node_id, kind=NodeKind.UTILITY, owner=owner,
-                   parents=tuple(parents),
+                   parents=tuple(_not_a_string(parents, "parents", "node ids")),
                    table=None if table is None else _flatten_params(table))
 
     @property
@@ -153,7 +168,7 @@ class Maid:
             if node.id in table:
                 raise MaidError(f"duplicate node id: {node.id!r}")
             table[node.id] = node
-        return cls(agents=frozenset(agents), nodes=table)
+        return cls(agents=frozenset(_not_a_string(agents, "agents", "agent names")), nodes=table)
 
     def __repr__(self) -> str:
         return (f"Maid(agents={sorted(self.agents)}, nodes={len(self.nodes)}, "
@@ -421,74 +436,74 @@ def validate(maid: Maid) -> list[Diagnostic]:
 def _check_structure(maid: Maid) -> list[Diagnostic]:
     """Every structural finding about ``maid``, in :func:`validate`'s order."""
     out: list[Diagnostic] = []
+    nodes, agents = maid.nodes, maid.agents
+    chance, decision, utility = NodeKind.CHANCE, NodeKind.DECISION, NodeKind.UTILITY
+    def add(rule: str, message: str) -> None:  # a finding about the node the loop is on
+        out.append(Diagnostic(node_id, rule, message))
 
-    for node_id in sorted(maid.nodes):
-        node = maid.nodes[node_id]
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        kind, owner, domain, parents, cpt, table = (
+            node.kind, node.owner, node.domain, node.parents, node.cpt, node.table)
         if not node_id:
-            out.append(Diagnostic(node_id, "node-id", "node id must be non-empty"))
+            add("node-id", "node id must be non-empty")
         if node.id != node_id:
-            out.append(Diagnostic(node_id, "node-id", f"node keyed as {node_id!r} reports id {node.id!r}"))
+            add("node-id", f"node keyed as {node_id!r} reports id {node.id!r}")
 
-        needs_owner = node.kind in (NodeKind.DECISION, NodeKind.UTILITY)
-        if needs_owner and node.owner is None:
-            out.append(Diagnostic(node_id, "owner-required", f"{node.kind.value} node has no owning agent"))
-        if not needs_owner and node.owner is not None:
-            out.append(Diagnostic(node_id, "owner-forbidden", "chance node must not have an owner"))
-        if node.owner is not None and node.owner not in maid.agents:
-            out.append(Diagnostic(node_id, "owner-declared", f"owner {node.owner!r} is not a declared agent"))
+        if owner is None and (kind is decision or kind is utility):
+            add("owner-required", f"{kind.value} node has no owning agent")
+        elif owner is not None and kind is not decision and kind is not utility:
+            add("owner-forbidden", "chance node must not have an owner")
+        if owner is not None and owner not in agents:
+            add("owner-declared", f"owner {owner!r} is not a declared agent")
 
-        needs_domain = node.kind in (NodeKind.CHANCE, NodeKind.DECISION)
-        if needs_domain:
-            if node.domain is None or len(node.domain) < 2:
-                out.append(Diagnostic(node_id, "domain-size", "domain must list at least two values"))
-            elif len(set(node.domain)) != len(node.domain):
-                out.append(Diagnostic(node_id, "domain-distinct", "domain values must be distinct"))
-        elif node.domain is not None:
-            out.append(Diagnostic(node_id, "domain-forbidden", "utility node must not declare a domain"))
+        if kind is chance or kind is decision:
+            if domain is None or len(domain) < 2:
+                add("domain-size", "domain must list at least two values")
+            elif len(set(domain)) != len(domain):
+                add("domain-distinct", "domain values must be distinct")
+        elif domain is not None:
+            add("domain-forbidden", "utility node must not declare a domain")
 
-        if len(set(node.parents)) != len(node.parents):
-            out.append(Diagnostic(node_id, "parents-distinct", "parent list contains duplicates"))
-        unresolved = [p for p in node.parents if p not in maid.nodes]
-        for p in unresolved:
-            out.append(Diagnostic(node_id, "parent-resolves", f"parent {p!r} is not a node"))
-        for p in node.parents:
-            if p in maid.nodes and maid.nodes[p].is_utility:
-                out.append(Diagnostic(node_id, "utility-sink", f"utility node {p!r} is not a sink"))
+        if len(set(parents)) != len(parents):
+            add("parents-distinct", "parent list contains duplicates")
+        resolved = list(map(nodes.get, parents))  # None where a parent is not a node
+        for p, pnode in zip(parents, resolved):
+            if pnode is None:
+                add("parent-resolves", f"parent {p!r} is not a node")
+        for p, pnode in zip(parents, resolved):
+            if pnode is not None and pnode.kind is utility:
+                add("utility-sink", f"utility node {p!r} is not a sink")
 
-        if node.is_decision and (node.cpt is not None or node.table is not None):
-            out.append(Diagnostic(node_id, "params-kind", "decision node must not carry parameters"))
-        if node.is_chance and node.table is not None:
-            out.append(Diagnostic(node_id, "params-kind", "chance node must not carry a payoff table"))
-        if node.is_utility and node.cpt is not None:
-            out.append(Diagnostic(node_id, "params-kind", "utility node must not carry a probability table"))
+        if kind is decision and (cpt is not None or table is not None):
+            add("params-kind", "decision node must not carry parameters")
+        if kind is chance and table is not None:
+            add("params-kind", "chance node must not carry a payoff table")
+        if kind is utility and cpt is not None:
+            add("params-kind", "utility node must not carry a probability table")
 
-        resolvable = not unresolved and all(
-            maid.nodes[p].domain is not None for p in node.parents if p in maid.nodes)
-        if node.cpt is not None and node.is_chance and node.domain and resolvable:
-            k = len(node.domain)
-            rows = math.prod(len(maid.nodes[p].domain) for p in node.parents)
-            if len(node.cpt) != rows * k:
-                out.append(Diagnostic(node_id, "cpt-arity",
-                                      f"probability table has {len(node.cpt)} entries, expected {rows * k}"))
+        if cpt is None and table is None or not all(resolved) or None in [pn.domain for pn in resolved]:
+            continue  # no table, or no parent domains to size it by
+        rows = math.prod(len(pn.domain) for pn in resolved)
+        if cpt is not None and kind is chance and domain:
+            k = len(domain)
+            if len(cpt) != rows * k:
+                add("cpt-arity", f"probability table has {len(cpt)} entries, expected {rows * k}")
             else:
+                clean = all(map(math.isfinite, cpt)) and min(cpt, default=0.0) >= 0
                 for r in range(rows):
-                    row = node.cpt[r * k:(r + 1) * k]
-                    if any(not math.isfinite(v) for v in row):
-                        out.append(Diagnostic(node_id, "cpt-finite",
-                                              f"row {r} contains a non-finite probability"))
-                    if any(v < 0 for v in row):
-                        out.append(Diagnostic(node_id, "cpt-nonnegative",
-                                              f"row {r} contains a negative probability"))
+                    row = cpt[r * k:(r + 1) * k]
+                    if not clean and not all(map(math.isfinite, row)):
+                        add("cpt-finite", f"row {r} contains a non-finite probability")
+                    if not clean and any(v < 0 for v in row):
+                        add("cpt-nonnegative", f"row {r} contains a negative probability")
                     if abs(sum(row) - 1.0) > PROB_TOL:
-                        out.append(Diagnostic(node_id, "cpt-normalized",
-                                              f"row {r} does not normalize (sum {sum(row)!r})"))
-        if node.table is not None and node.is_utility and resolvable:
-            rows = math.prod(len(maid.nodes[p].domain) for p in node.parents)
-            if len(node.table) != rows:
-                out.append(Diagnostic(node_id, "table-arity",
-                                      f"payoff table has {len(node.table)} entries, expected {rows}"))
-            elif any(not math.isfinite(v) for v in node.table):
-                out.append(Diagnostic(node_id, "table-finite", "payoffs must be finite reals"))
+                        add("cpt-normalized", f"row {r} does not normalize (sum {sum(row)!r})")
+        if table is not None and kind is utility:
+            if len(table) != rows:
+                add("table-arity", f"payoff table has {len(table)} entries, expected {rows}")
+            elif not all(map(math.isfinite, table)):
+                add("table-finite", "payoffs must be finite reals")
 
     if len(maid._kahn_order) != len(maid.nodes):
         cyclic = sorted(maid.nodes.keys() - set(maid._kahn_order))

@@ -36,19 +36,22 @@ import re
 from .core import Maid, MaidError, Node, NodeKind
 
 # One match per token: the whitespace and comments in front of it, then the
-# token. Every position matches something, so one finditer pass lexes the
-# whole text and ends in an ``eof`` match.
+# token's text. Every position matches something, so one findall lexes the
+# whole text and ends in the empty text of the end of input.
 _TOKEN_RE = re.compile(r"""
-    (?:\s+|\#[^\n]*)*
-    (?:(?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<lbrace>\{)
-      | (?P<rbrace>\})
-      | (?P<semi>;)
-      | (?P<eof>\Z)
-      | (?P<bad>.))
+    \s*(?:\#[^\n]*\s*)*
+    ( [A-Za-z_][A-Za-z0-9_]*                   # identifier
+    | [{};]
+    | -?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?   # number
+    | \Z                                       # end of input
+    | .)                                       # a character no token takes
 """, re.VERBOSE | re.DOTALL)
 
+# A token's kind by its first character. The rest start a number ('-', '.',
+# a non-ASCII digit) or are a lone character no token takes ("bad").
+_KIND_OF = {"": "eof", "{": "lbrace", "}": "rbrace", ";": "semi",
+            **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
+            **dict.fromkeys("0123456789", "number")}
 _KINDS = {"chance": NodeKind.CHANCE,
           "decision": NodeKind.DECISION,
           "utility": NodeKind.UTILITY}
@@ -69,38 +72,28 @@ class MaidParseError(MaidError):
         self.col = col
 
 
-def _error_at(text: str, pos: int, message: str) -> MaidParseError:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - text.rfind("\n", 0, pos)
-    return MaidParseError(message, line, col)
-
-
 class _Parser:
     """Recursive descent over the token list, held as parallel lists of
-    kinds, texts and start offsets. The whole text is lexed first, so a
-    stray character is reported ahead of any syntax error before it."""
+    kinds and texts. The whole text is lexed first, so a stray character is
+    reported ahead of any syntax error before it."""
 
     def __init__(self, text: str):
-        kinds: list[str] = []
-        texts: list[str] = []
-        starts: list[int] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            kinds.append(kind)
-            texts.append(m[kind])
-            starts.append(m.start(kind))
-        if "bad" in kinds:
-            pos = starts[kinds.index("bad")]
-            raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
         self.text = text
-        self.kinds = kinds
-        self.texts = texts
-        self.starts = starts
+        self.texts = texts = _TOKEN_RE.findall(text)
+        kind_of = _KIND_OF.get
+        self.kinds = kinds = [kind_of(t[:1]) or ("number" if len(t) > 1 or t.isdecimal()
+                                                 else "bad") for t in texts]
         self.i = 0
+        if "bad" in kinds:
+            at = kinds.index("bad")
+            self.fail(f"unexpected character {texts[at]!r}", at)
 
     def fail(self, message: str, at: int | None = None):
+        # Token offsets are needed only here, so they come from a rescan.
         at = self.i if at is None else at
-        raise _error_at(self.text, self.starts[at], message)
+        pos = [m.start(1) for m in _TOKEN_RE.finditer(self.text)][at]
+        line = self.text.count("\n", 0, pos) + 1
+        raise MaidParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def found(self, at: int) -> str:
         return repr(self.texts[at] or "end of input")
@@ -184,6 +177,8 @@ def parse_maidfile(text: str) -> Maid:
     """Parse maidfile text into a graph. Raises :class:`MaidParseError` on
     bad syntax or duplicate declarations; semantic problems are reported by
     :func:`maidkit.core.validate` instead."""
+    if not isinstance(text, str):
+        raise MaidError(f"maidfile text must be a str, not {type(text).__name__}")
     return _Parser(text).parse_file()
 
 

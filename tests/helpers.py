@@ -7,6 +7,7 @@ the edge-by-edge retraction loop that ``retract_edges`` must agree with,
 the simplification loop that proves direct effects again in every phase,
 which ``simplify`` must agree with,
 the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
+with, the rule-at-a-time structure check that ``validate`` must agree
 with, the state-at-a-time joint-space sweep that the numeric layer's
 enumerated table must agree with, the equilibrium search that runs every
 best-response round, which ``find_equilibrium_small`` must agree with,
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from maidkit import (
+    Diagnostic,
     IterationRecord,
     Maid,
     MaidError,
@@ -49,6 +51,7 @@ from maidkit.analysis import (
     collider_blocked,
     d_separated,
 )
+from maidkit.core import PROB_TOL
 from maidkit.semantics import (
     MAX_ROUNDS,
     _TIE_EPS,
@@ -557,6 +560,86 @@ def reference_parse_maidfile(text: str) -> Maid:
     every lexeme: the plainest statement of the format's grammar and error
     positions."""
     return _Parser(_tokenize(text)).parse_file()
+
+
+def reference_validate(maid: Maid) -> list[Diagnostic]:
+    """``validate`` as it was before its one-pass rewrite: each rule checked
+    on its own, through the node's properties, with every lookup repeated."""
+    out: list[Diagnostic] = []
+
+    for node_id in sorted(maid.nodes):
+        node = maid.nodes[node_id]
+        if not node_id:
+            out.append(Diagnostic(node_id, "node-id", "node id must be non-empty"))
+        if node.id != node_id:
+            out.append(Diagnostic(node_id, "node-id", f"node keyed as {node_id!r} reports id {node.id!r}"))
+
+        needs_owner = node.kind in (NodeKind.DECISION, NodeKind.UTILITY)
+        if needs_owner and node.owner is None:
+            out.append(Diagnostic(node_id, "owner-required", f"{node.kind.value} node has no owning agent"))
+        if not needs_owner and node.owner is not None:
+            out.append(Diagnostic(node_id, "owner-forbidden", "chance node must not have an owner"))
+        if node.owner is not None and node.owner not in maid.agents:
+            out.append(Diagnostic(node_id, "owner-declared", f"owner {node.owner!r} is not a declared agent"))
+
+        needs_domain = node.kind in (NodeKind.CHANCE, NodeKind.DECISION)
+        if needs_domain:
+            if node.domain is None or len(node.domain) < 2:
+                out.append(Diagnostic(node_id, "domain-size", "domain must list at least two values"))
+            elif len(set(node.domain)) != len(node.domain):
+                out.append(Diagnostic(node_id, "domain-distinct", "domain values must be distinct"))
+        elif node.domain is not None:
+            out.append(Diagnostic(node_id, "domain-forbidden", "utility node must not declare a domain"))
+
+        if len(set(node.parents)) != len(node.parents):
+            out.append(Diagnostic(node_id, "parents-distinct", "parent list contains duplicates"))
+        unresolved = [p for p in node.parents if p not in maid.nodes]
+        for p in unresolved:
+            out.append(Diagnostic(node_id, "parent-resolves", f"parent {p!r} is not a node"))
+        for p in node.parents:
+            if p in maid.nodes and maid.nodes[p].is_utility:
+                out.append(Diagnostic(node_id, "utility-sink", f"utility node {p!r} is not a sink"))
+
+        if node.is_decision and (node.cpt is not None or node.table is not None):
+            out.append(Diagnostic(node_id, "params-kind", "decision node must not carry parameters"))
+        if node.is_chance and node.table is not None:
+            out.append(Diagnostic(node_id, "params-kind", "chance node must not carry a payoff table"))
+        if node.is_utility and node.cpt is not None:
+            out.append(Diagnostic(node_id, "params-kind", "utility node must not carry a probability table"))
+
+        resolvable = not unresolved and all(
+            maid.nodes[p].domain is not None for p in node.parents if p in maid.nodes)
+        if node.cpt is not None and node.is_chance and node.domain and resolvable:
+            k = len(node.domain)
+            rows = math.prod(len(maid.nodes[p].domain) for p in node.parents)
+            if len(node.cpt) != rows * k:
+                out.append(Diagnostic(node_id, "cpt-arity",
+                                      f"probability table has {len(node.cpt)} entries, expected {rows * k}"))
+            else:
+                for r in range(rows):
+                    row = node.cpt[r * k:(r + 1) * k]
+                    if any(not math.isfinite(v) for v in row):
+                        out.append(Diagnostic(node_id, "cpt-finite",
+                                              f"row {r} contains a non-finite probability"))
+                    if any(v < 0 for v in row):
+                        out.append(Diagnostic(node_id, "cpt-nonnegative",
+                                              f"row {r} contains a negative probability"))
+                    if abs(sum(row) - 1.0) > PROB_TOL:
+                        out.append(Diagnostic(node_id, "cpt-normalized",
+                                              f"row {r} does not normalize (sum {sum(row)!r})"))
+        if node.table is not None and node.is_utility and resolvable:
+            rows = math.prod(len(maid.nodes[p].domain) for p in node.parents)
+            if len(node.table) != rows:
+                out.append(Diagnostic(node_id, "table-arity",
+                                      f"payoff table has {len(node.table)} entries, expected {rows}"))
+            elif any(not math.isfinite(v) for v in node.table):
+                out.append(Diagnostic(node_id, "table-finite", "payoffs must be finite reals"))
+
+    if len(maid._kahn_order) != len(maid.nodes):
+        cyclic = sorted(maid.nodes.keys() - set(maid._kahn_order))
+        out.append(Diagnostic(None, "acyclic",
+                              f"graph contains a directed cycle among {{{', '.join(cyclic)}}}"))
+    return out
 
 
 class DSepOracle:

@@ -72,6 +72,15 @@ def test_missing_file_is_a_usage_error(capsys, card_path, tmp_path):
         assert "internal error" not in err
 
 
+def test_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.maid"
+    path.write_bytes("chance X { domain caf\u00e9 t; }".encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text (")
+    assert "internal error" not in err and err.count("\n") == 1
+
+
 def test_syntax_error_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "broken.maid"
     path.write_text("chance X {")

@@ -44,6 +44,20 @@ def test_node_constructors_set_kinds():
     assert c.kind is NodeKind.CHANCE
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Node.chance("x", domain="ft"), "domain must be a collection of values"),
+    (lambda: Node.chance("x", domain=("f", "t"), parents="AB"), "parents must be"),
+    (lambda: Node.decision("d", owner="p", domain="ft"), "domain must be"),
+    (lambda: Node.decision("d", owner="p", domain=("f", "t"), parents="AB"), "parents must be"),
+    (lambda: Node.utility("u", owner="p", parents="AB"), "parents must be"),
+    (lambda: Maid.build(agents="ab", nodes=[]), "agents must be a collection of agent names"),
+])
+def test_constructors_refuse_a_string_as_a_collection(build, message):
+    # Iterated, the string would give one name per character.
+    with pytest.raises(MaidError, match=message):
+        build()
+
+
 def test_build_rejects_duplicate_ids():
     with pytest.raises(MaidError, match="duplicate"):
         Maid.build(agents=["p"], nodes=[

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maidkit import (
+    MaidError,
     MaidParseError,
     NodeKind,
     card_game,
@@ -62,6 +63,12 @@ def test_empty_input_is_an_empty_graph():
     assert m.nodes == {}
     assert validate(m) == []
     assert parse_maidfile(render_maidfile(m)) == m
+
+
+def test_text_that_is_not_a_string_is_refused():
+    for text in (b"agent a;", None, 3):
+        with pytest.raises(MaidError, match="must be a str"):
+            parse_maidfile(text)
 
 
 def test_stray_semicolons_rejected():

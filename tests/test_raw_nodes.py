@@ -2,7 +2,9 @@
 arbitrary node arguments returns a result or raises ``MaidError``."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 import time
 
 from hypothesis import given, settings
@@ -48,6 +50,8 @@ from maidkit import (
     utility_value,
     validate,
 )
+
+import helpers
 
 IDS = ("a", "b", "c", "d", "e")
 AGENTS = ("p", "q")
@@ -149,3 +153,41 @@ def test_every_op_returns_or_raises_maid_error(maid):
         except MaidError:
             pass
     assert time.perf_counter() - start < TIME_BOUND_S
+
+
+@st.composite
+def odd_maids(draw):
+    """A raw graph, perhaps with one node re-keyed under another id (the
+    empty id included) or given a kind that is not a ``NodeKind``."""
+    maid = draw(raw_maids())
+    table = dict(maid.nodes)
+    node = table.pop(draw(st.sampled_from(sorted(table))))
+    if draw(st.booleans()):
+        node = dataclasses.replace(node, kind=draw(st.sampled_from(("chance", None, 3))))
+    table[draw(st.sampled_from((node.id, "", "f", *IDS)))] = node
+    return Maid(agents=maid.agents, nodes=table)
+
+
+@settings(max_examples=400)
+@given(maid=odd_maids())
+def test_validate_matches_reference_on_raw_graphs(maid):
+    assert validate(maid) == helpers.reference_validate(maid)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 10_000), value=st.sampled_from(VALUES))
+def test_validate_matches_reference_on_generated_graphs(seed, value):
+    # Valid graphs, then the same parameterized graph with one table entry
+    # replaced, so the row checks run on tables of many rows.
+    rng = random.Random(seed)
+    maid = helpers.random_parameterized_maid(rng)
+    node = maid.nodes[rng.choice(sorted(maid.nodes))]
+    flat = list(node.cpt or node.table or ())
+    if flat:
+        flat[rng.randrange(len(flat))] = value
+        field = "cpt" if node.cpt else "table"
+        broken = maid.with_node(dataclasses.replace(node, **{field: tuple(flat)}))
+    else:
+        broken = maid
+    for m in (helpers.random_structure_maid(rng), maid, broken):
+        assert validate(m) == helpers.reference_validate(m)
