@@ -95,6 +95,8 @@ class PathQuery:
     require_collider: bool = False
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.source, str) and isinstance(self.target, str)):
+            raise MaidError(f"path endpoints must be node ids: {self.source!r}, {self.target!r}")
         object.__setattr__(self, "avoid", _id_set(self.avoid, "avoid set"))
         object.__setattr__(self, "blocking_set", _id_set(self.blocking_set, "blocking set"))
         if self.source == self.target:
@@ -227,13 +229,15 @@ def find_path(maid: Maid, query: PathQuery,
 
     The search is depth-first with an explicit stack, so no path is too
     long for it. A directed query expands each node at most once and costs
-    O(V + E). An undirected query that has tried 2E moves and has to back
-    up marks the states (node, arrival direction, collider seen) from which
-    some walk obeying the query reaches the target, in one O(V + E) pass
-    backward from the target, and from then on steps only into those; a
-    query no walk satisfies costs O(V + E). Walks may repeat nodes, so a
-    query that some walk satisfies but few simple paths do can still take
-    long.
+    O(V + E). An undirected query searches states (node, arrival direction,
+    collider seen), and never enters again a state whose search failed
+    without running into a node of the path above it. Once it has tried 2E
+    moves and has to back up, it marks the states from which some walk
+    obeying the query reaches the target, in one O(V + E) pass backward
+    from the target, and then steps only into those; a query no walk
+    satisfies costs O(V + E). Neither bounds a query that some walk
+    satisfies but few simple paths do: a state whose search fails on the
+    path's own nodes is searched again after each prefix that reaches it.
 
     Raises :class:`~maidkit.core.CyclicGraphError` on a graph with a
     directed cycle, where expanding a node once would not be exact.
@@ -311,46 +315,63 @@ def _undirected_search(maid: Maid, query: PathQuery,
     parents = maid._parents_map
     target, avoid = query.target, query.avoid
 
-    def moves(node: str) -> Iterator[tuple[str, str]]:
-        return chain(zip(children.get(node, ()), repeat(FORWARD)),
-                     zip(parents[node], repeat(BACKWARD)))
+    def moves(node: str, arrived: str | None) -> Iterator[tuple[str, str]]:
+        # The step rule depends on the state alone, so it is judged once per
+        # direction a state may leave by, not once per move.
+        forward = children.get(node, ()) if step_ok(node, arrived, FORWARD) else ()
+        backward = parents[node] if step_ok(node, arrived, BACKWARD) else ()
+        return chain(zip(forward, repeat(FORWARD)), zip(backward, repeat(BACKWARD)))
 
-    path = [query.source]
-    dirs: list[str] = []
-    # Whether the path so far has converging arrows, or needs none.
-    collider_seen = [not query.require_collider]
-    on_path = {query.source}
+    # The path's nodes in order, each with its depth.
+    on_path = {query.source: 0}
+    # Each frame's state (node, arrival direction, collider seen), where
+    # collider seen means the path so far has converging arrows or needs none.
+    frames = [(query.source, None, not query.require_collider)]
+    # low: the shallowest depth of a path node that a move in the current
+    # frame's subtree ran into (lows: the outer frames'). A frame failing
+    # with low no less than its own depth met no node of its prefix, and
+    # every other skip (step rule, avoid set, dead or not live state)
+    # depends on the state alone: it fails after any prefix, so its state
+    # is dead. Otherwise low passes up: the parent's subtree also left the
+    # continuations through that node untried.
+    low, lows = 0, []
+    dead: set[tuple[str, str, bool]] = set()
     live: set[tuple[str, str, bool]] | None = None
     # The live states cost a pass over every edge, so they are marked only
     # once the search has tried as many moves as the graph has edge ends.
     moves_before_pruning = 2 * len(maid.edges)
-    stack = [moves(query.source)]
+    stack = [moves(query.source, None)]
     while stack:
-        cur = path[-1]
-        arrived = dirs[-1] if dirs else None
+        _, arrived, seen_before = frames[-1]
         for nxt, leaving in stack[-1]:
             moves_before_pruning -= 1
-            if nxt in on_path or nxt in avoid or not step_ok(cur, arrived, leaving):
+            if nxt in on_path:
+                if on_path[nxt] < low:
+                    low = on_path[nxt]
                 continue
-            seen = collider_seen[-1] or (arrived == FORWARD and leaving == BACKWARD)
-            if nxt == target:
-                if seen:
-                    return Path(tuple(path) + (nxt,), tuple(dirs) + (leaving,))
+            seen = seen_before or (arrived == FORWARD and leaving == BACKWARD)
+            if nxt == target and seen:
+                return Path(tuple(on_path) + (nxt,),
+                            tuple(f[1] for f in frames[1:]) + (leaving,))
+            state = (nxt, leaving, seen)
+            if (nxt in avoid or nxt == target or state in dead
+                    or live is not None and state not in live):
                 continue
-            if live is not None and (nxt, leaving, seen) not in live:
-                continue
-            path.append(nxt)
-            dirs.append(leaving)
-            collider_seen.append(seen)
-            on_path.add(nxt)
-            stack.append(moves(nxt))
+            lows.append(low)
+            low = on_path[nxt] = len(on_path)
+            frames.append(state)
+            stack.append(moves(nxt, leaving))
             break
         else:
             stack.pop()
-            if dirs:
-                on_path.discard(path.pop())
-                dirs.pop()
-                collider_seen.pop()
+            state = frames.pop()
+            if frames:
+                del on_path[state[0]]
+                hit, low = low, lows.pop()
+                if hit >= len(on_path):
+                    dead.add(state)
+                elif hit < low:
+                    low = hit
                 if live is None and moves_before_pruning < 0:
                     live = _live_states(maid, query, step_ok)
     return None

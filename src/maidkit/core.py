@@ -86,7 +86,10 @@ def _not_a_string(values: Iterable, what: str, items: str) -> Iterable:
 
 def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
     """``ids`` as a set of node ids."""
-    return frozenset(_not_a_string(ids, what, "node ids"))
+    try:
+        return frozenset(_not_a_string(ids, what, "node ids"))
+    except TypeError:  # not iterable, or a member is unhashable
+        raise MaidError(f"{what} must be a collection of node ids, not {ids!r}") from None
 
 
 def _flatten_params(values: Iterable) -> tuple[float, ...]:
@@ -179,7 +182,7 @@ class Maid:
     def node(self, node_id: str) -> Node:
         try:
             return self.nodes[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownNodeError(f"unknown node: {node_id!r}") from None
 
     def parents(self, node_id: str) -> tuple[str, ...]:

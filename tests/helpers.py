@@ -205,12 +205,13 @@ def random_dag_maid(rng: random.Random, max_nodes: int = 10) -> Maid:
     return Maid.build(agents=[], nodes=nodes)
 
 
-def random_search_maid(rng: random.Random, max_nodes: int = 12) -> Maid:
-    """A DAG of chance and decision nodes of varying density for witness
-    search, every node with a two-value domain and one agent owning every
-    decision."""
-    total = rng.randint(2, max_nodes)
-    density = rng.uniform(0.1, 0.5)
+def random_search_maid(rng: random.Random, max_nodes: int = 12, min_nodes: int = 2,
+                       density: tuple[float, float] = (0.1, 0.5)) -> Maid:
+    """A DAG of chance and decision nodes for witness search, each earlier
+    node a parent with a probability drawn from ``density``, every node
+    with a two-value domain and one agent owning every decision."""
+    total = rng.randint(min_nodes, max_nodes)
+    density = rng.uniform(*density)
     ids = [f"v{i:02d}" for i in range(total)]
     nodes = []
     for i, node_id in enumerate(ids):

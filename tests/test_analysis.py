@@ -23,6 +23,7 @@ from maidkit import (
     remove_edge,
     simplify,
 )
+from maidkit import analysis
 from maidkit.analysis import (
     EdgeMode,
     FirstEdge,
@@ -63,6 +64,8 @@ def test_query_rejects_degenerate_endpoints():
         PathQuery(source="A", target="A")
     with pytest.raises(MaidError):
         PathQuery(source="A", target="B", avoid=("A",))
+    with pytest.raises(MaidError, match="endpoints must be node ids"):
+        PathQuery(["A"], "B")
 
 
 def string_set_maid():
@@ -96,9 +99,22 @@ def test_a_string_is_not_a_set_of_node_ids():
     for call in string_sets:
         with pytest.raises(MaidError, match="not the string"):
             call()
+    # Neither a non-iterable nor a collection with an unhashable member is a
+    # set of ids; each escaped as a TypeError.
+    not_id_sets = [
+        lambda: d_separated(g, "X", "Y", None),
+        lambda: collider_blocked(g, "Y", 3),
+        lambda: back_door_query("X", "Y", None),
+        lambda: PathQuery("X", "Y", avoid=[["A"]]),
+    ]
+    for call in not_id_sets:
+        with pytest.raises(MaidError, match="must be a collection of node ids"):
+            call()
     # collider_blocked checks its conditioning set's ids as d_separated does.
     for call in (lambda: d_separated(g, "X", "Y", ["AB"]),
-                 lambda: collider_blocked(g, "Y", ["nope"])):
+                 lambda: collider_blocked(g, "Y", ["nope"]),
+                 lambda: descendants(g, ["A"]),
+                 lambda: ancestors(g, ["A"])):
         with pytest.raises(UnknownNodeError):
             call()
 
@@ -338,6 +354,72 @@ def test_find_path_matches_the_reference_search(seed):
             for eff in (None, flags):
                 assert find_path(maid, query, eff) == \
                     helpers.reference_find_path(maid, query, eff), query
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_find_path_matches_the_reference_search_on_dense_dags(seed):
+    # Dense graphs have many simple paths into each state, which is where
+    # the search's dead states and live-state pruning skip the most.
+    rng = random.Random(seed)
+    maid = helpers.random_search_maid(rng, max_nodes=12, min_nodes=8, density=(0.35, 0.7))
+    flags = {d: rng.random() < 0.6 for d in maid.decisions}
+    for _ in range(4):
+        # The undirected builders and the query with every field drawn.
+        for query in _random_queries(maid, rng)[2:]:
+            for eff in (None, flags):
+                assert find_path(maid, query, eff) == \
+                    helpers.reference_find_path(maid, query, eff), query
+
+
+def test_a_failed_state_is_entered_once(monkeypatch):
+    # X's parents a and b both point into v, whose only continuation v -> d
+    # is a dead end that touches no node of the path. The first prefix
+    # X <- a -> v fails there; the second, X <- b -> v, must not search it
+    # again before b -> z finds the target.
+    g = Maid.build(agents=[], nodes=[
+        Node.chance("a", ("f", "t")), Node.chance("b", ("f", "t")),
+        Node.chance("X", ("f", "t"), parents=("a", "b")),
+        Node.chance("v", ("f", "t"), parents=("a", "b")),
+        Node.chance("z", ("f", "t"), parents=("b",)),
+        Node.chance("d", ("f", "t"), parents=("v",)),
+    ])
+    query = effective_query("X", "z")
+    asked = []
+    step_rule = analysis._step_rule
+
+    def counting_rule(*args):
+        step_ok = step_rule(*args)
+
+        def counted(node, arrived, leaving):
+            asked.append((node, arrived, leaving))
+            return step_ok(node, arrived, leaving)
+        return counted
+
+    monkeypatch.setattr(analysis, "_step_rule", counting_rule)
+    path = find_path(g, query)
+    assert str(path) == "X <- b -> z"
+    assert path == helpers.reference_find_path(g, query)
+    # Whether v may go on to its child is asked once per entry into v.
+    assert asked.count(("v", "->", "->")) == 1
+
+
+def test_a_state_that_failed_on_a_node_above_it_stays_open():
+    # The first prefix X <- u <- w -> m2 <- r enters s with its collider
+    # seen; s's only continuation s -> c -> u runs into u from c's frame,
+    # not from s's own. The second prefix X <- y -> m <- q reaches s in the
+    # same state with u off the path, and s -> c -> u -> T completes it.
+    # Judged by its own moves alone, s would look dead and the witness
+    # would be lost.
+    b = ("f", "t")
+    parents = {"w": (), "r": (), "y": (), "q": (), "s": ("q", "r"), "c": ("s",),
+               "u": ("c", "w"), "X": ("u", "y"), "T": ("u",),
+               "m": ("q", "y"), "m2": ("r", "w")}
+    g = Maid.build(agents=[], nodes=[Node.chance(n, b, parents=p) for n, p in parents.items()])
+    query = PathQuery("X", "T", require_collider=True, blocking_set={"m", "m2"})
+    path = find_path(g, query)
+    assert str(path) == "X <- y -> m <- q -> s -> c -> u -> T"
+    assert path == helpers.reference_find_path(g, query)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -81,6 +81,8 @@ def test_structure_queries(card1):
         card1.utilities_of("nobody")
     with pytest.raises(UnknownNodeError):
         card1.node("missing")
+    with pytest.raises(UnknownNodeError):
+        card1.node(["B"])  # unhashable; escaped as a TypeError
 
 
 def test_topological_order_is_deterministic(card1):
