@@ -84,7 +84,7 @@ from .semantics import (
 from .maidfile import MaidParseError, parse_maidfile, render_maidfile
 from .fixtures import card_game, fixture, principal_agent
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CyclicGraphError", "DecisionRule", "DetectionMode", "Diagnostic",

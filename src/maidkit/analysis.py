@@ -1,13 +1,11 @@
 """Path queries and conditional-independence tests over influence diagrams.
 
 Two families of operations live here. The first is d-separation in the
-Bayes-ball formulation, with an optional edge mask so callers can test
-independence on a subgraph without materializing it. The second is a
-search for the lexicographically first witness path satisfying a
-conjunction of constraints: edge orientation, a first-edge direction,
-per-interior rules for decision nodes, a blocking set interpreted as in any
-Bayesian network, and optionally the presence of converging arrows
-somewhere on the path.
+Bayes-ball formulation. The second is a search for the lexicographically
+first witness path satisfying a conjunction of constraints: edge
+orientation, a first-edge direction, per-interior rules for decision nodes,
+a blocking set interpreted as in any Bayesian network, and optionally the
+presence of converging arrows somewhere on the path.
 
 Witness paths are simple (no node repeats). Endpoints are exempt from all
 interior rules: membership of an endpoint in the blocking set never blocks
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
-from .core import Maid, MaidError, _id_set, _reach
+from .core import Maid, MaidError, _id_set, _node_set, _reach
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -57,7 +55,7 @@ class Path:
     def __post_init__(self) -> None:
         if len(self.nodes) < 2:
             raise MaidError("a path needs at least two nodes")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(_id_set(self.nodes, "path nodes")) != len(self.nodes):
             raise MaidError("path nodes must be distinct")
         if len(self.step_directions) != len(self.nodes) - 1:
             raise MaidError("a path needs exactly one direction per step")
@@ -109,32 +107,22 @@ def collider_blocked(maid: Maid, b: str, w: Iterable[str]) -> bool:
     """True iff converging arrows at ``b`` block a path given ``w``: neither
     ``b`` nor any descendant of ``b`` is in ``w``, so ``b`` is not in An(w)."""
     maid.node(b)
-    wset = _id_set(w, "conditioning set")
-    for v in wset:
-        maid.node(v)
-    return b not in _reach(maid._parents_map, wset)
+    return b not in _reach(maid._parents_map, _node_set(maid, w, "conditioning set"))
 
 
 # -- d-separation -----------------------------------------------------------
 
 
-def d_separated(maid: Maid, x: str, y: str, w: Iterable[str],
-                enabled_edges: frozenset[tuple[str, str]] | None = None) -> bool:
-    """True iff there is no active trail between ``x`` and ``y`` given ``w``.
-
-    When ``enabled_edges`` is given, only those edges exist for the test,
-    both for the trail and for the descendants that open its colliders.
-    """
+def d_separated(maid: Maid, x: str, y: str, w: Iterable[str]) -> bool:
+    """True iff there is no active trail between ``x`` and ``y`` given ``w``."""
     maid.node(x)
     maid.node(y)
-    wset = _id_set(w, "conditioning set")
-    for v in wset:
-        maid.node(v)
+    wset = _node_set(maid, w, "conditioning set")
     if x in wset or y in wset:
         raise MaidError("d-separation endpoints must not be conditioned on")
     if x == y:
         return False
-    return not _reaches_any(maid, x, frozenset((y,)), wset, enabled_edges)
+    return not _reaches_any(maid, x, frozenset((y,)), wset, None)
 
 
 def _reaches_any(maid: Maid, x: str, targets: AbstractSet[str], w: AbstractSet[str],
@@ -257,15 +245,18 @@ def decision_free_paths(maid: Maid, x: str, targets: Iterable[str]) -> dict[str,
     ``find_path(maid, decision_free_query(x, target))`` returns, all from
     one O(V + E) search."""
     maid.node(x)
-    wanted = _id_set(targets, "targets") - {x}
-    for t in wanted - maid.nodes.keys():
-        maid.node(t)  # raises UnknownNodeError
-    if not wanted:
+    return _decision_free_paths(maid, x, _node_set(maid, targets, "targets") - {x})
+
+
+def _decision_free_paths(maid: Maid, x: str, targets: frozenset[str]) -> dict[str, Path]:
+    """:func:`decision_free_paths` on checked arguments: ``x`` is a node and
+    ``targets`` a set of nodes without it."""
+    if not targets:
         return {}
     maid.topological_order  # raises CyclicGraphError
     # The rules of a decision-free query do not depend on its target.
-    query = decision_free_query(x, min(wanted))
-    return _directed_search(maid, query, _step_rule(maid, query, None), wanted)
+    query = decision_free_query(x, min(targets))
+    return _directed_search(maid, query, _step_rule(maid, query, None), targets)
 
 
 def _directed_search(maid: Maid, query: PathQuery,

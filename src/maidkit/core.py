@@ -92,6 +92,14 @@ def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
         raise MaidError(f"{what} must be a collection of node ids, not {ids!r}") from None
 
 
+def _node_set(maid: "Maid", ids: Iterable[str], what: str) -> frozenset[str]:
+    """``ids`` as a set of node ids, each of which is a node of ``maid``."""
+    out = _id_set(ids, what)
+    for v in out.difference(maid.nodes):
+        maid.node(v)  # raises UnknownNodeError
+    return out
+
+
 def _flatten_params(values: Iterable) -> tuple[float, ...]:
     vals = list(values)
     if vals and isinstance(vals[0], (list, tuple)):
@@ -193,7 +201,10 @@ class Maid:
         return self._children_map.get(node_id, ())
 
     def has_edge(self, tail: str, head: str) -> bool:
-        return (tail, head) in self.edge_set
+        try:
+            return (tail, head) in self.edge_set
+        except TypeError:  # an unhashable id names no edge
+            return False
 
     def utilities_of(self, agent: str) -> tuple[str, ...]:
         return self._owned(agent)[1]
@@ -204,7 +215,7 @@ class Maid:
     def _owned(self, agent: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         try:
             return self._owned_map[agent]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable agent
             raise UnknownAgentError(f"unknown agent: {agent!r}") from None
 
     # -- derived structure ----------------------------------------------
@@ -221,28 +232,24 @@ class Maid:
         return {a: (tuple(ds), tuple(us)) for a, (ds, us) in acc.items()}
 
     @cached_property
-    def _children_map(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, list[str]] = {}
-        for node_id in self.nodes:
-            for p in self.nodes[node_id].parents:
-                if p in self.nodes:
-                    acc.setdefault(p, []).append(node_id)
-        return {k: tuple(sorted(v)) for k, v in acc.items()}
-
-    @cached_property
     def _parents_map(self) -> dict[str, tuple[str, ...]]:
-        # Every node, with its parents that resolve to nodes, ascending.
+        # The one adjacency index: every node, with its parents that resolve
+        # to nodes, ascending. The other edge indexes are derived from it.
         return {node_id: tuple(sorted(p for p in node.parents if p in self.nodes))
                 for node_id, node in self.nodes.items()}
 
     @cached_property
+    def _children_map(self) -> dict[str, tuple[str, ...]]:
+        acc: dict[str, list[str]] = {}
+        for node_id, parents in self._parents_map.items():
+            for p in parents:
+                acc.setdefault(p, []).append(node_id)
+        return {k: tuple(sorted(v)) for k, v in acc.items()}
+
+    @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for node_id in self.nodes:
-            for p in self.nodes[node_id].parents:
-                if p in self.nodes:
-                    out.append((p, node_id))
-        return tuple(sorted(out))
+        return tuple(sorted((p, node_id) for node_id, parents in self._parents_map.items()
+                            for p in parents))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[str, str]]:
@@ -270,9 +277,7 @@ class Maid:
         # reproducible. Unresolved parent references are skipped here and
         # reported by validate() instead. Nodes on or below a directed cycle
         # never become ready, so on a cyclic graph the order leaves them out.
-        indeg = {n: 0 for n in self.nodes}
-        for node_id, node in self.nodes.items():
-            indeg[node_id] += sum(1 for p in node.parents if p in self.nodes)
+        indeg = {n: len(parents) for n, parents in self._parents_map.items()}
         ready = [n for n, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         order: list[str] = []
@@ -535,11 +540,10 @@ def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
     """Delete the edge ``tail -> head``. If the head carries parameters, the
     removed axis is marginalized out by averaging over the tail's values and
     the resulting table is marked synthetic."""
-    node = maid.node(head)
-    maid.node(tail)
-    if tail not in node.parents:
+    if tail not in maid.node(head).parents:
+        maid.node(tail)  # an unknown tail is reported as such
         raise EdgeNotFoundError(f"no edge {tail!r} -> {head!r}")
-    return maid.with_node(_drop_parent(maid, node, tail))
+    return _remove_edges(maid, ((tail, head),))
 
 
 def _remove_edges(maid: Maid, edges: Iterable[tuple[str, str]]) -> Maid:

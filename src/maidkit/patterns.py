@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Mapping
 
 from .analysis import (
     Path,
+    _decision_free_paths,
     back_door_query,
     check_path,
-    decision_free_paths,
     decision_free_query,
     directed_effective_query,
     effective_query,
@@ -165,7 +165,7 @@ def _detect(maid: Maid, d: str, kinds: Iterable[PatternKind],
                     return out
             continue
         if downstream is None:
-            downstream = sorted(decision_free_paths(maid, d, maid.decisions).items())
+            downstream = sorted(_decision_free_paths(maid, d, maid._decision_set - {d}).items())
             search = functools.cache(
                 lambda build, *args: find_path(maid, build(*args), effectiveness))
         if not downstream:

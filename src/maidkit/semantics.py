@@ -354,8 +354,7 @@ def expected_utility(maid: Maid, profile: Mapping[str, DecisionRule],
                      agent: str) -> float:
     """Expected total utility of one agent under a full strategy profile."""
     tables = _check_profile(maid, profile)
-    if agent not in maid.agents:
-        raise MaidError(f"unknown agent: {agent!r}")
+    maid._owned(agent)  # raises UnknownAgentError
     return _response_cells(_JointSpace(maid), tables, (), agent).get((), 0.0)
 
 
@@ -454,8 +453,7 @@ def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
     decisions to the best pure alternative. Zero (up to float noise) means
     the profile is a best response for that agent."""
     tables = _check_profile(maid, profile)
-    if agent not in maid.agents:
-        raise MaidError(f"unknown agent: {agent!r}")
+    maid._owned(agent)  # raises UnknownAgentError
     return _gap(maid, _JointSpace(maid), tables, agent)
 
 

@@ -22,9 +22,10 @@ from .core import (
     Maid,
     MaidError,
     ValidationError,
+    _node_set,
+    _remove_edges,
     all_effective,
     convert_decision_to_chance,
-    _remove_edges,
     validate,
 )
 from .analysis import _reaches_any
@@ -38,7 +39,6 @@ class PhaseOutcome:
 
     maid: Maid
     effectiveness: Mapping[str, bool]
-    changed: bool
     eliminated: tuple[str, ...]
     removed_edges: tuple[tuple[str, str], ...]
 
@@ -119,12 +119,12 @@ def _identify(maid: Maid, effectiveness: Mapping[str, bool],
             eliminated.append(d)
         if len(eliminated) == before:
             break
-    return PhaseOutcome(maid=maid, effectiveness=eff, changed=bool(eliminated),
-                        eliminated=tuple(eliminated), removed_edges=tuple(removed))
+    return PhaseOutcome(maid=maid, effectiveness=eff, eliminated=tuple(eliminated),
+                        removed_edges=tuple(removed))
 
 
 def retract_edges(maid: Maid,
-                  rng: random.Random | None = None) -> tuple[Maid, tuple[tuple[str, str], ...], bool]:
+                  rng: random.Random | None = None) -> tuple[Maid, tuple[tuple[str, str], ...]]:
     """Remove information edges whose source tells the observing decision's
     owner nothing about their payoff.
 
@@ -133,7 +133,7 @@ def retract_edges(maid: Maid,
     node of d's owner given d and d's other parents. Re-enabling repeats to
     a fixed point (an edge revived late can be the route that revives an
     earlier one), then whatever stayed disabled is removed, in one rebuild
-    of the graph.
+    of the graph. Returns the graph and the removed edges.
 
     Each test is one Bayes-ball pass from p to all of the owner's payoff
     nodes at once, reading the live edge mask; it needs no ancestor set.
@@ -167,20 +167,15 @@ def retract_edges(maid: Maid,
                 progress = True
 
     removed = tuple(e for e in info_edges if e in disabled)
-    if not removed:
-        return maid, (), False
-    return _remove_edges(maid, removed), removed, True
+    return (_remove_edges(maid, removed) if removed else maid), removed
 
 
 def _retraction_test(maid: Maid, d: str) -> tuple[frozenset[str], frozenset[str]]:
     """The payoff nodes of ``d``'s owner, and ``d`` with its parents, which
     must be nodes when there is a payoff node to test against."""
     targets = frozenset(maid.utilities_of(maid.nodes[d].owner))
-    observed = frozenset((d, *maid.parents(d)))
-    if targets:
-        for v in observed:
-            maid.node(v)
-    return targets, observed
+    observed = (d, *maid.parents(d))
+    return targets, _node_set(maid, observed, "observed nodes") if targets else frozenset(observed)
 
 
 def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
@@ -206,7 +201,7 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
                             "the structural bound")
         phase = _identify(maid, eff, rng, direct)
         eff = phase.effectiveness
-        maid, pruned, _ = retract_edges(phase.maid, rng=rng)
+        maid, pruned = retract_edges(phase.maid, rng=rng)
         trace.append(IterationRecord(index=len(trace) + 1, eliminated=phase.eliminated,
                                      conversion_removed_edges=phase.removed_edges,
                                      pruned_edges=pruned))

@@ -48,8 +48,8 @@ from maidkit.analysis import (
     FirstEdge,
     InteriorDecisions,
     PathQuery,
+    _reaches_any,
     collider_blocked,
-    d_separated,
 )
 from maidkit.core import PROB_TOL
 from maidkit.semantics import (
@@ -240,16 +240,16 @@ def reference_descendants(maid: Maid) -> dict[str, frozenset[str]]:
 
 
 def reference_retract_edges(maid: Maid, rng: random.Random | None = None
-                            ) -> tuple[Maid, tuple[tuple[str, str], ...], bool]:
+                            ) -> tuple[Maid, tuple[tuple[str, str], ...]]:
     """Retraction one d-separation test per disabled edge and payoff node,
-    on a fresh copy of the edge mask, with one ``remove_edge`` per removed
-    edge: what ``retract_edges`` computes, without sharing work between
-    tests."""
+    each a Bayes-ball pass on a fresh copy of the edge mask, with one
+    ``remove_edge`` per removed edge: what ``retract_edges`` computes,
+    without sharing work between tests."""
     decision_order = [n for n in maid.topological_order
                       if maid.nodes[n].is_decision]
     info_edges = [(p, d) for d in decision_order for p in maid.parents(d)]
     if not info_edges:
-        return maid, (), False
+        return maid, ()
     order = list(info_edges)
     if rng is not None:
         rng.shuffle(order)
@@ -265,7 +265,7 @@ def reference_retract_edges(maid: Maid, rng: random.Random | None = None
             w = frozenset((d,)) | (frozenset(maid.parents(d)) - {p})
             mask = frozenset(enabled)
             for u in maid.utilities_of(maid.nodes[d].owner):
-                if not d_separated(maid, p, u, w, enabled_edges=mask):
+                if _reaches_any(maid, p, frozenset((u,)), w, mask):
                     disabled.discard((p, d))
                     enabled.add((p, d))
                     progress = True
@@ -274,7 +274,7 @@ def reference_retract_edges(maid: Maid, rng: random.Random | None = None
     removed = tuple(e for e in info_edges if e in disabled)
     for p, d in removed:
         maid = remove_edge(maid, p, d)
-    return maid, removed, bool(removed)
+    return maid, removed
 
 
 # The simplification loop whose identification phases each start from an
@@ -306,14 +306,14 @@ def reference_simplify(maid: Maid, order_seed: int | None = None) -> Simplificat
         phase = identification_phase(maid, eff, rng=rng)
         maid = phase.maid
         eff = dict(phase.effectiveness)
-        maid, pruned, pruned_changed = retract_edges(maid, rng=rng)
+        maid, pruned = retract_edges(maid, rng=rng)
         trace.append(IterationRecord(index=iterations, eliminated=phase.eliminated,
                                      conversion_removed_edges=phase.removed_edges,
                                      pruned_edges=pruned))
         eliminated_all.extend(phase.eliminated)
         removed_all.extend(phase.removed_edges)
         removed_all.extend(pruned)
-        if not phase.changed and not pruned_changed:
+        if not phase.eliminated and not pruned:
             break
     return SimplificationResult(original=original, final=maid,
                                 eliminated=tuple(eliminated_all),

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
 import os
 import re
@@ -50,6 +51,32 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         assert module_name.startswith("maidkit."), span
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"
+
+
+def test_benchmark_tracer_reads_the_results_it_counts():
+    # The tracer counts pruned edges from what retract_edges returns. It is
+    # installed in a subprocess, since it rebinds the library's functions.
+    script = """if True:
+        import importlib.util, json
+        import maidkit, maidkit.cli  # every module the benchmark imports
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", "perfbench/tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        t = tracer.Tracer()
+        t.install()
+        result = t.run_op("simplify", maidkit.simplify, maidkit.card_game(2))
+        print(json.dumps({"missing": t.missing,
+                          "counted": t.counts["simplify.edges_pruned"],
+                          "pruned": sum(len(rec.pruned_edges) for rec in result.trace)}))
+    """
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-B", "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["missing"] == []
+    assert seen["pruned"] > 0
+    assert seen["counted"] == seen["pruned"]
 
 
 def test_readme_library_example_runs():

@@ -71,6 +71,7 @@ def test_structure_queries(card1):
     assert card1.children("J") == ("A", "C", "U_B")
     assert card1.has_edge("J", "A")
     assert not card1.has_edge("A", "J")
+    assert not card1.has_edge(["A"], "B")  # unhashable; escaped as a TypeError
     assert ("C", "U_C") in card1.edge_set
     assert card1.decisions == ("A", "B", "C")
     assert card1.utilities == ("U_A", "U_B", "U_C")
@@ -79,6 +80,9 @@ def test_structure_queries(card1):
     assert card1.decisions_of("c") == ("C",)
     with pytest.raises(UnknownAgentError):
         card1.utilities_of("nobody")
+    for owned in (card1.utilities_of, card1.decisions_of):
+        with pytest.raises(UnknownAgentError):
+            owned(["a"])  # unhashable; escaped as a TypeError
     with pytest.raises(UnknownNodeError):
         card1.node("missing")
     with pytest.raises(UnknownNodeError):

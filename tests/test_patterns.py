@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maidkit import (
+    CyclicGraphError,
     DetectionMode,
+    Maid,
+    Node,
     NotADecisionError,
     PatternKind,
     all_effective,
@@ -233,6 +237,37 @@ def test_detectors_reject_non_decisions(pa):
         decision_is_effective(pa, "U_P1")
 
 
+def cyclic_detection_maid(own_utility):
+    """D with a downstream decision N, next to the directed cycle a -> b -> a.
+    D's owner x owns U, a child of D, when ``own_utility``; else N's owner does."""
+    b = ("f", "t")
+    return Maid.build(agents=["x", "y"], nodes=[
+        Node.chance("a", b, parents=("b",)), Node.chance("b", b, parents=("a",)),
+        Node.decision("D", owner="x", domain=b),
+        Node.utility("U", owner="x" if own_utility else "y", parents=("D",)),
+        Node.decision("N", owner="y", domain=b, parents=("D",)),
+        Node.utility("V", owner="y", parents=("N",)),
+    ])
+
+
+@pytest.mark.parametrize("own_utility", (True, False))
+@pytest.mark.parametrize("detect", [
+    *(functools.partial(detector, d="D") for detector in ALL_DETECTORS),
+    functools.partial(decision_is_effective, d="D"),
+    functools.partial(enumerate_patterns, original=True),
+], ids=[*(f.__name__ for f in ALL_DETECTORS), "decision_is_effective", "enumerate_patterns"])
+def test_detection_on_a_cyclic_graph(detect, own_utility):
+    # Witness search expands each node once, which is exact on a DAG only.
+    # Without an own utility, D's direct effect searches nothing and the
+    # other kinds only sweep for the decisions downstream of D.
+    maid = cyclic_detection_maid(own_utility)
+    if detect.func is direct_effect and not own_utility:
+        assert detect(maid) == []
+    else:
+        with pytest.raises(CyclicGraphError):
+            detect(maid)
+
+
 def test_effectiveness_flags_mask_interior_decisions(pa):
     # Flags gate decisions appearing in the interior of a witness path, not
     # decisions standing at its endpoints (endpoint removal is conversion's
@@ -379,7 +414,7 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
     import maidkit.patterns as patterns
 
     asked = []
-    search, sweep, detect = patterns.find_path, patterns.decision_free_paths, patterns._detect
+    search, sweep, detect = patterns.find_path, patterns._decision_free_paths, patterns._detect
 
     def recording(maid, query, effectiveness=None):
         asked.append(("query", query, None if effectiveness is None
@@ -400,7 +435,7 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
                 and sum(s[0] == "sweep" for s in searches) <= 1)
 
     monkeypatch.setattr(patterns, "find_path", recording)
-    monkeypatch.setattr(patterns, "decision_free_paths", sweeping)
+    monkeypatch.setattr(patterns, "_decision_free_paths", sweeping)
     for i, maid in enumerate(_shared_owner_graphs(60)):
         rng = random.Random(i)
         if detector is enumerate_patterns:

@@ -23,6 +23,7 @@ from maidkit import (
     NotADecisionError,
     ScaleGuardError,
     SimplificationResult,
+    UnknownAgentError,
     ValidationError,
     best_response_gap,
     card_game,
@@ -184,8 +185,9 @@ def test_expected_utility_uniform(card1):
     assert expected_utility(card1, uni, "a") == pytest.approx(17 / 3)
     assert expected_utility(card1, uni, "b") == pytest.approx(10 / 3)
     assert expected_utility(card1, uni, "c") == pytest.approx(10 / 3)
-    with pytest.raises(MaidError, match="unknown agent"):
-        expected_utility(card1, uni, "nobody")
+    for agent in ("nobody", ["a"]):  # the list escaped as a TypeError
+        with pytest.raises(UnknownAgentError, match="unknown agent"):
+            expected_utility(card1, uni, agent)
 
 
 def test_numeric_evaluation_requires_parameters(pa):
@@ -340,6 +342,9 @@ def test_best_response_gap(card1):
     lazy = dict(informed, B=uniform_rule(card1, "B"))
     # A uniform guesser earns 10/3 where the copier would earn 10.
     assert best_response_gap(card1, lazy, "b") == pytest.approx(20 / 3)
+    for agent in ("nobody", ["b"]):  # the list escaped as a TypeError
+        with pytest.raises(UnknownAgentError, match="unknown agent"):
+            best_response_gap(card1, lazy, agent)
 
 
 def test_motivation(card1):

@@ -113,19 +113,18 @@ def test_minimal_signaling_trace(sig_min):
 
 def test_identification_phase_alone(card1):
     out = identification_phase(card1, all_effective(card1))
-    assert out.changed
+    assert not hasattr(out, "changed")  # removed in 0.4.0: it was bool(eliminated)
     assert out.eliminated == ("A",)
     assert out.removed_edges == (("J", "A"),)
     assert out.effectiveness == {"A": False, "B": True, "C": True}
     assert not out.maid.nodes["A"].is_decision
     idle = identification_phase(out.maid, out.effectiveness)
-    assert not idle.changed and idle.eliminated == ()
+    assert idle.eliminated == ()
 
 
 def test_retract_edges_after_identification(card1):
     demoted = identification_phase(card1, all_effective(card1)).maid
-    _, removed, changed = retract_edges(demoted)
-    assert changed
+    _, removed = retract_edges(demoted)
     assert removed == (("J", "C"), ("A", "B"), ("C", "B"))
 
 
@@ -134,14 +133,12 @@ def test_retract_edges_on_original_card_game(card1):
     # each test conditions on the observing decision, and with all policy
     # edges down at the start no source reaches a payoff of the observer's
     # owner except through a closed converging node.
-    _, removed, changed = retract_edges(card1)
-    assert changed
+    _, removed = retract_edges(card1)
     assert removed == (("J", "A"), ("J", "C"), ("A", "B"), ("C", "B"))
 
 
 def test_retract_edges_keeps_informative_parents(pa):
-    final, removed, changed = retract_edges(pa)
-    assert not changed
+    final, removed = retract_edges(pa)
     assert removed == ()
     assert final == pa
 
@@ -234,10 +231,9 @@ def assert_retraction_matches_reference(maid, order_seed):
     def order():
         return None if order_seed is None else random.Random(order_seed)
 
-    final, removed, changed = retract_edges(maid, order())
-    ref_final, ref_removed, ref_changed = helpers.reference_retract_edges(maid, order())
+    final, removed = retract_edges(maid, order())
+    ref_final, ref_removed = helpers.reference_retract_edges(maid, order())
     assert removed == ref_removed
-    assert changed == ref_changed
     # Node equality compares the probability and payoff tables exactly.
     assert final == ref_final
     assert [n.synthetic_params for n in final.nodes.values()] == \
