@@ -53,11 +53,15 @@ class Path:
     step_directions: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.nodes) < 2:
+        try:
+            n_nodes, n_steps = len(self.nodes), len(self.step_directions)
+        except TypeError:  # no len()
+            raise MaidError("path nodes and step directions must be sequences") from None
+        if n_nodes < 2:
             raise MaidError("a path needs at least two nodes")
-        if len(_id_set(self.nodes, "path nodes")) != len(self.nodes):
+        if len(_id_set(self.nodes, "path nodes")) != n_nodes:
             raise MaidError("path nodes must be distinct")
-        if len(self.step_directions) != len(self.nodes) - 1:
+        if n_steps != n_nodes - 1:
             raise MaidError("a path needs exactly one direction per step")
         for d in self.step_directions:
             if d not in (FORWARD, BACKWARD):
@@ -230,7 +234,11 @@ def find_path(maid: Maid, query: PathQuery,
     Raises :class:`~maidkit.core.CyclicGraphError` on a graph with a
     directed cycle, where expanding a node once would not be exact.
     """
-    maid.node(query.source)
+    try:
+        source = query.source
+    except AttributeError:
+        raise MaidError(f"query must be a PathQuery, got a {type(query).__name__}") from None
+    maid.node(source)
     maid.node(query.target)
     maid.topological_order  # raises CyclicGraphError
     step_ok = _step_rule(maid, query, effectiveness)
@@ -409,8 +417,12 @@ def check_path(maid: Maid, path: Path, query: PathQuery,
     requirement, and judges every step by the same first-edge and interior
     rules :func:`find_path` searches with.
     """
-    if path.nodes[0] != query.source or path.nodes[-1] != query.target:
-        return False
+    try:
+        if path.nodes[0] != query.source or path.nodes[-1] != query.target:
+            return False
+    except (AttributeError, LookupError):
+        raise MaidError(f"check_path needs a Path and a PathQuery, got a "
+                        f"{type(path).__name__} and a {type(query).__name__}") from None
     for tail, head in path.edges():
         if not maid.has_edge(tail, head):
             return False

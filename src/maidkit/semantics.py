@@ -11,7 +11,13 @@ Each joint space is weighed by columns only, once per space object: its
 first sweep, one-shot calls included, multiplies a chance-weight column
 over the whole space (8 bytes per state while it is built) and keeps a
 table of compact columns (chance weights, decision codes, payoff totals)
-that every expectation and best response on the space reads.
+that every expectation and best response on the space reads. A space
+also keeps the response cells of each sweep under (agent, deviating
+decisions, the flat tables of every other decision), all that the sweep
+reads: at most one cells table per sweep made, none larger than the states
+it visited, and all of it goes with the space when the public call returns.
+``verify_simplification`` searches an unchanged game on the space of the
+original, so its replay reads the cells of the search's last round.
 
 Decision rules are tables in the same layout as node parameters: one
 distribution per parent configuration, last parent varying fastest. A
@@ -151,6 +157,8 @@ def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
     """Build a pure rule from a callable mapping a parent-value tuple to an
     action in the decision's domain."""
     shape = _rule_shape(maid, d)
+    if not callable(choose):
+        raise MaidError(f"{d}: choose must be callable, got a {type(choose).__name__}")
     _, pdoms, domain = shape
     picks = []
     for config in itertools.product(*pdoms):
@@ -182,6 +190,8 @@ def uniform_profile(maid: Maid) -> dict[str, DecisionRule]:
 def _check_profile(maid: Maid, profile: Mapping[str, DecisionRule],
                    exclude: frozenset[str] = frozenset()) -> dict[str, list[float]]:
     """Check the rule of every decision not in ``exclude``; return their flat tables."""
+    if not isinstance(profile, Mapping):
+        raise MaidError(f"profile must be a mapping, got a {type(profile).__name__}")
     tables = {}
     for d in maid.decisions:
         if d in exclude:
@@ -189,6 +199,8 @@ def _check_profile(maid: Maid, profile: Mapping[str, DecisionRule],
         rule = profile.get(d)
         if rule is None:
             raise MaidError(f"profile has no rule for decision {d!r}")
+        if not isinstance(rule, DecisionRule):
+            raise MaidError(f"rule for {d!r} is a {type(rule).__name__}, not a DecisionRule")
         parents, pdoms, domain = _rule_shape(maid, d)
         if rule.decision != d or rule.parents != parents or rule.domain != domain \
                 or rule.parent_domains != pdoms:
@@ -267,6 +279,7 @@ class _JointSpace:
         self._chance = array("d")
         self._codes: dict[str, array] = {}
         self._payoffs: dict[str, array] = {}
+        self.cells: dict[tuple, dict] = {}  # kept by _response_cells
 
     def _states(self) -> Iterator[tuple[int, ...]]:
         """The states of the table, first node varying slowest: all of the
@@ -331,6 +344,8 @@ def joint_probability(maid: Maid, profile: Mapping[str, DecisionRule],
     """Probability of one full assignment of every chance and decision node."""
     _check_profile(maid, profile)
     space = _JointSpace(maid)
+    if not isinstance(assignment, Mapping):
+        raise MaidError(f"assignment must be a mapping, got a {type(assignment).__name__}")
     if set(assignment) != set(space.order):
         missing = sorted(set(space.order) - set(assignment))
         extra = sorted(set(assignment) - set(space.order))
@@ -369,10 +384,17 @@ def _response_cells(space: _JointSpace, tables: Mapping[str, Sequence[float]],
     The resulting table S satisfies: the expected utility of any behavior at
     ``decisions`` (others fixed) is the S-weighted sum of the probabilities
     that behavior assigns to each cell.
+
+    The space keeps the cells under all that the sweep reads, so an equal
+    key gives the same cells bit for bit; callers only read them.
     """
-    cells: dict[tuple, float] = {}
-    for key, w, u in space.sweep(tables, decisions, agent):
-        cells[key] = cells.get(key, 0.0) + w * u
+    key = (agent, decisions, tuple(itertools.chain.from_iterable(
+        tables[d] for d in space.decision_inputs if d not in decisions)))
+    cells = space.cells.get(key)
+    if cells is None:
+        cells = space.cells[key] = {}
+        for codes, w, u in space.sweep(tables, decisions, agent):
+            cells[codes] = cells.get(codes, 0.0) + w * u
     return cells
 
 
@@ -504,7 +526,13 @@ def find_equilibrium_small(maid: Maid, seed: int = 0,
     """
     _check_tol(tol)
     _check_seed(seed)
-    space = _JointSpace(maid)
+    return _find_equilibrium(maid, _JointSpace(maid), seed, tol)
+
+
+def _find_equilibrium(maid: Maid, space: _JointSpace, seed: int,
+                      tol: float) -> dict[str, DecisionRule] | None:
+    """:func:`find_equilibrium_small` on checked arguments and the joint
+    space of ``maid``."""
     shapes = {d: _rule_shape(maid, d) for d in maid.decisions}
     candidates = _pure_profiles(shapes, "pure profile space")
     agents = sorted({maid.nodes[d].owner for d in maid.decisions})
@@ -563,6 +591,8 @@ def is_motivated_bruteforce(maid: Maid, d: str,
     """
     _check_tol(tol)
     node = _require_decision(maid, d)
+    if not isinstance(others, Mapping):
+        raise MaidError(f"others must be a mapping, got a {type(others).__name__}")
     if d in others:
         raise MaidError(f"others must not contain a rule for {d!r}")
     tables = _check_profile(maid, others, exclude=frozenset((d,)))
@@ -615,6 +645,8 @@ def _lift_rule(original: Maid, d: str, rule: DecisionRule) -> DecisionRule:
     parents, pdoms, domain = _rule_shape(original, d)
     if rule.domain != domain:
         raise MaidError(f"{d}: domain changed between graphs")
+    if rule.parents == parents and rule.parent_domains == pdoms:
+        return rule
     keep = [i for i, p in enumerate(parents) if p in rule.parents]
     if tuple(parents[i] for i in keep) != rule.parents:
         raise MaidError(f"{d}: simplified parents are not a subsequence of the "
@@ -639,31 +671,26 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
                         f"{type(result).__name__}")
     if result.original != maid:
         raise MaidError("result is the simplification of another game")
+    final = result.final
+    if not isinstance(final, Maid):
+        raise MaidError(f"result.final must be a Maid, got a {type(final).__name__}")
     space = _JointSpace(maid)  # an invalid original fails before the search starts
-    eq = find_equilibrium_small(result.final, seed=seed, tol=tol)
+    # An unchanged game is searched on the same space, so the replay's best
+    # responses are the ones the search's last round or check already swept.
+    eq = _find_equilibrium(final, space if final == maid else _JointSpace(final), seed, tol)
     if eq is None:
         return VerificationReport(status="inconclusive", gaps={}, equilibrium=None,
                                   detail="the simplified game has no pure-strategy "
                                          "equilibrium to extend")
-    extended: dict[str, DecisionRule] = {}
-    for d in maid.decisions:
-        if d in eq:
-            extended[d] = _lift_rule(maid, d, eq[d])
-        else:
-            extended[d] = uniform_rule(maid, d)
+    extended = {d: _lift_rule(maid, d, eq[d]) if d in eq else uniform_rule(maid, d)
+                for d in maid.decisions}
     agents = sorted({maid.nodes[d].owner for d in maid.decisions})
     tables = _check_profile(maid, extended)
-    gaps = {}
-    for agent in agents:
-        gaps[agent] = _gap(maid, space, tables, agent)
-    failing = sorted(a for a, g in gaps.items() if g > tol)
+    gaps = {agent: _gap(maid, space, tables, agent) for agent in agents}
+    failing = ", ".join(f"{a} by {g:.6g}" for a, g in gaps.items() if g > tol)
     if failing:
-        detail = "deviation improves " + ", ".join(
-            f"{a} by {gaps[a]:.6g}" for a in failing)
-        return VerificationReport(status="fail", gaps=gaps, equilibrium=extended,
-                                  detail=detail)
-    return VerificationReport(status="pass", gaps=gaps, equilibrium=extended,
-                              detail="no agent can improve beyond tolerance")
+        return VerificationReport("fail", gaps, extended, "deviation improves " + failing)
+    return VerificationReport("pass", gaps, extended, "no agent can improve beyond tolerance")
 
 
 # -- solution cost metric ---------------------------------------------------------------

@@ -11,6 +11,8 @@ with, the rule-at-a-time structure check that ``validate`` must agree
 with, the state-at-a-time joint-space sweep that the numeric layer's
 enumerated table must agree with, the equilibrium search that runs every
 best-response round, which ``find_equilibrium_small`` must agree with,
+the verification that sweeps again for every best response, which
+``verify_simplification`` must agree with,
 small hand-built games, and samplers for strategy profiles. The
 d-separation oracle works on raw edge lists so it shares no graph code
 with the package.
@@ -22,7 +24,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from maidkit import (
     Diagnostic,
@@ -56,6 +58,9 @@ from maidkit.semantics import (
     MAX_ROUNDS,
     _TIE_EPS,
     DecisionRule,
+    VerificationReport,
+    _check_profile,
+    _check_seed,
     _check_tol,
     _JointSpace,
     _n_rows,
@@ -66,6 +71,7 @@ from maidkit.semantics import (
     _rule_shape,
     _table_rule,
     rule_from_rows,
+    uniform_rule,
 )
 
 AGENTS = ("p0", "p1", "p2", "p3")
@@ -989,6 +995,197 @@ def reference_find_equilibrium(maid: Maid, seed: int = 0,
         if all(stable(candidate, agent) for agent in agents):
             return as_rules(candidate)
     return None
+
+
+# -- verification as it was before joint spaces kept response cells ------------
+#
+# ``verify_simplification``, its search and its best response as they were
+# before a joint space kept the response cells of its sweeps and before an
+# unchanged game was searched on the space of the original: every best
+# response sweeps the space again, the search builds its own space, and
+# every lifted rule is rebuilt row by row.
+
+
+def _ref_response_cells(space: _JointSpace, tables: Mapping[str, Sequence[float]],
+                        decisions: tuple[str, ...], agent: str) -> dict:
+    """Aggregate opponent-weighted utility by the tuple of the codes
+    ``row * k + action`` of the deviating decisions.
+
+    The resulting table S satisfies: the expected utility of any behavior at
+    ``decisions`` (others fixed) is the S-weighted sum of the probabilities
+    that behavior assigns to each cell.
+    """
+    cells: dict[tuple, float] = {}
+    for key, w, u in space.sweep(tables, decisions, agent):
+        cells[key] = cells.get(key, 0.0) + w * u
+    return cells
+
+
+def _ref_best_pure_response(maid: Maid, space: _JointSpace,
+                            tables: Mapping[str, Sequence[float]], agent: str
+                            ) -> tuple[float, float, Callable[[], dict[str, Sequence[float]]]]:
+    """The value of one agent's incumbent tables, the value of their best
+    joint pure deviation holding everyone else fixed, and a function that
+    builds that deviation's tables, which only a best-response round needs.
+    Ties keep the incumbent tables; a lone decision keeps its incumbent's
+    most likely action in parent configurations that have zero probability."""
+    decisions = maid.decisions_of(agent)
+    cells = _ref_response_cells(space, tables, decisions, agent)
+    current = _profile_value_from_cells(cells, decisions, tables)
+    if len(decisions) == 1:
+        d = decisions[0]
+        k = len(maid.nodes[d].domain)
+        incumbent = tables[d]
+        tops: dict[int, float] = {}  # each row's best cell; no cell is NaN or -0.0
+        for (code,), s in cells.items():
+            if s > tops.get(code // k, -math.inf):
+                tops[code // k] = s
+        best = 0.0
+        for row in sorted(tops):
+            best += tops[row]
+
+        def deviation() -> dict[str, Sequence[float]]:
+            picks = []
+            for start in range(0, len(incumbent), k):
+                keep = max(range(k), key=incumbent[start:start + k].__getitem__)
+                floor = tops.get(start // k, -math.inf) - _TIE_EPS
+                if cells.get((start + keep,), -math.inf) < floor:
+                    keep = min(a for a in range(k) if cells.get((start + a,), -math.inf) >= floor)
+                picks.append(keep)
+            return {d: _pure_table(k, picks)}
+        return current, best, deviation
+
+    best, best_tables = current, {d: tables[d] for d in decisions}
+    shapes = {d: _rule_shape(maid, d) for d in decisions}
+    for candidate in _pure_profiles(shapes, f"joint pure deviation space for agent {agent!r}"):
+        value = _profile_value_from_cells(cells, decisions, candidate)
+        if value > best + _TIE_EPS:
+            best, best_tables = value, candidate
+    return current, best, lambda: best_tables
+
+
+def _ref_gap(maid: Maid, space: _JointSpace, tables: Mapping[str, Sequence[float]],
+             agent: str) -> float:
+    """One agent's best-response gap on a space already built. Finite
+    payoffs can still give an infinite gap, which is an error."""
+    current, best, _ = _ref_best_pure_response(maid, space, tables, agent)
+    gap = best - current
+    if not math.isfinite(gap):
+        raise MaidError(f"best-response gap of agent {agent!r} is not finite")
+    return gap
+
+
+def _ref_find_equilibrium(maid: Maid, seed: int = 0,
+                          tol: float = 1e-9) -> dict[str, DecisionRule] | None:
+    """A pure-strategy equilibrium of a small game, or None when no pure
+    profile is an equilibrium.
+
+    Best-response iteration from a seeded random pure profile is tried
+    first (agents keep their current rule on ties); if it fails to settle
+    within ``MAX_ROUNDS`` rounds, every joint pure profile is checked in
+    lexicographic order. The size of the pure profile space is guarded by
+    ``MAX_PURE_PROFILES``.
+    """
+    _check_tol(tol)
+    _check_seed(seed)
+    space = _JointSpace(maid)
+    shapes = {d: _rule_shape(maid, d) for d in maid.decisions}
+    candidates = _pure_profiles(shapes, "pure profile space")
+    agents = sorted({maid.nodes[d].owner for d in maid.decisions})
+    rng = random.Random(seed)
+
+    def as_rules(tables):
+        return {d: _table_rule(d, shape, tables[d]) for d, shape in shapes.items()}
+
+    profile: dict[str, Sequence[float]] = {}
+    for d, (_, pdoms, domain) in shapes.items():
+        picks = [rng.randrange(len(domain)) for _ in range(_n_rows(pdoms))]
+        profile[d] = _pure_table(len(domain), picks)
+
+    # A round is a function of the profile it starts from (agent order, tol,
+    # space and tie rule are fixed; the rng only draws the start), so once a
+    # round starts where an earlier one did, the rounds cycle without ever
+    # settling, to the fallback that MAX_ROUNDS rounds would reach.
+    starts = set()
+    for _ in range(MAX_ROUNDS):
+        start = tuple(itertools.chain.from_iterable(profile.values()))
+        if start in starts:
+            break
+        starts.add(start)
+        changed = False
+        for agent in agents:
+            current, best, deviation = _ref_best_pure_response(maid, space, profile, agent)
+            if best > current + tol:
+                profile.update(deviation())
+                changed = True
+        if not changed:
+            return as_rules(profile)
+
+    def stable(candidate, agent):
+        current, best, _ = _ref_best_pure_response(maid, space, candidate, agent)
+        return best - current <= tol
+
+    for candidate in candidates:
+        if all(stable(candidate, agent) for agent in agents):
+            return as_rules(candidate)
+    return None
+
+
+def _ref_lift_rule(original: Maid, d: str, rule: DecisionRule) -> DecisionRule:
+    """Reindex a rule over a reduced parent list onto the original parent
+    list; the rule's behavior is constant across dropped parents."""
+    parents, pdoms, domain = _rule_shape(original, d)
+    if rule.domain != domain:
+        raise MaidError(f"{d}: domain changed between graphs")
+    keep = [i for i, p in enumerate(parents) if p in rule.parents]
+    if tuple(parents[i] for i in keep) != rule.parents:
+        raise MaidError(f"{d}: simplified parents are not a subsequence of the "
+                        f"original parents")
+    rows = tuple(rule.row_for(tuple(config[i] for i in keep))
+                 for config in itertools.product(*pdoms))
+    return DecisionRule(d, parents, pdoms, domain, rows)
+
+
+def reference_verify_simplification(maid: Maid, result, seed: int = 0,
+                                    tol: float = 1e-9) -> VerificationReport:
+    """Find a pure equilibrium of the simplified game, extend it to the
+    original game (eliminated decisions become uniform, surviving rules are
+    lifted over their original parent lists), and measure every agent's
+    best-response gap in the original game. ``result`` must be the
+    simplification of ``maid``: it needs ``original`` and ``final``, and
+    ``result.original == maid``."""
+    _check_tol(tol)
+    _check_seed(seed)
+    if not (hasattr(result, "original") and hasattr(result, "final")):
+        raise MaidError(f"result must have original and final graphs, got a "
+                        f"{type(result).__name__}")
+    if result.original != maid:
+        raise MaidError("result is the simplification of another game")
+    space = _JointSpace(maid)  # an invalid original fails before the search starts
+    eq = _ref_find_equilibrium(result.final, seed=seed, tol=tol)
+    if eq is None:
+        return VerificationReport(status="inconclusive", gaps={}, equilibrium=None,
+                                  detail="the simplified game has no pure-strategy "
+                                         "equilibrium to extend")
+    extended: dict[str, DecisionRule] = {}
+    for d in maid.decisions:
+        if d in eq:
+            extended[d] = _ref_lift_rule(maid, d, eq[d])
+        else:
+            extended[d] = uniform_rule(maid, d)
+    agents = sorted({maid.nodes[d].owner for d in maid.decisions})
+    tables = _check_profile(maid, extended)
+    gaps = {}
+    for agent in agents:
+        gaps[agent] = _ref_gap(maid, space, tables, agent)
+    failing = sorted(a for a, g in gaps.items() if g > tol)
+    if failing:
+        detail = "deviation improves " + ", ".join(
+            f"{a} by {gaps[a]:.6g}" for a in failing)
+        return VerificationReport(status="fail", gaps=gaps, equilibrium=extended,
+                                  detail=detail)
+    return VerificationReport(status="pass", gaps=gaps, equilibrium=extended,
+                              detail="no agent can improve beyond tolerance")
 
 
 # -- small hand-built games --------------------------------------------------

@@ -60,6 +60,10 @@ def test_path_rejects_malformed_input():
         Path(nodes=("A", "B", "C"), step_directions=("->",))
     with pytest.raises(MaidError):
         Path(nodes=(["A"], "B"), step_directions=("->",))  # escaped as a TypeError
+    with pytest.raises(MaidError, match="must be sequences"):
+        Path(nodes=None, step_directions=())  # escaped as a TypeError
+    with pytest.raises(MaidError, match="must be sequences"):
+        Path(nodes=("A", "B"), step_directions=None)
 
 
 def test_query_rejects_degenerate_endpoints():
@@ -468,6 +472,13 @@ def test_check_path_rejects_foreign_paths(pa):
     # nonexistent edges fail
     fake = Path(nodes=("P1", "U_P2"), step_directions=("->",))
     assert not check_path(pa, fake, query)
+    # Junk in place of the path or the query escaped as an AttributeError.
+    with pytest.raises(MaidError, match="query must be a PathQuery, got a NoneType"):
+        find_path(pa, None)
+    with pytest.raises(MaidError, match="needs a Path and a PathQuery"):
+        check_path(pa, None, query)
+    with pytest.raises(MaidError, match="needs a Path and a PathQuery"):
+        check_path(pa, good, None)
 
 
 def test_direction_constraint_blocks_backward_steps(pa):

@@ -5,6 +5,7 @@ values, so an uninformed guesser earns 10/3 and a perfectly informed one
 earns 10."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -133,6 +134,37 @@ def test_profiles_are_structure_bound(card1):
         expected_utility(final, stale, "b")
     with pytest.raises(MaidError, match="no rule"):
         expected_utility(card1, {"B": uniform_rule(card1, "B")}, "b")
+
+
+# One junk value of each kind a public argument can be given by mistake.
+JUNK = [("None", None), ("zero", 0), ("minus-one", -1), ("float", 1.5), ("nan", math.nan),
+        ("empty-str", ""), ("str", "xyz"), ("bytes", b"xyz"), ("tuple", ("A",)),
+        ("list", ["A"]), ("dict", {"A": 1}), ("frozenset", frozenset({"A"})),
+        ("object", object()), ("graph", card_game(1))]
+
+
+@pytest.mark.parametrize("junk", [value for _, value in JUNK], ids=[name for name, _ in JUNK])
+def test_profile_arguments_raise_maid_errors(card1, junk):
+    # Each escaped as a bare AttributeError or TypeError: profile.get,
+    # rule.rows, set(assignment), d in others, choose(config).
+    profile = uniform_profile(card1)
+    others = {d: rule for d, rule in profile.items() if d != "B"}
+    assignment = {n: card1.nodes[n].domain[0] for n in ("A", "B", "C", "J")}
+    calls = [lambda: expected_utility(card1, junk, "a"),
+             lambda: expected_utility(card1, {**profile, "B": junk}, "a"),
+             lambda: best_response_gap(card1, junk, "a"),
+             lambda: best_response_gap(card1, {**profile, "C": junk}, "c"),
+             lambda: joint_probability(card1, junk, assignment),
+             lambda: joint_probability(card1, profile, junk),
+             lambda: is_motivated_bruteforce(card1, "B", junk),
+             lambda: is_motivated_bruteforce(card1, "B", {**others, "A": junk}),
+             lambda: rule_from_function(card1, "B", junk)]
+    if not isinstance(junk, Maid):  # any graph is a final game to search
+        calls.append(lambda: verify_simplification(
+            card1, dataclasses.replace(simplify(card1), final=junk)))
+    for call in calls:
+        with pytest.raises(MaidError):
+            call()
 
 
 # -- joint probability and expectation ---------------------------------------------
@@ -437,6 +469,12 @@ def test_search_builds_rules_only_for_what_it_returns(monkeypatch):
     assert verify_simplification(game, result).passed
     assert len(built) == 7
     built.clear()
+    # A game simplify leaves as it is reports the rules its search found,
+    # with none rebuilt for the original.
+    unchanged = helpers.pennies_with_chance(random.Random(1))
+    assert verify_simplification(unchanged, simplify(unchanged)).passed
+    assert len(built) == 2
+    built.clear()
     assert find_equilibrium_small(helpers.matching_pennies()) is None
     assert built == []
 
@@ -489,6 +527,60 @@ def test_unsound_reduction_is_caught(card1):
     assert find_equilibrium_small(tampered, seed=0)["C"].rows == \
         ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
     assert verify_simplification(card1, claim, seed=2).status == "pass"
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 10_000),
+       family=st.sampled_from(["random", "pair", "pennies", "card"]),
+       tol=st.sampled_from([0.0, 1e-9, 0.5]))
+def test_verification_matches_reference(seed, family, tol):
+    # The reference sweeps the space again for every best response and
+    # searches the simplified game on a space of its own. Statuses, gaps to
+    # the last bit and equilibria must be the same, on games simplify
+    # changes and on games it leaves as they are.
+    rng = random.Random(seed)
+    if family == "card":
+        maid = card_game(rng.randint(1, 3))
+    else:
+        maid = {"random": helpers.random_parameterized_maid,
+                "pair": helpers.two_decision_game,
+                "pennies": helpers.pennies_with_chance}[family](rng)
+    result = simplify(maid)
+    for start in rng.sample(range(1000), 2):
+        expected = helpers.reference_verify_simplification(maid, result, seed=start, tol=tol)
+        report = verify_simplification(maid, result, seed=start, tol=tol)
+        assert report.status == expected.status
+        assert {a: g.hex() for a, g in report.gaps.items()} == \
+            {a: g.hex() for a, g in expected.gaps.items()}
+        assert report.equilibrium == expected.equilibrium
+
+
+@pytest.mark.parametrize("seed, status, sweeps", [(0, "inconclusive", 16), (1, "pass", 2)])
+def test_an_unchanged_game_is_verified_on_one_space(monkeypatch, seed, status, sweeps):
+    # simplify leaves these pennies games as they are, so the search runs on
+    # the original's space. Seed 0 has three chance values and no pure
+    # equilibrium: after its rounds, the 64 pure profiles are checked, and
+    # each agent faces only the 8 tables of the other. Seed 1's replay reads
+    # the cells of the search's last round. Building a second space and
+    # sweeping for every best response took 2 spaces and 78 and 6 sweeps.
+    game = helpers.pennies_with_chance(random.Random(seed))
+    result = simplify(game)
+    assert result.final == game
+    counts = {"spaces": 0, "sweeps": 0}
+    build, sweep = semantics._JointSpace.__init__, semantics._JointSpace.sweep
+
+    def counting_build(self, maid):
+        counts["spaces"] += 1
+        build(self, maid)
+
+    def counting_sweep(self, *args):
+        counts["sweeps"] += 1
+        return sweep(self, *args)
+
+    monkeypatch.setattr(semantics._JointSpace, "__init__", counting_build)
+    monkeypatch.setattr(semantics._JointSpace, "sweep", counting_sweep)
+    assert verify_simplification(game, result).status == status
+    assert counts == {"spaces": 1, "sweeps": sweeps}
 
 
 def test_verification_refuses_a_result_of_another_game(card1):
