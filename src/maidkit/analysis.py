@@ -14,12 +14,12 @@ a path, and an endpoint decision need not be effective.
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
-from .core import Maid, MaidError, _id_set, _node_set, _reach
+from .core import Maid, MaidError, _check_effectiveness, _id_set, _node_set, _reach
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -83,28 +83,49 @@ class Path:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class PathQuery:
-    """Everything :func:`find_path` needs to know about the path it wants."""
+def _path(nodes: tuple[str, ...], step_directions: tuple[str, ...]) -> Path:
+    """A :class:`Path` that a search built valid, without its checks."""
+    path = object.__new__(Path)
+    fields = path.__dict__
+    fields["nodes"], fields["step_directions"] = nodes, step_directions
+    return path
 
-    source: str
-    target: str
-    edge_mode: EdgeMode = EdgeMode.UNDIRECTED
-    first_edge: FirstEdge = FirstEdge.ANY
-    interior_decisions: InteriorDecisions = InteriorDecisions.REQUIRE_EFFECTIVE
-    avoid: frozenset[str] = frozenset()
-    blocking_set: frozenset[str] = frozenset()
-    require_collider: bool = False
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.source, str) and isinstance(self.target, str)):
-            raise MaidError(f"path endpoints must be node ids: {self.source!r}, {self.target!r}")
-        object.__setattr__(self, "avoid", _id_set(self.avoid, "avoid set"))
-        object.__setattr__(self, "blocking_set", _id_set(self.blocking_set, "blocking set"))
-        if self.source == self.target:
+class PathQuery(namedtuple("PathQuery", (
+        "source", "target", "edge_mode", "first_edge", "interior_decisions", "avoid",
+        "blocking_set", "require_collider"))):
+    """Everything :func:`find_path` needs to know about the path it wants.
+
+    A query is an immutable tuple of its fields, so it hashes, compares
+    and iterates as that tuple does. ``avoid`` and ``blocking_set`` may be
+    any collection of node ids; a frozenset is kept as given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, target: str,
+                edge_mode: EdgeMode = EdgeMode.UNDIRECTED,
+                first_edge: FirstEdge = FirstEdge.ANY,
+                interior_decisions: InteriorDecisions = InteriorDecisions.REQUIRE_EFFECTIVE,
+                avoid: Iterable[str] = frozenset(), blocking_set: Iterable[str] = frozenset(),
+                require_collider: bool = False) -> "PathQuery":
+        if not (isinstance(source, str) and isinstance(target, str)):
+            raise MaidError(f"path endpoints must be node ids: {source!r}, {target!r}")
+        if not isinstance(avoid, frozenset):
+            avoid = _id_set(avoid, "avoid set")
+        if not isinstance(blocking_set, frozenset):
+            blocking_set = _id_set(blocking_set, "blocking set")
+        if source == target:
             raise MaidError("path source and target must differ")
-        if self.source in self.avoid or self.target in self.avoid:
+        if source in avoid or target in avoid:
             raise MaidError("avoid set must not contain the path endpoints")
+        return tuple.__new__(cls, (source, target, edge_mode, first_edge, interior_decisions,
+                                   avoid, blocking_set, require_collider))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "PathQuery":
+        # _replace builds through _make, which would skip the checks.
+        return cls(*fields)
 
 
 def collider_blocked(maid: Maid, b: str, w: Iterable[str]) -> bool:
@@ -240,11 +261,17 @@ def find_path(maid: Maid, query: PathQuery,
         raise MaidError(f"query must be a PathQuery, got a {type(query).__name__}") from None
     maid.node(source)
     maid.node(query.target)
+    _check_effectiveness(effectiveness)
     maid.topological_order  # raises CyclicGraphError
+    return _find_path(maid, query, effectiveness)
+
+
+def _find_path(maid: Maid, query: PathQuery,
+               effectiveness: Mapping[str, bool] | None) -> Path | None:
+    """:func:`find_path` on checked arguments and an acyclic graph."""
     step_ok = _step_rule(maid, query, effectiveness)
     if query.edge_mode is EdgeMode.DIRECTED_ONLY:
-        found = _directed_search(maid, query, step_ok, frozenset((query.target,)))
-        return found.get(query.target)
+        return _directed_search(maid, query, step_ok, frozenset((query.target,))).get(query.target)
     return _undirected_search(maid, query, step_ok)
 
 
@@ -253,18 +280,24 @@ def decision_free_paths(maid: Maid, x: str, targets: Iterable[str]) -> dict[str,
     ``find_path(maid, decision_free_query(x, target))`` returns, all from
     one O(V + E) search."""
     maid.node(x)
-    return _decision_free_paths(maid, x, _node_set(maid, targets, "targets") - {x})
+    return _directed_paths(maid, decision_free_query, x,
+                           _node_set(maid, targets, "targets") - {x}, None)
 
 
-def _decision_free_paths(maid: Maid, x: str, targets: frozenset[str]) -> dict[str, Path]:
-    """:func:`decision_free_paths` on checked arguments: ``x`` is a node and
-    ``targets`` a set of nodes without it."""
+def _directed_paths(maid: Maid, build: Callable[[str, str], PathQuery], x: str,
+                    targets: frozenset[str], effectiveness: Mapping[str, bool] | None
+                    ) -> dict[str, Path]:
+    """For each of ``targets`` that has one, the witness
+    ``find_path(maid, build(x, target), effectiveness)`` returns, all from
+    one O(V + E) search, on checked arguments: ``build`` is
+    :func:`decision_free_query` or :func:`directed_effective_query`, ``x``
+    a node and ``targets`` a set of nodes without it. Neither the rules of
+    a directed query nor the search they steer depend on its target."""
     if not targets:
         return {}
     maid.topological_order  # raises CyclicGraphError
-    # The rules of a decision-free query do not depend on its target.
-    query = decision_free_query(x, min(targets))
-    return _directed_search(maid, query, _step_rule(maid, query, None), targets)
+    query = build(x, next(iter(targets)))
+    return _directed_search(maid, query, _step_rule(maid, query, effectiveness), targets)
 
 
 def _directed_search(maid: Maid, query: PathQuery,
@@ -295,7 +328,7 @@ def _directed_search(maid: Maid, query: PathQuery,
                 continue
             seen.add(nxt)
             if nxt in targets:
-                found[nxt] = Path(tuple(path) + (nxt,), (FORWARD,) * len(path))
+                found[nxt] = _path(tuple(path) + (nxt,), (FORWARD,) * len(path))
                 if len(found) == len(targets):
                     return found
             if step_ok(nxt, FORWARD, FORWARD):
@@ -350,8 +383,8 @@ def _undirected_search(maid: Maid, query: PathQuery,
                 continue
             seen = seen_before or (arrived == FORWARD and leaving == BACKWARD)
             if nxt == target and seen:
-                return Path(tuple(on_path) + (nxt,),
-                            tuple(f[1] for f in frames[1:]) + (leaving,))
+                return _path(tuple(on_path) + (nxt,),
+                             tuple(f[1] for f in frames[1:]) + (leaving,))
             state = (nxt, leaving, seen)
             if (nxt in avoid or nxt == target or state in dead
                     or live is not None and state not in live):
@@ -417,6 +450,13 @@ def check_path(maid: Maid, path: Path, query: PathQuery,
     requirement, and judges every step by the same first-edge and interior
     rules :func:`find_path` searches with.
     """
+    _check_effectiveness(effectiveness)
+    return _check_path(maid, path, query, effectiveness)
+
+
+def _check_path(maid: Maid, path: Path, query: PathQuery,
+                effectiveness: Mapping[str, bool] | None) -> bool:
+    """:func:`check_path` with ``effectiveness`` checked."""
     try:
         if path.nodes[0] != query.source or path.nodes[-1] != query.target:
             return False
@@ -450,7 +490,7 @@ def decision_free_query(x: str, y: str) -> PathQuery:
                      interior_decisions=InteriorDecisions.FORBID_ALL)
 
 
-def directed_effective_query(x: str, y: str, avoid: Iterable[str] = ()) -> PathQuery:
+def directed_effective_query(x: str, y: str, avoid: Iterable[str] = frozenset()) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.DIRECTED_ONLY,
                      interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
                      avoid=avoid)

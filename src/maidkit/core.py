@@ -15,6 +15,7 @@ import heapq
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -98,6 +99,23 @@ def _node_set(maid: "Maid", ids: Iterable[str], what: str) -> frozenset[str]:
     for v in out.difference(maid.nodes):
         maid.node(v)  # raises UnknownNodeError
     return out
+
+
+def _check_seed(seed: object, rng: bool = False) -> None:
+    """``seed`` is an int that seeds a run's ``random.Random``, or with
+    ``rng`` that ``random.Random`` itself. ``random.Random`` would seed
+    None from the operating system, so that run could not be repeated."""
+    if not isinstance(seed, random.Random if rng else int):
+        what = "rng must be a random.Random" if rng else "seed must be an int"
+        raise MaidError(f"{what}, got {seed!r}")
+
+
+def _check_effectiveness(effectiveness: object, optional: bool = True) -> None:
+    """Effectiveness flags map decision ids to bools. Where ``optional``,
+    None stands for every decision effective."""
+    if not (isinstance(effectiveness, Mapping) or optional and effectiveness is None):
+        raise MaidError(f"effectiveness must be a mapping of decision ids to flags, "
+                        f"got a {type(effectiveness).__name__}")
 
 
 def _flatten_params(values: Iterable) -> tuple[float, ...]:

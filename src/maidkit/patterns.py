@@ -26,16 +26,17 @@ from typing import Callable, Iterable, Mapping
 
 from .analysis import (
     Path,
-    _decision_free_paths,
+    _check_path,
+    _directed_paths,
+    _find_path,
     back_door_query,
-    check_path,
     decision_free_query,
     directed_effective_query,
     effective_query,
-    find_path,
     front_door_query,
 )
-from .core import Maid, _reach, _require_decision, all_effective, descendants
+from .core import (Maid, MaidError, _check_effectiveness, _reach, _require_decision,
+                   all_effective, descendants)
 
 
 class PatternKind(enum.Enum):
@@ -137,44 +138,62 @@ def _pattern(maid: Maid, d: str, kind: PatternKind
     return bindings
 
 
-def _detect(maid: Maid, d: str, kinds: Iterable[PatternKind],
+def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
             effectiveness: Mapping[str, bool] | None,
             mode: DetectionMode) -> list[PatternInstance]:
     """Instances at ``d`` of each of ``kinds``, which come in
     :class:`PatternKind` order; in FIRST_WITNESS mode, only the first
-    instance found.
+    instance found. Its arguments are checked; it checks acyclicity
+    itself, before its first search.
 
     Direct effect: one instance per own utility u that ``d`` reaches
-    decision-free. The other kinds bind n downstream of ``d`` (one sweep
-    gives d_to_n), u an own utility that n reaches (n_to_u), u' a utility of
-    n's owner, then the kind's witnesses; they share one table in which
-    each distinct query is built and searched once."""
+    decision-free. The other kinds bind n downstream of ``d`` (d_to_n), u
+    an own utility that n reaches (n_to_u, from one directed sweep from n),
+    u' a utility of n's owner, then the kind's witnesses; they share one
+    table in which each distinct query is built and searched once. One
+    decision-free sweep from ``d``, at first need, gives d_to_n and, in ALL
+    mode, the direct effects; in FIRST_WITNESS mode direct effect searches
+    one own utility at a time, to stop at the first witness."""
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
+    first_only = mode is DetectionMode.FIRST_WITNESS
+    sweep_targets = frozenset()
+    if PatternKind.DIRECT_EFFECT in kinds and not first_only:
+        sweep_targets = frozenset(own_utilities)
+    if any(kind is not PatternKind.DIRECT_EFFECT for kind in kinds):
+        sweep_targets |= maid._decision_set - {d}
     out: list[PatternInstance] = []
-    downstream = search = None
+    from_d = downstream = search = to_own = None
     for kind in kinds:
-        if kind is PatternKind.DIRECT_EFFECT:
+        if kind is PatternKind.DIRECT_EFFECT and first_only:
+            if own_utilities:
+                maid.topological_order  # raises CyclicGraphError
             for u in own_utilities:
-                p = find_path(maid, decision_free_query(d, u), effectiveness)
-                if p is None:
-                    continue
-                out.append(PatternInstance(kind=kind, decision=d, u=u,
-                                           witness_paths=(("d_to_u", p),)))
-                if mode is DetectionMode.FIRST_WITNESS:
-                    return out
+                p = _find_path(maid, decision_free_query(d, u), effectiveness)
+                if p is not None:
+                    return [PatternInstance(kind=kind, decision=d, u=u,
+                                            witness_paths=(("d_to_u", p),))]
             continue
-        if downstream is None:
-            downstream = sorted(_decision_free_paths(maid, d, maid._decision_set - {d}).items())
+        if from_d is None:
+            from_d = _directed_paths(maid, decision_free_query, d, sweep_targets, effectiveness)
+            downstream = sorted((n, p) for n, p in from_d.items() if n in maid._decision_set)
             search = functools.cache(
-                lambda build, *args: find_path(maid, build(*args), effectiveness))
+                lambda build, *args: _find_path(maid, build(*args), effectiveness))
+            to_own = functools.cache(lambda n: _directed_paths(
+                maid, directed_effective_query, n, frozenset(own_utilities), effectiveness))
+        if kind is PatternKind.DIRECT_EFFECT:
+            out.extend(PatternInstance(kind=kind, decision=d, u=u,
+                                       witness_paths=(("d_to_u", from_d[u]),))
+                       for u in own_utilities if u in from_d)
+            continue
         if not downstream:
             continue
         bindings = _pattern(maid, d, kind)
         for n, d_to_n in downstream:
             n_owner = maid.nodes[n].owner
+            n_to_own = to_own(n)
             for u in own_utilities:
-                n_to_u = search(directed_effective_query, n, u)
+                n_to_u = n_to_own.get(u)
                 if n_to_u is None:
                     continue
                 for u_prime in maid.utilities_of(n_owner):
@@ -189,7 +208,7 @@ def _detect(maid: Maid, d: str, kinds: Iterable[PatternKind],
                             out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
                                                        u_prime=u_prime, a=a,
                                                        witness_paths=tuple(found)))
-                            if mode is DetectionMode.FIRST_WITNESS:
+                            if first_only:
                                 return out
     return out
 
@@ -201,6 +220,7 @@ def direct_effect(maid: Maid, d: str,
                   effectiveness: Mapping[str, bool] | None = None,
                   mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
     """One instance per own utility that ``d`` reaches decision-free."""
+    _check_effectiveness(effectiveness)
     return _detect(maid, d, (PatternKind.DIRECT_EFFECT,), effectiveness, mode)
 
 
@@ -210,6 +230,7 @@ def manipulation(maid: Maid, d: str,
     """Instances (n, u, u') where a downstream decision n carries ``d``'s
     influence to an own utility u, while ``d`` retains a route to n's
     utility u' that bypasses n (the lever it manipulates with)."""
+    _check_effectiveness(effectiveness)
     return _detect(maid, d, (PatternKind.MANIPULATION,), effectiveness, mode)
 
 
@@ -224,6 +245,7 @@ def signaling(maid: Maid, d: str,
     descendants of ``d`` (what n observes anyway); the a .. u route is
     tested given the parents of ``d`` that are not descendants of a.
     """
+    _check_effectiveness(effectiveness)
     return _detect(maid, d, (PatternKind.SIGNALING,), effectiveness, mode)
 
 
@@ -239,6 +261,7 @@ def reveal_deny(maid: Maid, d: str,
     node of any front-door path out of ``d`` is itself a descendant of
     ``d``, so no opener could then be in the blocking set.
     """
+    _check_effectiveness(effectiveness)
     return _detect(maid, d, (PatternKind.REVEAL_DENY,), effectiveness, mode)
 
 
@@ -250,6 +273,7 @@ def decision_is_effective(maid: Maid, d: str,
                           effectiveness: Mapping[str, bool] | None = None) -> bool:
     """Does any pattern hold for ``d``? One detection pass over every
     kind, cheapest first, that stops at the first witness."""
+    _check_effectiveness(effectiveness)
     return bool(_detect(maid, d, _ALL_KINDS, effectiveness, DetectionMode.FIRST_WITNESS))
 
 
@@ -296,6 +320,9 @@ def check_instance(maid: Maid, instance: PatternInstance,
     use, a u or u' that is not a utility of the right owner, n equal to the
     decision, a kind that is not a :class:`PatternKind`) is rejected.
     """
+    if not isinstance(instance, PatternInstance):
+        raise MaidError(f"check_instance needs a PatternInstance, got a {type(instance).__name__}")
+    _check_effectiveness(effectiveness)
     if not isinstance(instance.kind, PatternKind):
         return False
     d, u, n, u_prime = instance.decision, instance.u, instance.n, instance.u_prime
@@ -321,7 +348,7 @@ def check_instance(maid: Maid, instance: PatternInstance,
     witnesses = dict(instance.witness_paths)
     if set(witnesses) != set(queries):
         return False
-    return all(check_path(maid, witnesses[name], query, effectiveness)
+    return all(_check_path(maid, witnesses[name], query, effectiveness)
                for name, query in queries.items())
 
 

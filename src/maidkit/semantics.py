@@ -39,6 +39,7 @@ from .core import (
     MaidError,
     PROB_TOL,
     ValidationError,
+    _check_seed,
     _config_index,
     _require_decision,
     chance_row,
@@ -504,13 +505,6 @@ def _check_tol(tol: float) -> None:
         valid = False
     if not valid:
         raise MaidError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
-def _check_seed(seed: int) -> None:
-    """The search starts from a seeded draw; ``random.Random`` would seed
-    ``None`` from the operating system, so that run could not be repeated."""
-    if not isinstance(seed, int):
-        raise MaidError(f"seed must be an int, got {seed!r}")
 
 
 def find_equilibrium_small(maid: Maid, seed: int = 0,

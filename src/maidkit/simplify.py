@@ -22,6 +22,8 @@ from .core import (
     Maid,
     MaidError,
     ValidationError,
+    _check_effectiveness,
+    _check_seed,
     _node_set,
     _remove_edges,
     all_effective,
@@ -93,6 +95,9 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
     decision-free path uses, and the flags do not bear on decision-free
     paths.
     """
+    _check_effectiveness(effectiveness, optional=False)
+    if rng is not None:
+        _check_seed(rng, rng=True)
     return _identify(maid, effectiveness, rng, set())
 
 
@@ -138,6 +143,8 @@ def retract_edges(maid: Maid,
     Each test is one Bayes-ball pass from p to all of the owner's payoff
     nodes at once, reading the live edge mask; it needs no ancestor set.
     """
+    if rng is not None:
+        _check_seed(rng, rng=True)
     decision_order = [n for n in maid.topological_order
                       if maid.nodes[n].is_decision]
     info_edges = [(p, d) for d in decision_order for p in maid.parents(d)]
@@ -186,6 +193,8 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
     ``order_seed`` permutes the per-pass visiting order of decisions and
     edges; the fixed point does not depend on it.
     """
+    if order_seed is not None:
+        _check_seed(order_seed)
     diagnostics = validate(maid)
     if diagnostics:
         raise ValidationError(diagnostics)

@@ -19,6 +19,7 @@ with the package.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from maidkit import (
+    DetectionMode,
     Diagnostic,
     IterationRecord,
     Maid,
@@ -35,6 +37,8 @@ from maidkit import (
     Node,
     NodeKind,
     Path,
+    PatternInstance,
+    PatternKind,
     SimplificationResult,
     ValidationError,
     all_effective,
@@ -52,15 +56,19 @@ from maidkit.analysis import (
     PathQuery,
     _reaches_any,
     collider_blocked,
+    decision_free_paths,
+    decision_free_query,
+    directed_effective_query,
+    find_path,
 )
-from maidkit.core import PROB_TOL
+from maidkit.core import PROB_TOL, _check_seed
+from maidkit.patterns import _pattern
 from maidkit.semantics import (
     MAX_ROUNDS,
     _TIE_EPS,
     DecisionRule,
     VerificationReport,
     _check_profile,
-    _check_seed,
     _check_tol,
     _JointSpace,
     _n_rows,
@@ -76,6 +84,59 @@ from maidkit.semantics import (
 
 AGENTS = ("p0", "p1", "p2", "p3")
 _DOMAIN_VALUES = ("v0", "v1", "v2")
+
+
+# -- reference pattern detection ------------------------------------------------
+
+# ``patterns._detect`` as it was before one directed sweep per source gave
+# the direct effects with d_to_n and n_to_u for every own utility at once:
+# direct effect searches each own utility alone, a decision-free sweep gives
+# d_to_n, and n_to_u is one query per (n, u) in the shared table. It runs
+# on the public, checking ``find_path`` and ``decision_free_paths``.
+def reference_detect(maid: Maid, d: str, kinds, effectiveness,
+                     mode: DetectionMode) -> list[PatternInstance]:
+    own_utilities = maid.utilities_of(maid.nodes[d].owner)
+    out: list[PatternInstance] = []
+    downstream = search = None
+    for kind in kinds:
+        if kind is PatternKind.DIRECT_EFFECT:
+            for u in own_utilities:
+                p = find_path(maid, decision_free_query(d, u), effectiveness)
+                if p is None:
+                    continue
+                out.append(PatternInstance(kind=kind, decision=d, u=u,
+                                           witness_paths=(("d_to_u", p),)))
+                if mode is DetectionMode.FIRST_WITNESS:
+                    return out
+            continue
+        if downstream is None:
+            downstream = sorted(decision_free_paths(maid, d, maid._decision_set - {d}).items())
+            search = functools.cache(
+                lambda build, *args: find_path(maid, build(*args), effectiveness))
+        if not downstream:
+            continue
+        bindings = _pattern(maid, d, kind)
+        for n, d_to_n in downstream:
+            n_owner = maid.nodes[n].owner
+            for u in own_utilities:
+                n_to_u = search(directed_effective_query, n, u)
+                if n_to_u is None:
+                    continue
+                for u_prime in maid.utilities_of(n_owner):
+                    for a, witnesses in bindings(n, u, u_prime):
+                        found = [("d_to_n", d_to_n), ("n_to_u", n_to_u)]
+                        for name, build, args in witnesses:
+                            path = search(build, *args)
+                            if path is None:
+                                break
+                            found.append((name, path))
+                        else:
+                            out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
+                                                       u_prime=u_prime, a=a,
+                                                       witness_paths=tuple(found)))
+                            if mode is DetectionMode.FIRST_WITNESS:
+                                return out
+    return out
 
 
 def _random_row(k: int, rng: random.Random) -> tuple[float, ...]:
@@ -228,6 +289,19 @@ def random_search_maid(rng: random.Random, max_nodes: int = 12, min_nodes: int =
         else:
             nodes.append(Node.chance(node_id, domain=("f", "t"), parents=parents))
     return Maid.build(agents=["p0"], nodes=nodes)
+
+
+def with_payoffs(maid: Maid, rng: random.Random, agents=("p0", "p1")) -> Maid:
+    """``maid`` with its decisions dealt among ``agents`` and two utilities
+    per agent, each with one to three parents drawn from its nodes."""
+    ids = sorted(maid.nodes)
+    nodes = [Node.decision(n.id, owner=rng.choice(agents), domain=n.domain, parents=n.parents)
+             if n.is_decision else n for n in maid.nodes.values()]
+    for a in agents:
+        for k in range(2):
+            parents = rng.sample(ids, min(len(ids), rng.randint(1, 3)))
+            nodes.append(Node.utility(f"U_{a}{k}", owner=a, parents=tuple(sorted(parents))))
+    return Maid.build(agents=agents, nodes=nodes)
 
 
 def reference_descendants(maid: Maid) -> dict[str, frozenset[str]]:

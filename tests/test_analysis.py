@@ -75,6 +75,31 @@ def test_query_rejects_degenerate_endpoints():
         PathQuery(["A"], "B")
 
 
+def test_path_query_is_a_value():
+    # Equal fields make equal queries, whatever collection the sets came
+    # in; a frozenset is kept as given. A query cannot be changed.
+    w = frozenset({"B", "C"})
+    query = back_door_query("A", "D", w)
+    assert query == back_door_query("A", "D", ["C", "B", "C"]) == PathQuery(
+        "A", "D", first_edge=FirstEdge.INTO_SOURCE, blocking_set=("B", "C"))
+    assert query.blocking_set is w and query.avoid == frozenset()
+    assert query != back_door_query("A", "D", ["B"])
+    assert len({query, back_door_query("A", "D", ("C", "B"))}) == 1
+    assert {query: 1}[PathQuery("A", "D", EdgeMode.UNDIRECTED, FirstEdge.INTO_SOURCE,
+                                blocking_set=w)] == 1
+    for field in ("source", "avoid", "blocking_set", "require_collider"):
+        with pytest.raises(AttributeError):
+            setattr(query, field, None)
+    with pytest.raises(AttributeError):
+        query.extra = 1  # no attributes beyond the fields
+    with pytest.raises(TypeError):
+        query[0] = "B"
+    # A changed copy is checked like a new query.
+    assert query._replace(target="E") == back_door_query("A", "E", w)
+    with pytest.raises(MaidError, match="must differ"):
+        query._replace(target="A")
+
+
 def string_set_maid():
     """Roots A and B, X <- A, Y <- A, B, and X -> D -> U."""
     b = ("f", "t")

@@ -13,20 +13,26 @@ from maidkit import (
     CyclicGraphError,
     DetectionMode,
     Maid,
+    MaidError,
     Node,
     NotADecisionError,
     PatternKind,
     all_effective,
     check_instance,
+    check_path,
     convert_decision_to_chance,
     decision_is_effective,
     direct_effect,
     enumerate_patterns,
+    find_path,
+    identification_phase,
     manipulation,
     reveal_deny,
     signaling,
     simplify,
 )
+from maidkit.analysis import InteriorDecisions, decision_free_query
+from maidkit.patterns import _detect
 
 import helpers
 
@@ -407,23 +413,25 @@ def _shared_owner_graphs(count):
 
 @pytest.mark.parametrize("detector", (manipulation, signaling, reveal_deny, enumerate_patterns))
 def test_detector_calls_ask_each_query_once(monkeypatch, detector):
-    # One detector call searches each distinct query once. So does one
-    # decision's detection pass over all four kinds, in enumerate_patterns
-    # and in decision_is_effective, and the pass sweeps the decisions
-    # downstream of its decision at most once.
+    # One detector call searches each distinct query once and runs each
+    # directed sweep, one per (source, rule), at most once; sweeps have no
+    # avoid set. So does one decision's detection pass over all four kinds,
+    # in enumerate_patterns and in decision_is_effective. In ALL mode a
+    # direct effect comes from the decision-free sweep from the decision,
+    # so no decision-free query is searched alone.
     import maidkit.patterns as patterns
 
     asked = []
-    search, sweep, detect = patterns.find_path, patterns._decision_free_paths, patterns._detect
+    search, sweep, detect = patterns._find_path, patterns._directed_paths, patterns._detect
 
-    def recording(maid, query, effectiveness=None):
+    def recording(maid, query, effectiveness):
         asked.append(("query", query, None if effectiveness is None
                       else tuple(sorted(effectiveness.items()))))
         return search(maid, query, effectiveness)
 
-    def sweeping(maid, source, targets):
-        asked.append(("sweep", source))
-        return sweep(maid, source, targets)
+    def sweeping(maid, build, source, targets, effectiveness):
+        asked.append(("sweep", build.__name__, source))
+        return sweep(maid, build, source, targets, effectiveness)
 
     def marking(maid, d, *args):
         # Marks the decision whose pass makes the searches that follow.
@@ -431,11 +439,16 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
         return detect(maid, d, *args)
 
     def once(searches):
-        return (len(searches) == len(set(searches))
-                and sum(s[0] == "sweep" for s in searches) <= 1)
+        return len(searches) == len(set(searches))
 
-    monkeypatch.setattr(patterns, "find_path", recording)
-    monkeypatch.setattr(patterns, "_decision_free_paths", sweeping)
+    def alone(searches):
+        # The leading decision-free queries: FIRST_WITNESS direct effect.
+        return next((k for k, item in enumerate(searches) if item[0] != "query"
+                     or item[1].interior_decisions is not InteriorDecisions.FORBID_ALL),
+                    len(searches))
+
+    monkeypatch.setattr(patterns, "_find_path", recording)
+    monkeypatch.setattr(patterns, "_directed_paths", sweeping)
     for i, maid in enumerate(_shared_owner_graphs(60)):
         rng = random.Random(i)
         if detector is enumerate_patterns:
@@ -451,11 +464,18 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
                 else:
                     searches.append(item)
             for d in maid.decisions:
-                assert once(passes[d]), (i, d)
+                assert once(passes[d]) and alone(passes[d]) == 0, (i, d)
                 asked.clear()
-                decision_is_effective(maid, d, all_effective(maid))
-                # Stopping at the first witness asks a prefix of those.
-                assert asked == passes[d][:len(asked)], (i, d)
+                flags = all_effective(maid)
+                decision_is_effective(maid, d, flags)
+                # Direct effect searches one own utility at a time, in
+                # order, and stops at the first witness; the rest of the
+                # pass asks a prefix of the full pass.
+                k = alone(asked)
+                own = maid.utilities_of(maid.nodes[d].owner)
+                assert asked[:k] == [("query", decision_free_query(d, u),
+                                      tuple(sorted(flags.items()))) for u in own[:k]], (i, d)
+                assert asked[k:] == passes[d][:len(asked) - k], (i, d)
             flags = {d: rng.random() < 0.7 for d in maid.decisions}
             for d in maid.decisions:
                 asked.clear()
@@ -472,3 +492,54 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
                 asked.clear()
                 detector(maid, d, flags, DetectionMode.FIRST_WITNESS)
                 assert asked == every[:len(asked)], (i, d)
+
+
+_KIND_SETS = (*((kind,) for kind in PatternKind), tuple(PatternKind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dense=st.booleans())
+def test_detection_matches_reference_detect(seed, dense):
+    # The same instances, witnesses included, as the detection pass that
+    # searched each direct effect and each n_to_u alone: every kind alone
+    # and all four, in both modes, under random effectiveness flags.
+    rng = random.Random(seed)
+    if dense:
+        maid = helpers.with_payoffs(helpers.random_search_maid(
+            rng, max_nodes=12, min_nodes=8, density=(0.35, 0.7)), rng)
+    else:
+        maid = rng.choice(_shared_owner_graphs(60))
+    flags = rng.choice((None, {d: rng.random() < 0.7 for d in maid.decisions}))
+    for d in maid.decisions:
+        for kinds in _KIND_SETS:
+            for mode in DetectionMode:
+                assert _detect(maid, d, kinds, flags, mode) == \
+                    helpers.reference_detect(maid, d, kinds, flags, mode), (d, kinds, mode)
+
+
+def test_effectiveness_must_be_a_mapping(pa):
+    # Each escaped as an AttributeError or a TypeError, or went unchecked.
+    query = decision_free_query("P1", "U_P1")
+    path = find_path(pa, query)
+    (inst,) = direct_effect(pa, "P1")
+    calls = [
+        *(functools.partial(detector, pa, "P1", 0) for detector in ALL_DETECTORS),
+        lambda: reveal_deny(pa, "P1", 1.5),
+        lambda: decision_is_effective(pa, "P1", 0),
+        lambda: find_path(pa, query, 3),
+        lambda: check_path(pa, path, query, ["P1"]),
+        lambda: check_instance(pa, inst, "P1"),
+        lambda: identification_phase(pa, None),
+        lambda: identification_phase(pa, ["P1"]),
+    ]
+    for call in calls:
+        with pytest.raises(MaidError, match="effectiveness must be a mapping"):
+            call()
+
+
+def test_check_instance_needs_a_pattern_instance(pa):
+    # Each escaped as an AttributeError.
+    (inst,) = direct_effect(pa, "P1")
+    for junk in (None, "direct_effect", inst.key(), inst.witness_paths):
+        with pytest.raises(MaidError, match="needs a PatternInstance"):
+            check_instance(pa, junk)

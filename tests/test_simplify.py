@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from maidkit import (
     Maid,
+    MaidError,
     Node,
     NodeKind,
     ValidationError,
@@ -284,6 +285,22 @@ def test_rejects_invalid_input():
                Node.chance("b", domain=("f", "t"), parents=("a",))])
     with pytest.raises(ValidationError):
         simplify(looped)
+
+
+def test_seeds_and_rngs_raise_maid_errors(card1):
+    # One check serves a seed and an rng; each escaped as a TypeError or an
+    # AttributeError.
+    flags = all_effective(card1)
+    calls = [
+        (lambda: simplify(card1, order_seed=[1]), "seed must be an int"),
+        (lambda: simplify(card1, order_seed="1"), "seed must be an int"),
+        (lambda: retract_edges(card1, rng=0), "rng must be a random.Random"),
+        (lambda: identification_phase(card1, flags, rng=0), "rng must be a random.Random"),
+    ]
+    for call, message in calls:
+        with pytest.raises(MaidError, match=message):
+            call()
+    assert simplify(card1, order_seed=True).final == simplify(card1).final
 
 
 @settings(max_examples=40)
