@@ -253,7 +253,7 @@ class Maid:
     def _parents_map(self) -> dict[str, tuple[str, ...]]:
         # The one adjacency index: every node, with its parents that resolve
         # to nodes, ascending. The other edge indexes are derived from it.
-        return {node_id: tuple(sorted(p for p in node.parents if p in self.nodes))
+        return {node_id: _resolved_parents(self.nodes, node)
                 for node_id, node in self.nodes.items()}
 
     @cached_property
@@ -327,6 +327,11 @@ class Maid:
         return Maid(agents=self.agents, nodes=table)
 
 
+def _resolved_parents(nodes: Mapping[str, Node], node: Node) -> tuple[str, ...]:
+    """``node``'s entry in ``Maid._parents_map`` over the node table ``nodes``."""
+    return tuple(sorted(p for p in node.parents if p in nodes))
+
+
 def _require_decision(maid: Maid, node_id: str) -> Node:
     """The node ``node_id``, which must be a decision."""
     node = maid.node(node_id)
@@ -388,6 +393,9 @@ def _config_index(owner: str, parents: Sequence[str],
                   domains: Sequence[Sequence[str]], parent_values: Sequence[str]) -> int:
     """The row of ``parent_values`` in ``owner``'s table over ``parents``:
     one row per configuration of ``domains``, last parent varying fastest."""
+    if isinstance(parent_values, str) or not isinstance(parent_values, Sequence):
+        raise MaidError(f"{owner}: parent values must be a sequence of values, "
+                        f"not {parent_values!r}")
     if len(parent_values) != len(parents):
         raise MaidError(
             f"{owner}: expected {len(parents)} parent values, got {len(parent_values)}")
@@ -550,8 +558,10 @@ def convert_decision_to_chance(maid: Maid, decision_id: str) -> Maid:
         raise MaidError(f"{decision_id}: no domain")
     k = len(node.domain)
     uniform = tuple(1.0 / k for _ in range(k))
-    return maid.with_node(Node(id=node.id, kind=NodeKind.CHANCE, domain=node.domain,
-                               parents=(), cpt=uniform))
+    table = dict(maid.nodes)
+    table[node.id] = Node(id=node.id, kind=NodeKind.CHANCE, domain=node.domain,
+                          parents=(), cpt=uniform)
+    return _edited(maid, table, (node.id,), demoted=node)
 
 
 def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
@@ -568,10 +578,45 @@ def _remove_edges(maid: Maid, edges: Iterable[tuple[str, str]]) -> Maid:
     """Delete ``edges``, each the head's parent, in order, as successive
     :func:`remove_edge` calls would, in one rebuild of the node table."""
     table = dict(maid.nodes)
+    heads = []
     for tail, head in edges:
         maid.node(tail)
         table[head] = _drop_parent(maid, table[head], tail)
-    return Maid(agents=maid.agents, nodes=table)
+        heads.append(head)
+    return _edited(maid, table, heads)
+
+
+def _edited(maid: Maid, table: dict[str, Node], edited: Iterable[str],
+            demoted: Node | None = None) -> Maid:
+    """The graph over ``table``, which holds ``maid``'s nodes with new
+    parents for ``edited`` and, if given, the decision ``demoted`` now a
+    chance node. It starts with each index ``maid`` has built that these
+    edits cannot change: the node kinds and owners, adjusted for
+    ``demoted``, and the parents of every node not edited. The rest it
+    derives as a fresh graph would."""
+    new = Maid(agents=maid.agents, nodes=table)
+    built, kept = maid.__dict__, new.__dict__
+    for index in ("decisions", "_decision_set", "utilities", "chance_nodes", "_owned_map"):
+        if index in built:
+            kept[index] = built[index]
+    if "_parents_map" in built:
+        parents = kept["_parents_map"] = dict(built["_parents_map"])
+        for n in edited:
+            parents[n] = _resolved_parents(table, table[n])
+    if demoted is None:
+        return new
+    d = demoted.id
+    if "decisions" in kept:
+        kept["decisions"] = tuple(n for n in kept["decisions"] if n != d)
+    if "_decision_set" in kept:
+        kept["_decision_set"] = kept["_decision_set"] - {d}
+    if "chance_nodes" in kept:
+        kept["chance_nodes"] = tuple(sorted((*kept["chance_nodes"], d)))
+    owned = kept.get("_owned_map")
+    if owned is not None and demoted.owner in owned:
+        ds, us = owned[demoted.owner]
+        kept["_owned_map"] = {**owned, demoted.owner: (tuple(n for n in ds if n != d), us)}
+    return new
 
 
 def _drop_parent(maid: Maid, node: Node, tail: str) -> Node:

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .analysis import (
+    FORWARD,
     Path,
     _check_path,
     _directed_paths,
     _find_path,
+    _step_rule,
     back_door_query,
     decision_free_query,
     directed_effective_query,
@@ -177,10 +179,6 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
         if from_d is None:
             from_d = _directed_paths(maid, decision_free_query, d, sweep_targets, effectiveness)
             downstream = sorted((n, p) for n, p in from_d.items() if n in maid._decision_set)
-            search = functools.cache(
-                lambda build, *args: _find_path(maid, build(*args), effectiveness))
-            to_own = functools.cache(lambda n: _directed_paths(
-                maid, directed_effective_query, n, frozenset(own_utilities), effectiveness))
         if kind is PatternKind.DIRECT_EFFECT:
             out.extend(PatternInstance(kind=kind, decision=d, u=u,
                                        witness_paths=(("d_to_u", from_d[u]),))
@@ -188,6 +186,11 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
             continue
         if not downstream:
             continue
+        if search is None:
+            search = functools.cache(
+                lambda build, *args: _find_path(maid, build(*args), effectiveness))
+            to_own = functools.cache(lambda n: _directed_paths(
+                maid, directed_effective_query, n, frozenset(own_utilities), effectiveness))
         bindings = _pattern(maid, d, kind)
         for n, d_to_n in downstream:
             n_owner = maid.nodes[n].owner
@@ -211,6 +214,35 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
                             if first_only:
                                 return out
     return out
+
+
+def _direct_effects(maid: Maid) -> set[str]:
+    """The decisions for which :func:`_detect` finds a direct effect, by
+    one search per agent backward from its utilities that enters no
+    decision: each decision of the agent it reaches. Empty on a cyclic
+    graph, where detection raises; a decision whose owner is not a
+    declared agent is never among them, as detection raises there too."""
+    found: set[str] = set()
+    if len(maid._kahn_order) != len(maid.nodes):
+        return found
+    parents = maid._parents_map
+    step_ok = None
+    for own, utilities in maid._owned_map.values():
+        if not (own and utilities):
+            continue
+        if step_ok is None:  # the decision-free rule, judged at interior nodes
+            step_ok = _step_rule(maid, decision_free_query(own[0], utilities[0]), None)
+        seen = set(utilities)
+        stack = list(utilities)
+        while stack:
+            for p in parents[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    if step_ok(p, FORWARD, FORWARD):
+                        stack.append(p)
+                    elif p in own:
+                        found.add(p)
+    return found
 
 
 # -- the four detectors -------------------------------------------------------

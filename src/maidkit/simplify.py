@@ -31,7 +31,7 @@ from .core import (
     validate,
 )
 from .analysis import _reaches_any
-from .patterns import _ALL_KINDS, DetectionMode, PatternKind, _detect
+from .patterns import _ALL_KINDS, DetectionMode, PatternKind, _detect, _direct_effects
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,18 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
     parentless uniform chance node in one step, so later pattern checks in
     the same phase see a consistent graph.
 
-    A decision with a direct effect is not checked again in the phase's
-    later passes, nor in the later phases of a :func:`simplify` run:
-    demotion and retraction remove only edges into decisions, which no
-    decision-free path uses, and the flags do not bear on decision-free
-    paths.
+    The decisions with a direct effect are found up front, by one backward
+    search per agent from its utilities, and get no detection pass; nor
+    does a decision in which a detection pass finds one, in the phase's
+    later passes or in the later phases of a :func:`simplify` run, whose
+    search runs once. A direct effect stays: demotion and retraction
+    remove only edges into decisions, which no decision-free path uses, and
+    the flags do not bear on decision-free paths.
     """
     _check_effectiveness(effectiveness, optional=False)
     if rng is not None:
         _check_seed(rng, rng=True)
-    return _identify(maid, effectiveness, rng, set())
+    return _identify(maid, effectiveness, rng, _direct_effects(maid))
 
 
 def _identify(maid: Maid, effectiveness: Mapping[str, bool],
@@ -201,7 +203,7 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
     rng = random.Random(order_seed) if order_seed is not None else None
     original = maid
     eff: Mapping[str, bool] = all_effective(maid)
-    direct: set[str] = set()
+    direct = _direct_effects(maid)
     trace: list[IterationRecord] = []
     bound = len(maid.edges) + 2
     while True:

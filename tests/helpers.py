@@ -5,7 +5,9 @@ d-separation oracle built on exhaustive simple-trail enumeration, the
 exhaustive recursive witness search that ``find_path`` must agree with,
 the edge-by-edge retraction loop that ``retract_edges`` must agree with,
 the simplification loop that proves direct effects again in every phase,
-which ``simplify`` must agree with,
+which ``simplify`` must agree with, the identification phase that runs a
+detection pass on every decision it checks, which ``identification_phase``
+must agree with,
 the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
 with, the rule-at-a-time structure check that ``validate`` must agree
 with, the state-at-a-time joint-space sweep that the numeric layer's
@@ -39,9 +41,11 @@ from maidkit import (
     Path,
     PatternInstance,
     PatternKind,
+    PhaseOutcome,
     SimplificationResult,
     ValidationError,
     all_effective,
+    card_game,
     identification_phase,
     remove_edge,
     retract_edges,
@@ -62,7 +66,7 @@ from maidkit.analysis import (
     find_path,
 )
 from maidkit.core import PROB_TOL, _check_seed
-from maidkit.patterns import _pattern
+from maidkit.patterns import _ALL_KINDS, _detect, _pattern
 from maidkit.semantics import (
     MAX_ROUNDS,
     _TIE_EPS,
@@ -84,6 +88,13 @@ from maidkit.semantics import (
 
 AGENTS = ("p0", "p1", "p2", "p3")
 _DOMAIN_VALUES = ("v0", "v1", "v2")
+
+
+# One junk value of each kind a public argument can be given by mistake.
+JUNK = [("None", None), ("zero", 0), ("minus-one", -1), ("float", 1.5), ("nan", math.nan),
+        ("empty-str", ""), ("str", "xyz"), ("bytes", b"xyz"), ("tuple", ("A",)),
+        ("list", ["A"]), ("dict", {"A": 1}), ("frozenset", frozenset({"A"})),
+        ("object", object()), ("graph", card_game(1))]
 
 
 # -- reference pattern detection ------------------------------------------------
@@ -355,6 +366,42 @@ def reference_retract_edges(maid: Maid, rng: random.Random | None = None
     for p, d in removed:
         maid = remove_edge(maid, p, d)
     return maid, removed
+
+
+# The identification phase that finds every direct effect by a detection
+# pass on the decision, and in which a demotion builds the new graph with
+# all its indexes from scratch.
+def reference_identification_phase(maid: Maid, effectiveness, rng=None) -> PhaseOutcome:
+    eff = dict(effectiveness)
+    eliminated: list[str] = []
+    removed: list[tuple[str, str]] = []
+    direct: set[str] = set()
+    while True:
+        before = len(eliminated)
+        order = sorted(maid.decisions)
+        if rng is not None:
+            rng.shuffle(order)
+        for d in order:
+            if not eff.get(d, False) or d in direct:
+                continue
+            first = _detect(maid, d, _ALL_KINDS, eff, DetectionMode.FIRST_WITNESS)
+            if first:
+                if first[0].kind is PatternKind.DIRECT_EFFECT:
+                    direct.add(d)
+                continue
+            eff[d] = False
+            removed.extend((p, d) for p in maid.parents(d))
+            node = maid.nodes[d]
+            if node.domain is None:
+                raise MaidError(f"{d}: no domain")
+            k = len(node.domain)
+            maid = maid.with_node(Node(id=d, kind=NodeKind.CHANCE, domain=node.domain,
+                                       parents=(), cpt=tuple(1.0 / k for _ in range(k))))
+            eliminated.append(d)
+        if len(eliminated) == before:
+            break
+    return PhaseOutcome(maid=maid, effectiveness=eff, eliminated=tuple(eliminated),
+                        removed_edges=tuple(removed))
 
 
 # The simplification loop whose identification phases each start from an

@@ -2,14 +2,20 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import pathlib
 import os
+import random
 import re
 import subprocess
 import sys
 
 import maidkit
+from maidkit import (DetectionMode, EdgeMode, MaidError, PathQuery, all_effective, card_game,
+                     direct_effect, find_path, render_maidfile, simplify, uniform_profile)
+
+import helpers
 
 ROOT = pathlib.Path(__file__).parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -86,3 +92,86 @@ def test_readme_library_example_runs():
     done = subprocess.run([sys.executable, "-c", example], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def good_calls():
+    """Every function of ``maidkit.__all__``, with good positional arguments
+    around a good ``card_game(2)``; optional arguments are given too, so
+    that each can be given junk."""
+    g = card_game(2)
+    flags = all_effective(g)
+    profile = uniform_profile(g)
+    others = {d: rule for d, rule in profile.items() if d != "B"}
+    query = PathQuery("B", "U_B", EdgeMode.DIRECTED_ONLY)
+    assignment = {n: node.domain[0] for n, node in g.nodes.items() if not node.is_utility}
+    return {
+        "all_effective": (g,),
+        "ancestors": (g, "B"),
+        "best_response_gap": (g, profile, "b"),
+        "card_game": (2,),
+        "chance_row": (g, "J", ()),
+        "check_instance": (g, direct_effect(g, "B")[0], flags),
+        "check_path": (g, find_path(g, query), query, flags),
+        "collider_blocked": (g, "B", ("U_B",)),
+        "constant_rule": (g, "B", "H"),
+        "convert_decision_to_chance": (g, "A"),
+        "d_separated": (g, "J", "U_A", ("B",)),
+        "decision_is_effective": (g, "A", flags),
+        "descendants": (g, "J"),
+        "direct_effect": (g, "B", flags, DetectionMode.ALL),
+        "enumerate_patterns": (g, True),
+        "expected_utility": (g, profile, "a"),
+        # The pure profiles of card_game(2) itself are too many to search.
+        "find_equilibrium_small": (simplify(g).final, 0, 1e-9),
+        "find_path": (g, query, flags),
+        "fixture": ("card-game", 2),
+        "identification_phase": (g, flags, random.Random(0)),
+        "is_fully_parameterized": (g,),
+        "is_motivated_bruteforce": (g, "B", others, 1e-9),
+        "joint_probability": (g, profile, assignment),
+        "leaf_metric": (g,),
+        "manipulation": (g, "A", flags, DetectionMode.ALL),
+        "parent_configs": (g, "U_B"),
+        "parse_maidfile": (render_maidfile(g),),
+        "principal_agent": (),
+        "remove_edge": (g, "J", "A"),
+        "render_maidfile": (g,),
+        "retract_edges": (g, random.Random(0)),
+        "reveal_deny": (g, "A", flags, DetectionMode.ALL),
+        "rule_from_function": (g, "B", lambda config: config[0]),
+        "rule_from_rows": (g, "C_1", [(1.0, 0.0, 0.0)] * 3),
+        "signaling": (g, "A", flags, DetectionMode.ALL),
+        "simplify": (g, 0),
+        "strip_parameters": (g,),
+        "uniform_profile": (g,),
+        "uniform_rule": (g, "B"),
+        "utility_value": (g, "U_B", ("H", "H")),
+        "validate": (g,),
+        "verify_simplification": (g, simplify(g), 0, 1e-9),
+    }
+
+
+def test_every_public_function_returns_or_raises_maid_errors():
+    # Junk in one argument at a time. The graph argument is left out: a
+    # graph is a Maid value, and what a Maid's own constructor accepts is
+    # fuzzed by test_raw_nodes.py.
+    calls = good_calls()
+    assert set(calls) == {name for name in maidkit.__all__
+                          if inspect.isfunction(getattr(maidkit, name))}
+    escaped = []
+    for name, args in calls.items():
+        function = getattr(maidkit, name)
+        function(*args)
+        for i, arg in enumerate(args):
+            if isinstance(arg, maidkit.Maid):
+                continue
+            for junk_name, junk in helpers.JUNK:
+                try:
+                    result = function(*args[:i], junk, *args[i + 1:])
+                    if inspect.isgenerator(result):
+                        list(result)
+                except MaidError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the finding this test reports
+                    escaped.append(f"{name} argument {i} = {junk_name}: {exc!r}")
+    assert escaped == []

@@ -134,6 +134,14 @@ def test_parameter_lookups(card1):
         utility_value(card1, "U_B", ("H", "X"))
     with pytest.raises(MaidError, match="U_B: expected 2 parent values, got 1"):
         utility_value(card1, "U_B", ("H",))
+    # A string was read as its characters, and a non-sequence escaped as a
+    # TypeError.
+    for junk in ("HH", None, 5, {"B": "H", "J": "H"}, {"H"}):
+        with pytest.raises(MaidError, match="U_B: parent values must be a sequence"):
+            utility_value(card1, "U_B", junk)
+    for junk in ("", None, 0):
+        with pytest.raises(MaidError, match="J: parent values must be a sequence"):
+            chance_row(card1, "J", junk)
 
 
 def test_malformed_tables_raise_maid_errors():

@@ -1,5 +1,7 @@
 """Raw ``Node`` fuzzing: every public operation on a graph built from
-arbitrary node arguments returns a result or raises ``MaidError``."""
+arbitrary node arguments returns a result or raises ``MaidError``, and the
+shortcuts that identification and the structural edits take agree with
+the work they skip, on raw graphs as on valid ones."""
 from __future__ import annotations
 
 import dataclasses
@@ -7,10 +9,13 @@ import math
 import random
 import time
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maidkit import (
+    CyclicGraphError,
     DetectionMode,
     Maid,
     MaidError,
@@ -50,6 +55,8 @@ from maidkit import (
     utility_value,
     validate,
 )
+from maidkit.core import _remove_edges
+from maidkit.patterns import _ALL_KINDS, _detect, _direct_effects
 
 import helpers
 
@@ -191,3 +198,122 @@ def test_validate_matches_reference_on_generated_graphs(seed, value):
         broken = maid
     for m in (helpers.random_structure_maid(rng), maid, broken):
         assert validate(m) == helpers.reference_validate(m)
+
+
+# -- shortcuts against the work they skip -------------------------------------
+
+
+@st.composite
+def any_maids(draw):
+    """A raw graph (undeclared owners, utilities with children, unresolved
+    and repeated parents, cycles) or a valid random structure graph."""
+    if draw(st.booleans()):
+        return draw(raw_maids())
+    return helpers.random_structure_maid(random.Random(draw(st.integers(0, 10_000))))
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of its MaidError."""
+    try:
+        return call()
+    except MaidError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(maid=any_maids(), order_seed=st.none() | st.integers(0, 1000))
+def test_backward_pass_marks_exactly_the_direct_effects(maid, order_seed):
+    # The decisions one backward pass marks are those for which a detection
+    # pass finds a direct effect first; on a cyclic graph it marks none, and
+    # identification raises or returns what a detection pass per decision
+    # gives.
+    marked = _direct_effects(maid)
+    flags = all_effective(maid)
+    if len(maid._kahn_order) == len(maid.nodes):
+        found = set()
+        for d in maid.decisions:
+            first = _outcome(lambda: _detect(maid, d, _ALL_KINDS, flags,
+                                             DetectionMode.FIRST_WITNESS))
+            if isinstance(first, list) and first and first[0].kind is PatternKind.DIRECT_EFFECT:
+                found.add(d)
+        assert marked == found
+    else:
+        assert marked == set()
+    def order():
+        return None if order_seed is None else random.Random(order_seed)
+
+    assert _outcome(lambda: identification_phase(maid, flags, order())) == \
+        _outcome(lambda: helpers.reference_identification_phase(maid, flags, order()))
+
+
+def test_identification_on_a_cyclic_graph_raises_as_detection_does():
+    # d reaches its utility u only through the cycle a -> b -> a, so the
+    # first detection pass raises; the backward pass does not run.
+    b = ("f", "t")
+    cyclic = Maid.build(["p"], [
+        Node.decision("d", owner="p", domain=b),
+        Node.chance("a", b, parents=("d", "b")), Node.chance("b", b, parents=("a",)),
+        Node.utility("u", owner="p", parents=("d",))])
+    assert _direct_effects(cyclic) == set()
+    with pytest.raises(CyclicGraphError):
+        identification_phase(cyclic, all_effective(cyclic))
+
+
+# Every index a graph derives from its node table.
+INDEXES = ("_parents_map", "_children_map", "edges", "edge_set", "decisions", "_decision_set",
+           "utilities", "chance_nodes", "_owned_map", "_kahn_order", "_diagnostics")
+
+
+def assert_indexes_as_built_fresh(edited):
+    fresh = Maid(agents=edited.agents, nodes=dict(edited.nodes))
+    for index in INDEXES:
+        assert getattr(edited, index) == getattr(fresh, index), index
+
+
+@settings(max_examples=300)
+@given(maid=any_maids(), warm=st.booleans(), data=st.data())
+def test_edits_keep_only_indexes_they_cannot_change(maid, warm, data):
+    # An edit hands the new graph the indexes of its parent that it cannot
+    # change; each must equal what a graph built from the same nodes derives,
+    # whether the parent had built them (warm) or not, and after a second
+    # edit of the edited graph.
+    if warm:
+        for index in INDEXES:
+            getattr(maid, index)
+    resolved = [(p, n) for n, node in maid.nodes.items() for p in node.parents
+                if p in maid.nodes]  # a repeated parent once per listing
+    picked = data.draw(st.lists(st.booleans(), min_size=len(resolved),
+                                max_size=len(resolved)))
+    edits = [lambda m: _remove_edges(m, [e for e, keep in zip(resolved, picked) if keep])]
+    edits += [lambda m, d=d: convert_decision_to_chance(m, d) for d in maid.decisions]
+    for first in edits:
+        for second in (None, *edits):
+            try:
+                edited = first(maid)
+                if warm:
+                    for index in INDEXES:
+                        getattr(edited, index)
+                if second is not None:
+                    edited = second(edited)
+            except (MaidError, ValueError):  # an edge or a decision the first edit took
+                continue
+            assert_indexes_as_built_fresh(edited)
+
+
+def test_removing_one_of_a_repeated_parent_keeps_the_other():
+    # x is listed twice among d's parents: removing (x, d) once leaves one
+    # listing, as a graph built from the edited nodes has it.
+    b = ("f", "t")
+    maid = Maid.build(["p"], [
+        Node.chance("x", b), Node.chance("y", b),
+        Node(id="d", kind=NodeKind.DECISION, owner="p", domain=b,
+             parents=("x", "ghost", "y", "x")),
+        Node.utility("u", owner="p", parents=("d",))])
+    assert maid._parents_map["d"] == ("x", "x", "y")
+    once = remove_edge(maid, "x", "d")
+    assert once.nodes["d"].parents == ("ghost", "y", "x")
+    assert once._parents_map["d"] == ("x", "y")
+    assert once.edges == (("d", "u"), ("x", "d"), ("y", "d"))
+    assert_indexes_as_built_fresh(once)
+    assert_indexes_as_built_fresh(remove_edge(once, "x", "d"))
+    assert_indexes_as_built_fresh(convert_decision_to_chance(once, "d"))

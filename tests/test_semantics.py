@@ -98,6 +98,9 @@ def test_malformed_rules_raise_maid_errors(card1):
     uni = uniform_rule(card1, "B")
     with pytest.raises(MaidError, match="B: 'X' is not a value of parent 'C'"):
         uni.row_for(("H", "X"))
+    for junk in ("HH", None, 3):  # "HH" was read as ("H", "H")
+        with pytest.raises(MaidError, match="B: parent values must be a sequence"):
+            uni.row_for(junk)
     with pytest.raises(MaidError, match="B: rule rows must be a sequence"):
         DecisionRule("B", uni.parents, uni.parent_domains, uni.domain, rows=None)
     with pytest.raises(MaidError, match="B: row 0 is a NoneType"):
@@ -136,14 +139,8 @@ def test_profiles_are_structure_bound(card1):
         expected_utility(card1, {"B": uniform_rule(card1, "B")}, "b")
 
 
-# One junk value of each kind a public argument can be given by mistake.
-JUNK = [("None", None), ("zero", 0), ("minus-one", -1), ("float", 1.5), ("nan", math.nan),
-        ("empty-str", ""), ("str", "xyz"), ("bytes", b"xyz"), ("tuple", ("A",)),
-        ("list", ["A"]), ("dict", {"A": 1}), ("frozenset", frozenset({"A"})),
-        ("object", object()), ("graph", card_game(1))]
-
-
-@pytest.mark.parametrize("junk", [value for _, value in JUNK], ids=[name for name, _ in JUNK])
+@pytest.mark.parametrize("junk", [value for _, value in helpers.JUNK],
+                         ids=[name for name, _ in helpers.JUNK])
 def test_profile_arguments_raise_maid_errors(card1, junk):
     # Each escaped as a bare AttributeError or TypeError: profile.get,
     # rule.rows, set(assignment), d in others, choose(config).
