@@ -17,9 +17,9 @@ import enum
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Maid, MaidError, _check_effectiveness, _id_set, _node_set, _reach
+from .core import Maid, MaidError, _check_effectiveness, _check_maid, _id_set, _node_set, _reach
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -131,6 +131,7 @@ class PathQuery(namedtuple("PathQuery", (
 def collider_blocked(maid: Maid, b: str, w: Iterable[str]) -> bool:
     """True iff converging arrows at ``b`` block a path given ``w``: neither
     ``b`` nor any descendant of ``b`` is in ``w``, so ``b`` is not in An(w)."""
+    _check_maid(maid)
     maid.node(b)
     return b not in _reach(maid._parents_map, _node_set(maid, w, "conditioning set"))
 
@@ -140,33 +141,27 @@ def collider_blocked(maid: Maid, b: str, w: Iterable[str]) -> bool:
 
 def d_separated(maid: Maid, x: str, y: str, w: Iterable[str]) -> bool:
     """True iff there is no active trail between ``x`` and ``y`` given ``w``."""
+    _check_maid(maid)
     maid.node(x)
     maid.node(y)
     wset = _node_set(maid, w, "conditioning set")
     if x in wset or y in wset:
         raise MaidError("d-separation endpoints must not be conditioned on")
-    if x == y:
-        return False
-    return not _reaches_any(maid, x, frozenset((y,)), wset, None)
+    return not _reaches_any(maid._children_map, maid._parents_map, x, frozenset((y,)), wset)
 
 
-def _reaches_any(maid: Maid, x: str, targets: AbstractSet[str], w: AbstractSet[str],
-                 enabled: AbstractSet[tuple[str, str]] | None) -> bool:
+def _reaches_any(children: Mapping[str, Sequence[str]], parents: Mapping[str, Sequence[str]],
+                 x: str, targets: AbstractSet[str], w: AbstractSet[str]) -> bool:
     """Bayes-ball reachability from ``x`` to any of ``targets`` given ``w``
-    (Shachter 1998), crossing only ``enabled`` edges when a mask is given.
+    (Shachter 1998) over the graph whose adjacency is ``children`` and
+    ``parents``; ids absent from ``children`` have no children.
 
     A ball that enters a node of ``w`` from a parent bounces back up to its
     parents. That is how converging arrows open: the ball that passes down
     from a collider to a conditioned descendant climbs back through the
-    collider to its other parents, so no ancestor set is needed. The mask
-    is tested only on the edges the ball actually crosses, and each of the
-    2V states is visited once, so a call costs O(V + E).
+    collider to its other parents, so no ancestor set is needed. Each of
+    the 2V states is visited once, so a call costs O(V + E).
     """
-    if x in targets:
-        return True
-    children = maid._children_map
-    parents = maid._parents_map
-
     # Visits are (node, entered-from-child?) states; the ball leaves the
     # source in both directions.
     up, down = True, False
@@ -182,13 +177,9 @@ def _reaches_any(maid: Maid, x: str, targets: AbstractSet[str], w: AbstractSet[s
         # Up to the parents: through a non-conditioned node entered from a
         # child, or bouncing off a conditioned node entered from a parent.
         if (n not in w) == from_child:
-            for p in parents[n]:
-                if enabled is None or (p, n) in enabled:
-                    frontier.append((p, up))
+            frontier.extend(zip(parents[n], repeat(up)))
         if n not in w:
-            for c in children.get(n, ()):
-                if enabled is None or (n, c) in enabled:
-                    frontier.append((c, down))
+            frontier.extend(zip(children.get(n, ()), repeat(down)))
     return False
 
 
@@ -255,6 +246,7 @@ def find_path(maid: Maid, query: PathQuery,
     Raises :class:`~maidkit.core.CyclicGraphError` on a graph with a
     directed cycle, where expanding a node once would not be exact.
     """
+    _check_maid(maid)
     try:
         source = query.source
     except AttributeError:
@@ -450,6 +442,7 @@ def check_path(maid: Maid, path: Path, query: PathQuery,
     requirement, and judges every step by the same first-edge and interior
     rules :func:`find_path` searches with.
     """
+    _check_maid(maid)
     _check_effectiveness(effectiveness)
     return _check_path(maid, path, query, effectiveness)
 

@@ -101,6 +101,12 @@ def _node_set(maid: "Maid", ids: Iterable[str], what: str) -> frozenset[str]:
     return out
 
 
+def _check_maid(maid: object) -> None:
+    """``maid`` is the graph a public function was given: a :class:`Maid`."""
+    if not isinstance(maid, Maid):
+        raise MaidError(f"the graph must be a Maid, got a {type(maid).__name__}")
+
+
 def _check_seed(seed: object, rng: bool = False) -> None:
     """``seed`` is an int that seeds a run's ``random.Random``, or with
     ``rng`` that ``random.Random`` itself. ``random.Random`` would seed
@@ -342,11 +348,13 @@ def _require_decision(maid: Maid, node_id: str) -> Node:
 
 def all_effective(maid: Maid) -> dict[str, bool]:
     """Fresh effectiveness flags with every current decision set to True."""
+    _check_maid(maid)
     return {d: True for d in maid.decisions}
 
 
 def descendants(maid: Maid, x: str) -> frozenset[str]:
     """All nodes reachable from ``x`` along directed edges, including ``x``."""
+    _check_maid(maid)
     maid.node(x)
     return frozenset(_reach(maid._children_map, (x,)))
 
@@ -354,6 +362,7 @@ def descendants(maid: Maid, x: str) -> frozenset[str]:
 def ancestors(maid: Maid, x: str) -> frozenset[str]:
     """All nodes from which ``x`` is reachable along directed edges,
     including ``x``."""
+    _check_maid(maid)
     maid.node(x)
     return frozenset(_reach(maid._parents_map, (x,)))
 
@@ -386,6 +395,7 @@ def parent_domains(maid: Maid, node_id: str) -> list[tuple[str, ...]]:
 
 def parent_configs(maid: Maid, node_id: str) -> Iterator[tuple[str, ...]]:
     """All parent value combinations, last parent varying fastest."""
+    _check_maid(maid)
     return itertools.product(*parent_domains(maid, node_id))
 
 
@@ -421,6 +431,7 @@ def _table_row(maid: Maid, node: Node, flat: tuple[float, ...], width: int, what
 
 def chance_row(maid: Maid, node_id: str, parent_values: Sequence[str]) -> tuple[float, ...]:
     """The probability distribution of a chance node for one parent config."""
+    _check_maid(maid)
     node = maid.node(node_id)
     if not node.is_chance or node.cpt is None:
         raise MaidError(f"{node_id}: no probability table")
@@ -430,6 +441,7 @@ def chance_row(maid: Maid, node_id: str, parent_values: Sequence[str]) -> tuple[
 
 
 def utility_value(maid: Maid, node_id: str, parent_values: Sequence[str]) -> float:
+    _check_maid(maid)
     node = maid.node(node_id)
     if not node.is_utility or node.table is None:
         raise MaidError(f"{node_id}: no payoff table")
@@ -437,12 +449,14 @@ def utility_value(maid: Maid, node_id: str, parent_values: Sequence[str]) -> flo
 
 
 def is_fully_parameterized(maid: Maid) -> bool:
+    _check_maid(maid)
     return all(maid.nodes[n].cpt is not None for n in maid.chance_nodes) and \
         all(maid.nodes[n].table is not None for n in maid.utilities)
 
 
 def strip_parameters(maid: Maid) -> Maid:
     """Drop every probability and payoff table, keeping the structure."""
+    _check_maid(maid)
     table = {}
     for node_id, node in maid.nodes.items():
         if node.cpt is not None or node.table is not None:
@@ -464,6 +478,7 @@ def validate(maid: Maid) -> list[Diagnostic]:
     The findings are kept per graph, like its other derived indexes, so
     the checks run once however often a graph is validated; each call
     returns a fresh list."""
+    _check_maid(maid)
     return list(maid._diagnostics)
 
 
@@ -553,6 +568,7 @@ def convert_decision_to_chance(maid: Maid, decision_id: str) -> Maid:
     """Replace a decision with a parentless chance node that is uniform over
     the decision's domain. All information edges into the decision vanish;
     outgoing edges are untouched."""
+    _check_maid(maid)
     node = _require_decision(maid, decision_id)
     if node.domain is None:
         raise MaidError(f"{decision_id}: no domain")
@@ -568,6 +584,7 @@ def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
     """Delete the edge ``tail -> head``. If the head carries parameters, the
     removed axis is marginalized out by averaging over the tail's values and
     the resulting table is marked synthetic."""
+    _check_maid(maid)
     if tail not in maid.node(head).parents:
         maid.node(tail)  # an unknown tail is reported as such
         raise EdgeNotFoundError(f"no edge {tail!r} -> {head!r}")

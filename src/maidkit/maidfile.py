@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Maid, MaidError, Node, NodeKind
+from .core import Maid, MaidError, Node, NodeKind, _check_maid
 
 # One match per token: the whitespace and comments in front of it, then the
 # token's text. Every position matches something, so one findall lexes the
@@ -203,6 +203,7 @@ def render_maidfile(maid: Maid) -> str:
     Agents, node ids, parent names and domain values must lex as
     identifiers; anything else would not survive a round trip and is
     rejected up front."""
+    _check_maid(maid)
     lines: list[str] = []
     for agent in sorted(maid.agents):
         lines.append(f"agent {_require_ident(agent, 'agent')};")

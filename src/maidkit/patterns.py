@@ -37,8 +37,8 @@ from .analysis import (
     effective_query,
     front_door_query,
 )
-from .core import (Maid, MaidError, _check_effectiveness, _reach, _require_decision,
-                   all_effective, descendants)
+from .core import (Maid, MaidError, _check_effectiveness, _check_maid, _reach,
+                   _require_decision, all_effective, descendants)
 
 
 class PatternKind(enum.Enum):
@@ -248,12 +248,22 @@ def _direct_effects(maid: Maid) -> set[str]:
 # -- the four detectors -------------------------------------------------------
 
 
+def _detector(maid: Maid, d: str, kind: PatternKind,
+              effectiveness: Mapping[str, bool] | None, mode: DetectionMode
+              ) -> list[PatternInstance]:
+    """One detector's instances of ``kind``, after checking its arguments."""
+    _check_maid(maid)
+    _check_effectiveness(effectiveness)
+    if not isinstance(mode, DetectionMode):
+        raise MaidError(f"mode must be a DetectionMode, got {mode!r}")
+    return _detect(maid, d, (kind,), effectiveness, mode)
+
+
 def direct_effect(maid: Maid, d: str,
                   effectiveness: Mapping[str, bool] | None = None,
                   mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
     """One instance per own utility that ``d`` reaches decision-free."""
-    _check_effectiveness(effectiveness)
-    return _detect(maid, d, (PatternKind.DIRECT_EFFECT,), effectiveness, mode)
+    return _detector(maid, d, PatternKind.DIRECT_EFFECT, effectiveness, mode)
 
 
 def manipulation(maid: Maid, d: str,
@@ -262,8 +272,7 @@ def manipulation(maid: Maid, d: str,
     """Instances (n, u, u') where a downstream decision n carries ``d``'s
     influence to an own utility u, while ``d`` retains a route to n's
     utility u' that bypasses n (the lever it manipulates with)."""
-    _check_effectiveness(effectiveness)
-    return _detect(maid, d, (PatternKind.MANIPULATION,), effectiveness, mode)
+    return _detector(maid, d, PatternKind.MANIPULATION, effectiveness, mode)
 
 
 def signaling(maid: Maid, d: str,
@@ -277,8 +286,7 @@ def signaling(maid: Maid, d: str,
     descendants of ``d`` (what n observes anyway); the a .. u route is
     tested given the parents of ``d`` that are not descendants of a.
     """
-    _check_effectiveness(effectiveness)
-    return _detect(maid, d, (PatternKind.SIGNALING,), effectiveness, mode)
+    return _detector(maid, d, PatternKind.SIGNALING, effectiveness, mode)
 
 
 def reveal_deny(maid: Maid, d: str,
@@ -293,8 +301,7 @@ def reveal_deny(maid: Maid, d: str,
     node of any front-door path out of ``d`` is itself a descendant of
     ``d``, so no opener could then be in the blocking set.
     """
-    _check_effectiveness(effectiveness)
-    return _detect(maid, d, (PatternKind.REVEAL_DENY,), effectiveness, mode)
+    return _detector(maid, d, PatternKind.REVEAL_DENY, effectiveness, mode)
 
 
 # Every kind, cheapest first: the kinds of one full detection pass.
@@ -305,6 +312,7 @@ def decision_is_effective(maid: Maid, d: str,
                           effectiveness: Mapping[str, bool] | None = None) -> bool:
     """Does any pattern hold for ``d``? One detection pass over every
     kind, cheapest first, that stops at the first witness."""
+    _check_maid(maid)
     _check_effectiveness(effectiveness)
     return bool(_detect(maid, d, _ALL_KINDS, effectiveness, DetectionMode.FIRST_WITNESS))
 
@@ -321,6 +329,7 @@ def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
     empty instance list and a False flag. With ``original`` the detectors
     run on the input graph with every decision considered effective.
     """
+    _check_maid(maid)
     if original:
         graph, flags = maid, all_effective(maid)
     else:
@@ -352,6 +361,7 @@ def check_instance(maid: Maid, instance: PatternInstance,
     use, a u or u' that is not a utility of the right owner, n equal to the
     decision, a kind that is not a :class:`PatternKind`) is rejected.
     """
+    _check_maid(maid)
     if not isinstance(instance, PatternInstance):
         raise MaidError(f"check_instance needs a PatternInstance, got a {type(instance).__name__}")
     _check_effectiveness(effectiveness)

@@ -39,6 +39,7 @@ from .core import (
     MaidError,
     PROB_TOL,
     ValidationError,
+    _check_maid,
     _check_seed,
     _config_index,
     _require_decision,
@@ -140,6 +141,7 @@ def _table_rule(d: str, shape: _RuleShape, table: Sequence[float]) -> DecisionRu
 
 
 def uniform_rule(maid: Maid, d: str) -> DecisionRule:
+    _check_maid(maid)
     parents, pdoms, domain = _rule_shape(maid, d)
     k = len(domain)
     row = tuple(1.0 / k for _ in range(k))
@@ -147,6 +149,7 @@ def uniform_rule(maid: Maid, d: str) -> DecisionRule:
 
 
 def constant_rule(maid: Maid, d: str, action: str) -> DecisionRule:
+    _check_maid(maid)
     shape = _rule_shape(maid, d)
     _, pdoms, domain = shape
     if action not in domain:
@@ -157,6 +160,7 @@ def constant_rule(maid: Maid, d: str, action: str) -> DecisionRule:
 def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
     """Build a pure rule from a callable mapping a parent-value tuple to an
     action in the decision's domain."""
+    _check_maid(maid)
     shape = _rule_shape(maid, d)
     if not callable(choose):
         raise MaidError(f"{d}: choose must be callable, got a {type(choose).__name__}")
@@ -171,6 +175,7 @@ def rule_from_function(maid: Maid, d: str, choose) -> DecisionRule:
 
 
 def rule_from_rows(maid: Maid, d: str, rows: Iterable[Iterable[float]]) -> DecisionRule:
+    _check_maid(maid)
     parents, pdoms, domain = _rule_shape(maid, d)
     table = []
     try:
@@ -185,6 +190,7 @@ def rule_from_rows(maid: Maid, d: str, rows: Iterable[Iterable[float]]) -> Decis
 
 
 def uniform_profile(maid: Maid) -> dict[str, DecisionRule]:
+    _check_maid(maid)
     return {d: uniform_rule(maid, d) for d in maid.decisions}
 
 
@@ -343,6 +349,7 @@ class _JointSpace:
 def joint_probability(maid: Maid, profile: Mapping[str, DecisionRule],
                       assignment: Mapping[str, str]) -> float:
     """Probability of one full assignment of every chance and decision node."""
+    _check_maid(maid)
     _check_profile(maid, profile)
     space = _JointSpace(maid)
     if not isinstance(assignment, Mapping):
@@ -369,6 +376,7 @@ def joint_probability(maid: Maid, profile: Mapping[str, DecisionRule],
 def expected_utility(maid: Maid, profile: Mapping[str, DecisionRule],
                      agent: str) -> float:
     """Expected total utility of one agent under a full strategy profile."""
+    _check_maid(maid)
     tables = _check_profile(maid, profile)
     maid._owned(agent)  # raises UnknownAgentError
     return _response_cells(_JointSpace(maid), tables, (), agent).get((), 0.0)
@@ -475,6 +483,7 @@ def best_response_gap(maid: Maid, profile: Mapping[str, DecisionRule],
     """How much one agent can gain by jointly deviating all of their
     decisions to the best pure alternative. Zero (up to float noise) means
     the profile is a best response for that agent."""
+    _check_maid(maid)
     tables = _check_profile(maid, profile)
     maid._owned(agent)  # raises UnknownAgentError
     return _gap(maid, _JointSpace(maid), tables, agent)
@@ -518,6 +527,7 @@ def find_equilibrium_small(maid: Maid, seed: int = 0,
     lexicographic order. The size of the pure profile space is guarded by
     ``MAX_PURE_PROFILES``.
     """
+    _check_maid(maid)
     _check_tol(tol)
     _check_seed(seed)
     return _find_equilibrium(maid, _JointSpace(maid), seed, tol)
@@ -583,6 +593,7 @@ def is_motivated_bruteforce(maid: Maid, d: str,
     configuration distribution does not depend on d's own behavior, so
     ``others`` needs no rule for d.
     """
+    _check_maid(maid)
     _check_tol(tol)
     node = _require_decision(maid, d)
     if not isinstance(others, Mapping):
@@ -658,6 +669,7 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     best-response gap in the original game. ``result`` must be the
     simplification of ``maid``: it needs ``original`` and ``final``, and
     ``result.original == maid``."""
+    _check_maid(maid)
     _check_tol(tol)
     _check_seed(seed)
     if not (hasattr(result, "original") and hasattr(result, "final")):
@@ -701,6 +713,7 @@ class LeafMetric:
 
 
 def leaf_metric(maid: Maid) -> LeafMetric:
+    _check_maid(maid)
     per_decision: dict[str, int] = {}
     for d in maid.decisions:
         scope = {d}

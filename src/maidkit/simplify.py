@@ -23,6 +23,7 @@ from .core import (
     MaidError,
     ValidationError,
     _check_effectiveness,
+    _check_maid,
     _check_seed,
     _node_set,
     _remove_edges,
@@ -31,7 +32,7 @@ from .core import (
     validate,
 )
 from .analysis import _reaches_any
-from .patterns import _ALL_KINDS, DetectionMode, PatternKind, _detect, _direct_effects
+from .patterns import _ALL_KINDS, DetectionMode, _detect, _direct_effects
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,14 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
     the same phase see a consistent graph.
 
     The decisions with a direct effect are found up front, by one backward
-    search per agent from its utilities, and get no detection pass; nor
-    does a decision in which a detection pass finds one, in the phase's
-    later passes or in the later phases of a :func:`simplify` run, whose
-    search runs once. A direct effect stays: demotion and retraction
-    remove only edges into decisions, which no decision-free path uses, and
-    the flags do not bear on decision-free paths.
+    search per agent from its utilities, and get no detection pass; a
+    detection pass finds a direct effect for no other decision. The set
+    holds for the whole phase, and for every phase of a :func:`simplify`
+    run, whose search runs once: demotion and retraction remove only edges
+    into decisions, which no decision-free path uses, and the flags do not
+    bear on decision-free paths.
     """
+    _check_maid(maid)
     _check_effectiveness(effectiveness, optional=False)
     if rng is not None:
         _check_seed(rng, rng=True)
@@ -105,20 +107,15 @@ def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
 
 def _identify(maid: Maid, effectiveness: Mapping[str, bool],
               rng: random.Random | None, direct: set[str]) -> PhaseOutcome:
-    """:func:`identification_phase`, skipping the decisions in ``direct``,
-    to which it adds each decision it finds a direct effect for."""
+    """:func:`identification_phase`, skipping the decisions in ``direct``."""
     eff = dict(effectiveness)
     eliminated: list[str] = []
     removed: list[tuple[str, str]] = []
     while True:
         before = len(eliminated)
         for d in _ordered(maid.decisions, rng):
-            if not eff.get(d, False) or d in direct:
-                continue
-            first = _detect(maid, d, _ALL_KINDS, eff, DetectionMode.FIRST_WITNESS)
-            if first:
-                if first[0].kind is PatternKind.DIRECT_EFFECT:
-                    direct.add(d)
+            if not eff.get(d, False) or d in direct or \
+                    _detect(maid, d, _ALL_KINDS, eff, DetectionMode.FIRST_WITNESS):
                 continue
             eff[d] = False
             removed.extend((p, d) for p in maid.parents(d))
@@ -143,18 +140,29 @@ def retract_edges(maid: Maid,
     of the graph. Returns the graph and the removed edges.
 
     Each test is one Bayes-ball pass from p to all of the owner's payoff
-    nodes at once, reading the live edge mask; it needs no ancestor set.
+    nodes at once, over the enabled subgraph; it needs no ancestor set.
+    That subgraph is the graph's adjacency with a list of the enabled edges
+    for each decision's parents and each of their parents' children.
     """
+    _check_maid(maid)
     if rng is not None:
         _check_seed(rng, rng=True)
     decision_order = [n for n in maid.topological_order
                       if maid.nodes[n].is_decision]
     info_edges = [(p, d) for d in decision_order for p in maid.parents(d)]
+    if not info_edges:
+        return maid, ()
     order = list(info_edges)
     if rng is not None:
         rng.shuffle(order)
     disabled = set(info_edges)
-    enabled = set(maid.edge_set) - disabled
+    parents = dict(maid._parents_map)
+    children = dict(maid._children_map)
+    decisions = maid._decision_set
+    for p in {p for d in decision_order for p in parents[d]}:
+        children[p] = [c for c in children[p] if c not in decisions]
+    for d in decision_order:
+        parents[d] = []
     tests: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
 
     progress = True
@@ -170,9 +178,10 @@ def retract_edges(maid: Maid,
             if not targets.isdisjoint(given):
                 # Only a graph validate() rejects has a payoff node as a parent.
                 raise MaidError("d-separation endpoints must not be conditioned on")
-            if targets and _reaches_any(maid, p, targets, given, enabled):
+            if targets and _reaches_any(children, parents, p, targets, given):
                 disabled.discard((p, d))
-                enabled.add((p, d))
+                children[p].append(d)
+                parents[d].append(p)
                 progress = True
 
     removed = tuple(e for e in info_edges if e in disabled)
@@ -195,6 +204,7 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
     ``order_seed`` permutes the per-pass visiting order of decisions and
     edges; the fixed point does not depend on it.
     """
+    _check_maid(maid)
     if order_seed is not None:
         _check_seed(order_seed)
     diagnostics = validate(maid)

@@ -26,7 +26,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from maidkit import (
@@ -58,8 +58,8 @@ from maidkit.analysis import (
     FirstEdge,
     InteriorDecisions,
     PathQuery,
-    _reaches_any,
     collider_blocked,
+    d_separated,
     decision_free_paths,
     decision_free_query,
     directed_effective_query,
@@ -333,7 +333,8 @@ def reference_descendants(maid: Maid) -> dict[str, frozenset[str]]:
 def reference_retract_edges(maid: Maid, rng: random.Random | None = None
                             ) -> tuple[Maid, tuple[tuple[str, str], ...]]:
     """Retraction one d-separation test per disabled edge and payoff node,
-    each a Bayes-ball pass on a fresh copy of the edge mask, with one
+    each ``d_separated`` on an enabled graph built from scratch for the
+    test (the graph without the edges still disabled), with one
     ``remove_edge`` per removed edge: what ``retract_edges`` computes,
     without sharing work between tests."""
     decision_order = [n for n in maid.topological_order
@@ -345,7 +346,6 @@ def reference_retract_edges(maid: Maid, rng: random.Random | None = None
     if rng is not None:
         rng.shuffle(order)
     disabled = set(info_edges)
-    enabled = set(maid.edge_set) - disabled
 
     progress = True
     while progress:
@@ -353,12 +353,13 @@ def reference_retract_edges(maid: Maid, rng: random.Random | None = None
         for p, d in order:
             if (p, d) not in disabled:
                 continue
+            enabled = Maid(agents=maid.agents, nodes={
+                n: replace(node, parents=tuple(q for q in node.parents if (q, n) not in disabled))
+                for n, node in maid.nodes.items()})
             w = frozenset((d,)) | (frozenset(maid.parents(d)) - {p})
-            mask = frozenset(enabled)
             for u in maid.utilities_of(maid.nodes[d].owner):
-                if _reaches_any(maid, p, frozenset((u,)), w, mask):
+                if not d_separated(enabled, p, u, w):
                     disabled.discard((p, d))
-                    enabled.add((p, d))
                     progress = True
                     break
 

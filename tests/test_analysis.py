@@ -191,8 +191,11 @@ def test_enabled_edges_match_true_subgraph():
         x, y = rng.sample(ids, 2)
         rest = [n for n in ids if n not in (x, y)]
         w = {n for n in rest if rng.random() < 0.3}
-        # The edge mask retraction passes to the Bayes-ball pass.
-        assert (not _reaches_any(maid, x, frozenset((y,)), frozenset(w), frozenset(keep))) == \
+        # Adjacency maps of the kept edges, as retraction passes them to the
+        # Bayes-ball pass.
+        parents = {n: [p for p, c in keep if c == n] for n in ids}
+        children = {n: [c for p, c in keep if p == n] for n in ids}
+        assert (not _reaches_any(children, parents, x, frozenset((y,)), frozenset(w))) == \
             d_separated(stripped, x, y, w)
 
 

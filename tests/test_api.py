@@ -152,9 +152,10 @@ def good_calls():
 
 
 def test_every_public_function_returns_or_raises_maid_errors():
-    # Junk in one argument at a time. The graph argument is left out: a
-    # graph is a Maid value, and what a Maid's own constructor accepts is
-    # fuzzed by test_raw_nodes.py.
+    # Junk in one argument at a time, the graph argument included (what a
+    # Maid's own constructor accepts is fuzzed by test_raw_nodes.py). Junk
+    # in the graph argument or in a detector's mode must raise: only the
+    # junk graph is a Maid, and no junk value is a DetectionMode.
     calls = good_calls()
     assert set(calls) == {name for name in maidkit.__all__
                           if inspect.isfunction(getattr(maidkit, name))}
@@ -163,15 +164,17 @@ def test_every_public_function_returns_or_raises_maid_errors():
         function = getattr(maidkit, name)
         function(*args)
         for i, arg in enumerate(args):
-            if isinstance(arg, maidkit.Maid):
-                continue
+            typed = isinstance(arg, (maidkit.Maid, DetectionMode))
             for junk_name, junk in helpers.JUNK:
                 try:
                     result = function(*args[:i], junk, *args[i + 1:])
                     if inspect.isgenerator(result):
                         list(result)
                 except MaidError:
-                    pass
+                    continue
                 except Exception as exc:  # noqa: BLE001 - the finding this test reports
                     escaped.append(f"{name} argument {i} = {junk_name}: {exc!r}")
+                    continue
+                if typed and not isinstance(junk, type(arg)):
+                    escaped.append(f"{name} argument {i} = {junk_name}: returned")
     assert escaped == []

@@ -263,6 +263,46 @@ def test_retraction_matches_reference_on_fixtures(card1, pa, cascade, sig_min):
             assert_retraction_matches_reference(maid, order_seed)
 
 
+class CountingMap(dict):
+    """A copy of an adjacency map that counts the entries read through it."""
+
+    def __init__(self, adjacency, reads):
+        super().__init__(adjacency)
+        self.reads = reads
+
+    def __getitem__(self, node):
+        entry = super().__getitem__(node)
+        self.reads[0] += len(entry)
+        return entry
+
+    def get(self, node, default=None):
+        entry = super().get(node, default)
+        self.reads[0] += len(entry or ())
+        return entry
+
+
+def test_retraction_reads_linearly_many_adjacency_entries(monkeypatch):
+    # On an identified card game each ball reads only enabled edges, 2n
+    # entries in all. Balls that tested an edge mask on the full adjacency
+    # read n^2 + 4n + 1: each of the n balls from J, one per edge (J, C_k),
+    # read all of J's n + 1 children.
+    reaches_any = simplify_module._reaches_any
+    reads = [0]
+
+    def counting(children, parents, *args):
+        return reaches_any(CountingMap(children, reads), CountingMap(parents, reads), *args)
+
+    monkeypatch.setattr(simplify_module, "_reaches_any", counting)
+    counts = {}
+    for n in (100, 400):
+        game = card_game(n)
+        identified = identification_phase(game, all_effective(game)).maid
+        reads[0] = 0
+        retract_edges(identified)
+        counts[n] = reads[0]
+    assert 0 < counts[400] <= 4.5 * counts[100]
+
+
 # -- contract of the result ---------------------------------------------------------
 
 
