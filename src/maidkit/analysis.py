@@ -271,6 +271,7 @@ def decision_free_paths(maid: Maid, x: str, targets: Iterable[str]) -> dict[str,
     """For each of ``targets`` other than ``x`` that has one, the witness
     ``find_path(maid, decision_free_query(x, target))`` returns, all from
     one O(V + E) search."""
+    _check_maid(maid)
     maid.node(x)
     return _directed_paths(maid, decision_free_query, x,
                            _node_set(maid, targets, "targets") - {x}, None)

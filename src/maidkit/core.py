@@ -384,6 +384,7 @@ def _reach(adjacency: Mapping[str, Sequence[str]], roots: Iterable[str]) -> set[
 
 
 def parent_domains(maid: Maid, node_id: str) -> list[tuple[str, ...]]:
+    _check_maid(maid)
     out = []
     for p in maid.parents(node_id):
         dom = maid.node(p).domain
@@ -395,7 +396,6 @@ def parent_domains(maid: Maid, node_id: str) -> list[tuple[str, ...]]:
 
 def parent_configs(maid: Maid, node_id: str) -> Iterator[tuple[str, ...]]:
     """All parent value combinations, last parent varying fastest."""
-    _check_maid(maid)
     return itertools.product(*parent_domains(maid, node_id))
 
 
@@ -595,11 +595,11 @@ def _remove_edges(maid: Maid, edges: Iterable[tuple[str, str]]) -> Maid:
     """Delete ``edges``, each the head's parent, in order, as successive
     :func:`remove_edge` calls would, in one rebuild of the node table."""
     table = dict(maid.nodes)
-    heads = []
+    heads = set()
     for tail, head in edges:
         maid.node(tail)
         table[head] = _drop_parent(maid, table[head], tail)
-        heads.append(head)
+        heads.add(head)
     return _edited(maid, table, heads)
 
 

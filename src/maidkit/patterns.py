@@ -145,52 +145,36 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
             mode: DetectionMode) -> list[PatternInstance]:
     """Instances at ``d`` of each of ``kinds``, which come in
     :class:`PatternKind` order; in FIRST_WITNESS mode, only the first
-    instance found. Its arguments are checked; it checks acyclicity
-    itself, before its first search.
+    instance found, by a prefix of the searches ALL mode makes. Its
+    arguments are checked; it checks acyclicity itself, before its first
+    search.
 
-    Direct effect: one instance per own utility u that ``d`` reaches
-    decision-free. The other kinds bind n downstream of ``d`` (d_to_n), u
-    an own utility that n reaches (n_to_u, from one directed sweep from n),
-    u' a utility of n's owner, then the kind's witnesses; they share one
-    table in which each distinct query is built and searched once. One
-    decision-free sweep from ``d``, at first need, gives d_to_n and, in ALL
-    mode, the direct effects; in FIRST_WITNESS mode direct effect searches
-    one own utility at a time, to stop at the first witness."""
+    One decision-free sweep from ``d`` comes first. Its witnesses to own
+    utilities are the direct effects, one per own utility u that ``d``
+    reaches decision-free. The other kinds bind n downstream of ``d``
+    (d_to_n, from the same sweep), u an own utility that n reaches (n_to_u,
+    from one directed sweep from n), u' a utility of n's owner, then the
+    kind's witnesses; they share one table in which each distinct query is
+    built and searched once."""
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
-    first_only = mode is DetectionMode.FIRST_WITNESS
-    sweep_targets = frozenset()
-    if PatternKind.DIRECT_EFFECT in kinds and not first_only:
-        sweep_targets = frozenset(own_utilities)
-    if any(kind is not PatternKind.DIRECT_EFFECT for kind in kinds):
-        sweep_targets |= maid._decision_set - {d}
-    out: list[PatternInstance] = []
-    from_d = downstream = search = to_own = None
-    for kind in kinds:
-        if kind is PatternKind.DIRECT_EFFECT and first_only:
-            if own_utilities:
-                maid.topological_order  # raises CyclicGraphError
-            for u in own_utilities:
-                p = _find_path(maid, decision_free_query(d, u), effectiveness)
-                if p is not None:
-                    return [PatternInstance(kind=kind, decision=d, u=u,
-                                            witness_paths=(("d_to_u", p),))]
-            continue
-        if from_d is None:
-            from_d = _directed_paths(maid, decision_free_query, d, sweep_targets, effectiveness)
-            downstream = sorted((n, p) for n, p in from_d.items() if n in maid._decision_set)
-        if kind is PatternKind.DIRECT_EFFECT:
-            out.extend(PatternInstance(kind=kind, decision=d, u=u,
-                                       witness_paths=(("d_to_u", from_d[u]),))
-                       for u in own_utilities if u in from_d)
-            continue
-        if not downstream:
-            continue
-        if search is None:
-            search = functools.cache(
-                lambda build, *args: _find_path(maid, build(*args), effectiveness))
-            to_own = functools.cache(lambda n: _directed_paths(
-                maid, directed_effective_query, n, frozenset(own_utilities), effectiveness))
+    later_kinds = [kind for kind in kinds if kind is not PatternKind.DIRECT_EFFECT]
+    targets = maid._decision_set - {d} if later_kinds else frozenset()
+    if PatternKind.DIRECT_EFFECT in kinds:
+        targets |= frozenset(own_utilities)
+    from_d = _directed_paths(maid, decision_free_query, d, targets, effectiveness)
+    out = [PatternInstance(kind=PatternKind.DIRECT_EFFECT, decision=d, u=u,
+                           witness_paths=(("d_to_u", from_d[u]),))
+           for u in own_utilities if u in from_d]
+    if out and mode is DetectionMode.FIRST_WITNESS:
+        return out[:1]
+    downstream = sorted((n, p) for n, p in from_d.items() if n in maid._decision_set)
+    if not downstream:
+        return out
+    search = functools.cache(lambda build, *args: _find_path(maid, build(*args), effectiveness))
+    to_own = functools.cache(lambda n: _directed_paths(
+        maid, directed_effective_query, n, frozenset(own_utilities), effectiveness))
+    for kind in later_kinds:
         bindings = _pattern(maid, d, kind)
         for n, d_to_n in downstream:
             n_owner = maid.nodes[n].owner
@@ -211,7 +195,7 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
                             out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
                                                        u_prime=u_prime, a=a,
                                                        witness_paths=tuple(found)))
-                            if first_only:
+                            if mode is DetectionMode.FIRST_WITNESS:
                                 return out
     return out
 
@@ -311,7 +295,8 @@ _ALL_KINDS = tuple(PatternKind)
 def decision_is_effective(maid: Maid, d: str,
                           effectiveness: Mapping[str, bool] | None = None) -> bool:
     """Does any pattern hold for ``d``? One detection pass over every
-    kind, cheapest first, that stops at the first witness."""
+    kind, cheapest first, that stops at the first witness: the searches of
+    the full pass, up to the first instance."""
     _check_maid(maid)
     _check_effectiveness(effectiveness)
     return bool(_detect(maid, d, _ALL_KINDS, effectiveness, DetectionMode.FIRST_WITNESS))

@@ -178,3 +178,34 @@ def test_every_public_function_returns_or_raises_maid_errors():
                 if typed and not isinstance(junk, type(arg)):
                     escaped.append(f"{name} argument {i} = {junk_name}: returned")
     assert escaped == []
+
+
+def test_module_public_graph_functions_check_the_graph():
+    # Functions outside maidkit.__all__ are public too: every function of
+    # the library modules with no leading underscore whose first parameter
+    # is the graph refuses a graph that is not a Maid, whatever follows.
+    scanned, escaped = set(), []
+    for module_name in ("core", "analysis", "patterns", "simplify", "semantics", "maidfile"):
+        module = importlib.import_module(f"maidkit.{module_name}")
+        for name, function in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or function.__module__ != module.__name__:
+                continue
+            params = list(inspect.signature(function).parameters.values())
+            if not params or params[0].name != "maid":
+                continue
+            scanned.add(f"{module_name}.{name}")
+            rest = [None for p in params[1:] if p.default is p.empty]
+            for junk in (None, "x"):
+                try:
+                    result = function(junk, *rest)
+                    if inspect.isgenerator(result):
+                        list(result)
+                except MaidError:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - the finding this test reports
+                    escaped.append(f"{module_name}.{name}({junk!r}): {exc!r}")
+                    continue
+                escaped.append(f"{module_name}.{name}({junk!r}): returned")
+    assert {"core.parent_domains", "analysis.decision_free_paths"} <= scanned
+    assert escaped == []
+

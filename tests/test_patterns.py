@@ -226,13 +226,14 @@ def test_manipulation_needs_lever(cascade):
 
 
 def test_first_witness_is_prefix_of_all(pa):
-    for d in pa.decisions:
-        for detector in ALL_DETECTORS:
-            full = detector(pa, d, mode=DetectionMode.ALL)
-            first = detector(pa, d, mode=DetectionMode.FIRST_WITNESS)
-            assert len(first) <= 1
-            assert first == full[:len(first)]
-            assert bool(first) == bool(full)
+    for maid in (pa, *_shared_owner_graphs(60)):
+        for d in maid.decisions:
+            for detector in ALL_DETECTORS:
+                full = detector(maid, d, mode=DetectionMode.ALL)
+                first = detector(maid, d, mode=DetectionMode.FIRST_WITNESS)
+                assert len(first) <= 1
+                assert first == full[:len(first)]
+                assert bool(first) == bool(full)
 
 
 def test_detectors_reject_non_decisions(pa):
@@ -411,14 +412,15 @@ def _shared_owner_graphs(count):
     return out
 
 
-@pytest.mark.parametrize("detector", (manipulation, signaling, reveal_deny, enumerate_patterns))
+@pytest.mark.parametrize("detector", (direct_effect, manipulation, signaling, reveal_deny,
+                                      enumerate_patterns))
 def test_detector_calls_ask_each_query_once(monkeypatch, detector):
     # One detector call searches each distinct query once and runs each
     # directed sweep, one per (source, rule), at most once; sweeps have no
     # avoid set. So does one decision's detection pass over all four kinds,
-    # in enumerate_patterns and in decision_is_effective. In ALL mode a
-    # direct effect comes from the decision-free sweep from the decision,
-    # so no decision-free query is searched alone.
+    # in enumerate_patterns and in decision_is_effective. Direct effects
+    # come from the decision-free sweep from the decision in both modes, so
+    # stopping at the first instance asks a prefix of the full pass.
     import maidkit.patterns as patterns
 
     asked = []
@@ -438,14 +440,13 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
         asked.append(("pass", d))
         return detect(maid, d, *args)
 
-    def once(searches):
-        return len(searches) == len(set(searches))
-
-    def alone(searches):
-        # The leading decision-free queries: FIRST_WITNESS direct effect.
-        return next((k for k, item in enumerate(searches) if item[0] != "query"
-                     or item[1].interior_decisions is not InteriorDecisions.FORBID_ALL),
-                    len(searches))
+    def one_pass(d, searches):
+        # Each search at most once, led by the decision-free sweep from d,
+        # which gives every decision-free witness: none is searched alone.
+        return (len(searches) == len(set(searches))
+                and searches[0] == ("sweep", "decision_free_query", d)
+                and not any(item[0] == "query" and item[1].interior_decisions
+                            is InteriorDecisions.FORBID_ALL for item in searches))
 
     monkeypatch.setattr(patterns, "_find_path", recording)
     monkeypatch.setattr(patterns, "_directed_paths", sweeping)
@@ -464,30 +465,22 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
                 else:
                     searches.append(item)
             for d in maid.decisions:
-                assert once(passes[d]) and alone(passes[d]) == 0, (i, d)
+                assert one_pass(d, passes[d]), (i, d)
                 asked.clear()
-                flags = all_effective(maid)
-                decision_is_effective(maid, d, flags)
-                # Direct effect searches one own utility at a time, in
-                # order, and stops at the first witness; the rest of the
-                # pass asks a prefix of the full pass.
-                k = alone(asked)
-                own = maid.utilities_of(maid.nodes[d].owner)
-                assert asked[:k] == [("query", decision_free_query(d, u),
-                                      tuple(sorted(flags.items()))) for u in own[:k]], (i, d)
-                assert asked[k:] == passes[d][:len(asked) - k], (i, d)
+                decision_is_effective(maid, d, all_effective(maid))
+                assert asked == passes[d][:len(asked)], (i, d)
             flags = {d: rng.random() < 0.7 for d in maid.decisions}
             for d in maid.decisions:
                 asked.clear()
                 decision_is_effective(maid, d, flags)
-                assert once(asked), (i, d)
+                assert one_pass(d, asked), (i, d)
             continue
         for flags in (all_effective(maid), {d: rng.random() < 0.7 for d in maid.decisions}):
             for d in maid.decisions:
                 asked.clear()
                 detector(maid, d, flags, DetectionMode.ALL)
                 every = list(asked)
-                assert once(every), (i, d)
+                assert one_pass(d, every), (i, d)
                 # Stopping at the first instance asks a prefix of those.
                 asked.clear()
                 detector(maid, d, flags, DetectionMode.FIRST_WITNESS)

@@ -303,6 +303,28 @@ def test_retraction_reads_linearly_many_adjacency_entries(monkeypatch):
     assert 0 < counts[400] <= 4.5 * counts[100]
 
 
+def test_retraction_resolves_each_edited_head_once(monkeypatch):
+    # An identified card game loses B's n + 1 information edges and one
+    # into each other decision: the new graph resolves the parents of each
+    # of those heads once, not once per removed edge.
+    core_module = importlib.import_module("maidkit.core")
+    resolve = core_module._resolved_parents
+    resolved = []
+
+    def counting(nodes, node):
+        resolved.append(node.id)
+        return resolve(nodes, node)
+
+    monkeypatch.setattr(core_module, "_resolved_parents", counting)
+    for n in (10, 100):
+        game = card_game(n)
+        identified = identification_phase(game, all_effective(game)).maid
+        resolved.clear()
+        _, removed = retract_edges(identified)
+        assert len(removed) == 2 * n + 1
+        assert sorted(resolved) == sorted({head for _, head in removed})
+
+
 # -- contract of the result ---------------------------------------------------------
 
 
