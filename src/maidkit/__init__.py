@@ -43,7 +43,6 @@ from .analysis import (
     find_path,
 )
 from .patterns import (
-    DetectionMode,
     PatternInstance,
     PatternKind,
     PatternReport,
@@ -84,10 +83,10 @@ from .semantics import (
 from .maidfile import MaidParseError, parse_maidfile, render_maidfile
 from .fixtures import card_game, fixture, principal_agent
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
-    "CyclicGraphError", "DecisionRule", "DetectionMode", "Diagnostic",
+    "CyclicGraphError", "DecisionRule", "Diagnostic",
     "EdgeMode", "EdgeNotFoundError", "FirstEdge", "InteriorDecisions",
     "IterationRecord", "LeafMetric", "Maid", "MaidError", "MaidParseError",
     "Node", "NodeKind", "NotADecisionError", "Path", "PathQuery",

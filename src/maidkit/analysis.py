@@ -98,7 +98,8 @@ class PathQuery(namedtuple("PathQuery", (
 
     A query is an immutable tuple of its fields, so it hashes, compares
     and iterates as that tuple does. ``avoid`` and ``blocking_set`` may be
-    any collection of node ids; a frozenset is kept as given.
+    any collection of node ids; a frozenset is kept as given. Each rule
+    must be a member of its enum, and ``require_collider`` a bool.
     """
 
     __slots__ = ()
@@ -119,6 +120,12 @@ class PathQuery(namedtuple("PathQuery", (
             raise MaidError("path source and target must differ")
         if source in avoid or target in avoid:
             raise MaidError("avoid set must not contain the path endpoints")
+        if not (isinstance(edge_mode, EdgeMode) and isinstance(first_edge, FirstEdge)
+                and isinstance(interior_decisions, InteriorDecisions)
+                and isinstance(require_collider, bool)):
+            raise MaidError("query rules must be an EdgeMode, a FirstEdge, an InteriorDecisions "
+                            f"and a bool, got {edge_mode!r}, {first_edge!r}, "
+                            f"{interior_decisions!r}, {require_collider!r}")
         return tuple.__new__(cls, (source, target, edge_mode, first_edge, interior_decisions,
                                    avoid, blocking_set, require_collider))
 
@@ -160,13 +167,17 @@ def _reaches_any(children: Mapping[str, Sequence[str]], parents: Mapping[str, Se
     parents. That is how converging arrows open: the ball that passes down
     from a collider to a conditioned descendant climbs back through the
     collider to its other parents, so no ancestor set is needed. Each of
-    the 2V states is visited once, so a call costs O(V + E).
+    the 2V states is visited once, so a call costs O(V + E). The ball
+    leaves ``x`` in both directions whether or not ``x`` is in ``w``: a
+    ball that comes back to ``x`` can only go where it has gone.
     """
-    # Visits are (node, entered-from-child?) states; the ball leaves the
-    # source in both directions.
+    if x in targets:
+        return True
+    # Visits are (node, entered-from-child?) states.
     up, down = True, False
     seen: set[tuple[str, bool]] = set()
-    frontier: deque[tuple[str, bool]] = deque([(x, up)])
+    frontier: deque[tuple[str, bool]] = deque(chain(zip(parents[x], repeat(up)),
+                                                    zip(children.get(x, ()), repeat(down))))
     while frontier:
         n, from_child = frontier.popleft()
         if (n, from_child) in seen:

@@ -201,8 +201,8 @@ def render_maidfile(maid: Maid) -> str:
     two-space indents. Parsing the output reproduces the graph exactly.
 
     Agents, node ids, parent names and domain values must lex as
-    identifiers; anything else would not survive a round trip and is
-    rejected up front."""
+    identifiers, and each node kind must be a :class:`NodeKind`; anything
+    else would not survive a round trip and is rejected up front."""
     _check_maid(maid)
     lines: list[str] = []
     for agent in sorted(maid.agents):
@@ -215,6 +215,8 @@ def render_maidfile(maid: Maid) -> str:
         if not first:
             lines.append("")
         first = False
+        if not isinstance(node.kind, NodeKind):
+            raise MaidError(f"node {node_id!r} has kind {node.kind!r}, not a NodeKind")
         lines.append(f"{node.kind.value} {_require_ident(node.id, 'node')} {{")
         if node.owner is not None:
             lines.append(f"  agent {_require_ident(node.owner, 'agent')};")

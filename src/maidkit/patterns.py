@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .analysis import (
     FORWARD,
@@ -46,11 +46,6 @@ class PatternKind(enum.Enum):
     MANIPULATION = "manipulation"
     SIGNALING = "signaling"
     REVEAL_DENY = "reveal_deny"
-
-
-class DetectionMode(enum.Enum):
-    FIRST_WITNESS = "first_witness"
-    ALL = "all"
 
 
 @dataclass(frozen=True)
@@ -141,13 +136,12 @@ def _pattern(maid: Maid, d: str, kind: PatternKind
 
 
 def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
-            effectiveness: Mapping[str, bool] | None,
-            mode: DetectionMode) -> list[PatternInstance]:
-    """Instances at ``d`` of each of ``kinds``, which come in
-    :class:`PatternKind` order; in FIRST_WITNESS mode, only the first
-    instance found, by a prefix of the searches ALL mode makes. Its
-    arguments are checked; it checks acyclicity itself, before its first
-    search.
+            effectiveness: Mapping[str, bool] | None) -> Iterator[PatternInstance]:
+    """Yields each instance at ``d`` of each of ``kinds``, which come in
+    :class:`PatternKind` order, as the pass finds it: a caller that stops
+    at the first instance has made a prefix of the full pass's searches.
+    When first advanced, it checks its arguments, and acyclicity before
+    its first search.
 
     One decision-free sweep from ``d`` comes first. Its witnesses to own
     utilities are the direct effects, one per own utility u that ``d``
@@ -163,14 +157,12 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
     if PatternKind.DIRECT_EFFECT in kinds:
         targets |= frozenset(own_utilities)
     from_d = _directed_paths(maid, decision_free_query, d, targets, effectiveness)
-    out = [PatternInstance(kind=PatternKind.DIRECT_EFFECT, decision=d, u=u,
-                           witness_paths=(("d_to_u", from_d[u]),))
-           for u in own_utilities if u in from_d]
-    if out and mode is DetectionMode.FIRST_WITNESS:
-        return out[:1]
+    yield from (PatternInstance(kind=PatternKind.DIRECT_EFFECT, decision=d, u=u,
+                                witness_paths=(("d_to_u", from_d[u]),))
+                for u in own_utilities if u in from_d)
     downstream = sorted((n, p) for n, p in from_d.items() if n in maid._decision_set)
     if not downstream:
-        return out
+        return
     search = functools.cache(lambda build, *args: _find_path(maid, build(*args), effectiveness))
     to_own = functools.cache(lambda n: _directed_paths(
         maid, directed_effective_query, n, frozenset(own_utilities), effectiveness))
@@ -192,12 +184,9 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
                                 break
                             found.append((name, path))
                         else:
-                            out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
-                                                       u_prime=u_prime, a=a,
-                                                       witness_paths=tuple(found)))
-                            if mode is DetectionMode.FIRST_WITNESS:
-                                return out
-    return out
+                            yield PatternInstance(kind=kind, decision=d, u=u, n=n,
+                                                  u_prime=u_prime, a=a,
+                                                  witness_paths=tuple(found))
 
 
 def _direct_effects(maid: Maid) -> set[str]:
@@ -233,35 +222,29 @@ def _direct_effects(maid: Maid) -> set[str]:
 
 
 def _detector(maid: Maid, d: str, kind: PatternKind,
-              effectiveness: Mapping[str, bool] | None, mode: DetectionMode
-              ) -> list[PatternInstance]:
+              effectiveness: Mapping[str, bool] | None) -> list[PatternInstance]:
     """One detector's instances of ``kind``, after checking its arguments."""
     _check_maid(maid)
     _check_effectiveness(effectiveness)
-    if not isinstance(mode, DetectionMode):
-        raise MaidError(f"mode must be a DetectionMode, got {mode!r}")
-    return _detect(maid, d, (kind,), effectiveness, mode)
+    return list(_detect(maid, d, (kind,), effectiveness))
 
 
 def direct_effect(maid: Maid, d: str,
-                  effectiveness: Mapping[str, bool] | None = None,
-                  mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
+                  effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
     """One instance per own utility that ``d`` reaches decision-free."""
-    return _detector(maid, d, PatternKind.DIRECT_EFFECT, effectiveness, mode)
+    return _detector(maid, d, PatternKind.DIRECT_EFFECT, effectiveness)
 
 
 def manipulation(maid: Maid, d: str,
-                 effectiveness: Mapping[str, bool] | None = None,
-                 mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
+                 effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
     """Instances (n, u, u') where a downstream decision n carries ``d``'s
     influence to an own utility u, while ``d`` retains a route to n's
     utility u' that bypasses n (the lever it manipulates with)."""
-    return _detector(maid, d, PatternKind.MANIPULATION, effectiveness, mode)
+    return _detector(maid, d, PatternKind.MANIPULATION, effectiveness)
 
 
 def signaling(maid: Maid, d: str,
-              effectiveness: Mapping[str, bool] | None = None,
-              mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
+              effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
     """Instances (n, u, u', a) where an ancestor a of ``d`` carries
     information about n's utility u' that n cannot see directly, and ``d``
     sits on an active route a .. u through which revealing it pays off.
@@ -270,12 +253,11 @@ def signaling(maid: Maid, d: str,
     descendants of ``d`` (what n observes anyway); the a .. u route is
     tested given the parents of ``d`` that are not descendants of a.
     """
-    return _detector(maid, d, PatternKind.SIGNALING, effectiveness, mode)
+    return _detector(maid, d, PatternKind.SIGNALING, effectiveness)
 
 
 def reveal_deny(maid: Maid, d: str,
-                effectiveness: Mapping[str, bool] | None = None,
-                mode: DetectionMode = DetectionMode.ALL) -> list[PatternInstance]:
+                effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
     """Instances (n, u, u') where ``d`` starts a front-door path with
     converging arrows to n's utility u', so acting can open or close an
     information channel n would otherwise rely on.
@@ -285,7 +267,7 @@ def reveal_deny(maid: Maid, d: str,
     node of any front-door path out of ``d`` is itself a descendant of
     ``d``, so no opener could then be in the blocking set.
     """
-    return _detector(maid, d, PatternKind.REVEAL_DENY, effectiveness, mode)
+    return _detector(maid, d, PatternKind.REVEAL_DENY, effectiveness)
 
 
 # Every kind, cheapest first: the kinds of one full detection pass.
@@ -294,12 +276,11 @@ _ALL_KINDS = tuple(PatternKind)
 
 def decision_is_effective(maid: Maid, d: str,
                           effectiveness: Mapping[str, bool] | None = None) -> bool:
-    """Does any pattern hold for ``d``? One detection pass over every
-    kind, cheapest first, that stops at the first witness: the searches of
-    the full pass, up to the first instance."""
+    """Does any pattern hold for ``d``? The detection pass over every
+    kind, cheapest first, up to its first instance."""
     _check_maid(maid)
     _check_effectiveness(effectiveness)
-    return bool(_detect(maid, d, _ALL_KINDS, effectiveness, DetectionMode.FIRST_WITNESS))
+    return next(_detect(maid, d, _ALL_KINDS, effectiveness), None) is not None
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -327,7 +308,7 @@ def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
         if not flags.get(d, False) or not graph.nodes[d].is_decision:
             instances[d] = ()
             continue
-        instances[d] = tuple(_detect(graph, d, _ALL_KINDS, flags, DetectionMode.ALL))
+        instances[d] = tuple(_detect(graph, d, _ALL_KINDS, flags))
     return PatternReport(instances=instances, effectiveness=flags)
 
 

@@ -255,6 +255,9 @@ class _JointSpace:
                            if not maid.nodes[n].is_utility)
         self.pos = {n: i for i, n in enumerate(self.order)}
         self.domains = tuple(maid.nodes[n].domain for n in self.order)
+        if None in self.domains:  # after validate, only a node of no NodeKind has none
+            n = self.order[self.domains.index(None)]
+            raise MaidError(f"node {n!r} has kind {maid.nodes[n].kind!r}, not a NodeKind")
         self.n_states = math.prod(len(d) for d in self.domains) if self.order else 1
         if self.n_states > MAX_JOINT_STATES:
             raise ScaleGuardError(f"joint state space has {self.n_states} states "

@@ -32,7 +32,7 @@ from .core import (
     validate,
 )
 from .analysis import _reaches_any
-from .patterns import _ALL_KINDS, DetectionMode, _detect, _direct_effects
+from .patterns import _ALL_KINDS, _detect, _direct_effects
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _identify(maid: Maid, effectiveness: Mapping[str, bool],
         before = len(eliminated)
         for d in _ordered(maid.decisions, rng):
             if not eff.get(d, False) or d in direct or \
-                    _detect(maid, d, _ALL_KINDS, eff, DetectionMode.FIRST_WITNESS):
+                    next(_detect(maid, d, _ALL_KINDS, eff), None) is not None:
                 continue
             eff[d] = False
             removed.extend((p, d) for p in maid.parents(d))
@@ -163,7 +163,7 @@ def retract_edges(maid: Maid,
         children[p] = [c for c in children[p] if c not in decisions]
     for d in decision_order:
         parents[d] = []
-    tests: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+    tests: dict[str, tuple[frozenset[str], frozenset[str], frozenset[str]]] = {}
 
     progress = True
     while progress:
@@ -173,12 +173,11 @@ def retract_edges(maid: Maid,
                 continue
             if d not in tests:
                 tests[d] = _retraction_test(maid, d)
-            targets, observed = tests[d]
-            given = observed - {p}
-            if not targets.isdisjoint(given):
+            targets, observed, clash = tests[d]
+            if clash and clash != {p}:
                 # Only a graph validate() rejects has a payoff node as a parent.
                 raise MaidError("d-separation endpoints must not be conditioned on")
-            if targets and _reaches_any(children, parents, p, targets, given):
+            if targets and _reaches_any(children, parents, p, targets, observed):
                 disabled.discard((p, d))
                 children[p].append(d)
                 parents[d].append(p)
@@ -188,12 +187,15 @@ def retract_edges(maid: Maid,
     return (_remove_edges(maid, removed) if removed else maid), removed
 
 
-def _retraction_test(maid: Maid, d: str) -> tuple[frozenset[str], frozenset[str]]:
-    """The payoff nodes of ``d``'s owner, and ``d`` with its parents, which
-    must be nodes when there is a payoff node to test against."""
+def _retraction_test(maid: Maid, d: str) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """The payoff nodes of ``d``'s owner; ``d`` with its parents, which
+    must be nodes when there is a payoff node to test against; and the
+    payoff nodes among those. One set serves every edge into ``d``: the
+    ball from a parent p leaves p alike whether or not p is given."""
     targets = frozenset(maid.utilities_of(maid.nodes[d].owner))
     observed = (d, *maid.parents(d))
-    return targets, _node_set(maid, observed, "observed nodes") if targets else frozenset(observed)
+    given = _node_set(maid, observed, "observed nodes") if targets else frozenset(observed)
+    return targets, given, targets & given
 
 
 def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from maidkit import (
-    DetectionMode,
     Diagnostic,
     IterationRecord,
     Maid,
@@ -103,9 +102,10 @@ JUNK = [("None", None), ("zero", 0), ("minus-one", -1), ("float", 1.5), ("nan", 
 # the direct effects with d_to_n and n_to_u for every own utility at once:
 # direct effect searches each own utility alone, a decision-free sweep gives
 # d_to_n, and n_to_u is one query per (n, u) in the shared table. It runs
-# on the public, checking ``find_path`` and ``decision_free_paths``.
+# on the public, checking ``find_path`` and ``decision_free_paths``. With
+# ``first`` it returns at its first instance.
 def reference_detect(maid: Maid, d: str, kinds, effectiveness,
-                     mode: DetectionMode) -> list[PatternInstance]:
+                     first: bool) -> list[PatternInstance]:
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     out: list[PatternInstance] = []
     downstream = search = None
@@ -117,7 +117,7 @@ def reference_detect(maid: Maid, d: str, kinds, effectiveness,
                     continue
                 out.append(PatternInstance(kind=kind, decision=d, u=u,
                                            witness_paths=(("d_to_u", p),)))
-                if mode is DetectionMode.FIRST_WITNESS:
+                if first:
                     return out
             continue
         if downstream is None:
@@ -145,7 +145,7 @@ def reference_detect(maid: Maid, d: str, kinds, effectiveness,
                             out.append(PatternInstance(kind=kind, decision=d, u=u, n=n,
                                                        u_prime=u_prime, a=a,
                                                        witness_paths=tuple(found)))
-                            if mode is DetectionMode.FIRST_WITNESS:
+                            if first:
                                 return out
     return out
 
@@ -385,9 +385,9 @@ def reference_identification_phase(maid: Maid, effectiveness, rng=None) -> Phase
         for d in order:
             if not eff.get(d, False) or d in direct:
                 continue
-            first = _detect(maid, d, _ALL_KINDS, eff, DetectionMode.FIRST_WITNESS)
-            if first:
-                if first[0].kind is PatternKind.DIRECT_EFFECT:
+            first = next(_detect(maid, d, _ALL_KINDS, eff), None)
+            if first is not None:
+                if first.kind is PatternKind.DIRECT_EFFECT:
                     direct.add(d)
                 continue
             eff[d] = False

@@ -98,6 +98,15 @@ def test_path_query_is_a_value():
     assert query._replace(target="E") == back_door_query("A", "E", w)
     with pytest.raises(MaidError, match="must differ"):
         query._replace(target="A")
+    # A rule that is not a member of its enum, or a collider demand that is
+    # not a bool, was taken for some rule: "directed" ran the undirected
+    # search, "out" the into-source rule, and "no" demanded a collider.
+    for junk in ({"edge_mode": "directed"}, {"first_edge": "out"},
+                 {"interior_decisions": None}, {"require_collider": "no"}):
+        with pytest.raises(MaidError, match="query rules must be"):
+            PathQuery("A", "D", **junk)
+        with pytest.raises(MaidError, match="query rules must be"):
+            query._replace(**junk)
 
 
 def string_set_maid():
@@ -197,6 +206,24 @@ def test_enabled_edges_match_true_subgraph():
         children = {n: [c for p, c in keep if p == n] for n in ids}
         assert (not _reaches_any(children, parents, x, frozenset((y,)), frozenset(w))) == \
             d_separated(stripped, x, y, w)
+
+
+@given(data=st.data())
+def test_a_given_source_leaves_as_an_unobserved_one(data):
+    # Retraction gives each edge's source along with the decision's other
+    # observations: a ball leaves its source in both directions either way.
+    # On arbitrary adjacency maps, cycles included.
+    ids = [f"n{i}" for i in range(data.draw(st.integers(2, 8)))]
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20))
+    parents = {n: [a for a, b in edges if b == n] for n in ids}
+    children = {n: [b for a, b in edges if a == n] for n in ids}
+    x = data.draw(st.sampled_from(ids))
+    rest = [n for n in ids if n != x]
+    targets = frozenset(data.draw(st.sets(st.sampled_from(rest), min_size=1)))
+    w = frozenset(data.draw(st.sets(st.sampled_from(rest))))
+    assert _reaches_any(children, parents, x, targets, w | {x}) == \
+        _reaches_any(children, parents, x, targets, w)
 
 
 @given(seed=st.integers(0, 50_000))

@@ -12,8 +12,8 @@ import subprocess
 import sys
 
 import maidkit
-from maidkit import (DetectionMode, EdgeMode, MaidError, PathQuery, all_effective, card_game,
-                     direct_effect, find_path, render_maidfile, simplify, uniform_profile)
+from maidkit import (EdgeMode, MaidError, PathQuery, all_effective, card_game, direct_effect,
+                     find_path, render_maidfile, simplify, uniform_profile)
 
 import helpers
 
@@ -118,7 +118,7 @@ def good_calls():
         "d_separated": (g, "J", "U_A", ("B",)),
         "decision_is_effective": (g, "A", flags),
         "descendants": (g, "J"),
-        "direct_effect": (g, "B", flags, DetectionMode.ALL),
+        "direct_effect": (g, "B", flags),
         "enumerate_patterns": (g, True),
         "expected_utility": (g, profile, "a"),
         # The pure profiles of card_game(2) itself are too many to search.
@@ -130,17 +130,17 @@ def good_calls():
         "is_motivated_bruteforce": (g, "B", others, 1e-9),
         "joint_probability": (g, profile, assignment),
         "leaf_metric": (g,),
-        "manipulation": (g, "A", flags, DetectionMode.ALL),
+        "manipulation": (g, "A", flags),
         "parent_configs": (g, "U_B"),
         "parse_maidfile": (render_maidfile(g),),
         "principal_agent": (),
         "remove_edge": (g, "J", "A"),
         "render_maidfile": (g,),
         "retract_edges": (g, random.Random(0)),
-        "reveal_deny": (g, "A", flags, DetectionMode.ALL),
+        "reveal_deny": (g, "A", flags),
         "rule_from_function": (g, "B", lambda config: config[0]),
         "rule_from_rows": (g, "C_1", [(1.0, 0.0, 0.0)] * 3),
-        "signaling": (g, "A", flags, DetectionMode.ALL),
+        "signaling": (g, "A", flags),
         "simplify": (g, 0),
         "strip_parameters": (g,),
         "uniform_profile": (g,),
@@ -154,8 +154,7 @@ def good_calls():
 def test_every_public_function_returns_or_raises_maid_errors():
     # Junk in one argument at a time, the graph argument included (what a
     # Maid's own constructor accepts is fuzzed by test_raw_nodes.py). Junk
-    # in the graph argument or in a detector's mode must raise: only the
-    # junk graph is a Maid, and no junk value is a DetectionMode.
+    # in the graph argument must raise: only the junk graph is a Maid.
     calls = good_calls()
     assert set(calls) == {name for name in maidkit.__all__
                           if inspect.isfunction(getattr(maidkit, name))}
@@ -164,7 +163,7 @@ def test_every_public_function_returns_or_raises_maid_errors():
         function = getattr(maidkit, name)
         function(*args)
         for i, arg in enumerate(args):
-            typed = isinstance(arg, (maidkit.Maid, DetectionMode))
+            typed = isinstance(arg, maidkit.Maid)
             for junk_name, junk in helpers.JUNK:
                 try:
                     result = function(*args[:i], junk, *args[i + 1:])

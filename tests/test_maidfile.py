@@ -1,6 +1,7 @@
 """Parsing and rendering of the plain-text graph format."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -160,6 +161,13 @@ def test_render_rejects_unwritable_names():
                    nodes=[Node.chance("x", domain=("f", "t"), parents=("a-b",))])
     with pytest.raises(MaidError, match="parent 'a-b' cannot be written"):
         render_maidfile(m)
+    # A kind that is not a NodeKind has no keyword; each escaped as an
+    # AttributeError.
+    x = Node.chance("x", domain=("f", "t"), cpt=(0.5, 0.5))
+    for kind in ("chance", None, 3):
+        m = Maid(agents=frozenset({"z"}), nodes={"x": dataclasses.replace(x, kind=kind)})
+        with pytest.raises(MaidError, match=f"node 'x' has kind {kind!r}, not a NodeKind"):
+            render_maidfile(m)
 
 
 def test_render_orders_nodes_topologically(pa):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from maidkit import (
     CyclicGraphError,
-    DetectionMode,
     Maid,
     MaidError,
     Node,
@@ -226,11 +226,13 @@ def test_manipulation_needs_lever(cascade):
 
 
 def test_first_witness_is_prefix_of_all(pa):
+    # The first instance of a detection pass for one kind is the first the
+    # detector reports, and there is one exactly when it reports any.
     for maid in (pa, *_shared_owner_graphs(60)):
         for d in maid.decisions:
             for detector in ALL_DETECTORS:
-                full = detector(maid, d, mode=DetectionMode.ALL)
-                first = detector(maid, d, mode=DetectionMode.FIRST_WITNESS)
+                full = detector(maid, d)
+                first = list(islice(_detect(maid, d, (PatternKind(detector.__name__),), None), 1))
                 assert len(first) <= 1
                 assert first == full[:len(first)]
                 assert bool(first) == bool(full)
@@ -370,7 +372,7 @@ def test_effectiveness_matches_detectors(seed):
     maid = helpers.random_structure_maid(random.Random(seed))
     flags = all_effective(maid)
     for d in maid.decisions:
-        fired = any(detector(maid, d, flags, DetectionMode.ALL)
+        fired = any(detector(maid, d, flags)
                     for detector in ALL_DETECTORS)
         assert decision_is_effective(maid, d, flags) == fired
 
@@ -419,8 +421,8 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
     # directed sweep, one per (source, rule), at most once; sweeps have no
     # avoid set. So does one decision's detection pass over all four kinds,
     # in enumerate_patterns and in decision_is_effective. Direct effects
-    # come from the decision-free sweep from the decision in both modes, so
-    # stopping at the first instance asks a prefix of the full pass.
+    # come from the decision-free sweep from the decision, so stopping at
+    # the first instance asks a prefix of the full pass.
     import maidkit.patterns as patterns
 
     asked = []
@@ -478,13 +480,65 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
         for flags in (all_effective(maid), {d: rng.random() < 0.7 for d in maid.decisions}):
             for d in maid.decisions:
                 asked.clear()
-                detector(maid, d, flags, DetectionMode.ALL)
+                detector(maid, d, flags)
                 every = list(asked)
                 assert one_pass(d, every), (i, d)
                 # Stopping at the first instance asks a prefix of those.
                 asked.clear()
-                detector(maid, d, flags, DetectionMode.FIRST_WITNESS)
+                next(_detect(maid, d, (PatternKind(detector.__name__),), flags), None)
                 assert asked == every[:len(asked)], (i, d)
+
+
+def test_identification_stops_each_pass_at_its_first_instance(monkeypatch):
+    # The searches identification makes for a decision it checks are those
+    # decision_is_effective makes on the same graph and flags, a prefix of
+    # the full detection pass, and a proper prefix on some decision.
+    import importlib
+
+    import maidkit.patterns as patterns
+    simplify_module = importlib.import_module("maidkit.simplify")  # maidkit.simplify is the function
+
+    asked = []
+    search, sweep, detect = patterns._find_path, patterns._directed_paths, patterns._detect
+
+    def recording(maid, query, effectiveness):
+        asked.append(("query", query))
+        return search(maid, query, effectiveness)
+
+    def sweeping(maid, build, source, targets, effectiveness):
+        asked.append(("sweep", build.__name__, source, targets))
+        return sweep(maid, build, source, targets, effectiveness)
+
+    def marking(maid, d, kinds, effectiveness):
+        # Marks the pass, with the graph and flags it runs under.
+        asked.append(("pass", maid, d, dict(effectiveness)))
+        return detect(maid, d, kinds, effectiveness)
+
+    monkeypatch.setattr(patterns, "_find_path", recording)
+    monkeypatch.setattr(patterns, "_directed_paths", sweeping)
+    monkeypatch.setattr(simplify_module, "_detect", marking)
+    checked = cut_short = 0
+    for i, maid in enumerate(_shared_owner_graphs(60)):
+        rng = random.Random(i)
+        for flags in (all_effective(maid), {d: rng.random() < 0.7 for d in maid.decisions}):
+            asked.clear()
+            identification_phase(maid, flags)
+            passes = []
+            for item in asked:
+                if item[0] == "pass":
+                    passes.append((item[1:], []))
+                else:
+                    passes[-1][1].append(item)
+            for (graph, d, eff), searches in passes:
+                asked.clear()
+                decision_is_effective(graph, d, eff)
+                assert searches == asked, (i, d)
+                asked.clear()
+                list(detect(graph, d, patterns._ALL_KINDS, eff))
+                assert searches == asked[:len(searches)], (i, d)
+                checked += 1
+                cut_short += len(asked) > len(searches)
+    assert checked and cut_short
 
 
 _KIND_SETS = (*((kind,) for kind in PatternKind), tuple(PatternKind))
@@ -495,7 +549,8 @@ _KIND_SETS = (*((kind,) for kind in PatternKind), tuple(PatternKind))
 def test_detection_matches_reference_detect(seed, dense):
     # The same instances, witnesses included, as the detection pass that
     # searched each direct effect and each n_to_u alone: every kind alone
-    # and all four, in both modes, under random effectiveness flags.
+    # and all four, the whole pass and its first instance, under random
+    # effectiveness flags.
     rng = random.Random(seed)
     if dense:
         maid = helpers.with_payoffs(helpers.random_search_maid(
@@ -505,9 +560,10 @@ def test_detection_matches_reference_detect(seed, dense):
     flags = rng.choice((None, {d: rng.random() < 0.7 for d in maid.decisions}))
     for d in maid.decisions:
         for kinds in _KIND_SETS:
-            for mode in DetectionMode:
-                assert _detect(maid, d, kinds, flags, mode) == \
-                    helpers.reference_detect(maid, d, kinds, flags, mode), (d, kinds, mode)
+            assert list(_detect(maid, d, kinds, flags)) == \
+                helpers.reference_detect(maid, d, kinds, flags, first=False), (d, kinds)
+            assert list(islice(_detect(maid, d, kinds, flags), 1)) == \
+                helpers.reference_detect(maid, d, kinds, flags, first=True), (d, kinds)
 
 
 def test_effectiveness_must_be_a_mapping(pa):
