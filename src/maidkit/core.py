@@ -18,7 +18,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 PROB_TOL = 1e-9
 
@@ -77,20 +77,22 @@ class Diagnostic:
         return f"{where}{self.message} [{self.rule}]"
 
 
-def _not_a_string(values: Iterable, what: str, items: str) -> Iterable:
-    """``values``, a collection of ``items``. A string is refused: it would
-    iterate as its characters, each taken for one of the items."""
+def _collection(values: Iterable, what: str, items: str, collect: Callable = tuple):
+    """``values``, a collection of ``items``, through ``collect``. A string
+    is refused: it would iterate as its characters, each taken for one of
+    the items. So is what ``collect`` cannot take: a value that is not
+    iterable, or an unhashable member of a set."""
     if isinstance(values, str):
         raise MaidError(f"{what} must be a collection of {items}, not the string {values!r}")
-    return values
+    try:
+        return collect(values)
+    except TypeError:
+        raise MaidError(f"{what} must be a collection of {items}, not {values!r}") from None
 
 
 def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
     """``ids`` as a set of node ids."""
-    try:
-        return frozenset(_not_a_string(ids, what, "node ids"))
-    except TypeError:  # not iterable, or a member is unhashable
-        raise MaidError(f"{what} must be a collection of node ids, not {ids!r}") from None
+    return _collection(ids, what, "node ids", frozenset)
 
 
 def _node_set(maid: "Maid", ids: Iterable[str], what: str) -> frozenset[str]:
@@ -116,19 +118,23 @@ def _check_seed(seed: object, rng: bool = False) -> None:
         raise MaidError(f"{what}, got {seed!r}")
 
 
-def _check_effectiveness(effectiveness: object, optional: bool = True) -> None:
-    """Effectiveness flags map decision ids to bools. Where ``optional``,
-    None stands for every decision effective."""
-    if not (isinstance(effectiveness, Mapping) or optional and effectiveness is None):
+def _check_effectiveness(effectiveness: object) -> None:
+    """Effectiveness flags map decision ids to bools; None stands for every
+    decision effective."""
+    if not (effectiveness is None or isinstance(effectiveness, Mapping)):
         raise MaidError(f"effectiveness must be a mapping of decision ids to flags, "
                         f"got a {type(effectiveness).__name__}")
 
 
-def _flatten_params(values: Iterable) -> tuple[float, ...]:
-    vals = list(values)
-    if vals and isinstance(vals[0], (list, tuple)):
-        vals = [v for row in vals for v in row]
-    return tuple(float(v) for v in vals)
+def _flatten_params(values: Iterable, what: str) -> tuple[float, ...]:
+    """A parameter table, flat or as rows of numbers, as one flat tuple."""
+    vals = _collection(values, what, "numbers or rows of numbers", list)
+    try:
+        if vals and isinstance(vals[0], (list, tuple)):
+            vals = [v for row in vals for v in row]
+        return tuple(float(v) for v in vals)
+    except (TypeError, ValueError, OverflowError):  # a row or an entry that is no number
+        raise MaidError(f"{what} must hold numbers or rows of numbers, not {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -153,23 +159,23 @@ class Node:
     def chance(cls, node_id: str, domain: Sequence[str], parents: Sequence[str] = (),
                cpt: Iterable | None = None) -> "Node":
         return cls(id=node_id, kind=NodeKind.CHANCE,
-                   domain=tuple(_not_a_string(domain, "domain", "values")),
-                   parents=tuple(_not_a_string(parents, "parents", "node ids")),
-                   cpt=None if cpt is None else _flatten_params(cpt))
+                   domain=_collection(domain, "domain", "values"),
+                   parents=_collection(parents, "parents", "node ids"),
+                   cpt=None if cpt is None else _flatten_params(cpt, "cpt"))
 
     @classmethod
     def decision(cls, node_id: str, owner: str, domain: Sequence[str],
                  parents: Sequence[str] = ()) -> "Node":
         return cls(id=node_id, kind=NodeKind.DECISION, owner=owner,
-                   domain=tuple(_not_a_string(domain, "domain", "values")),
-                   parents=tuple(_not_a_string(parents, "parents", "node ids")))
+                   domain=_collection(domain, "domain", "values"),
+                   parents=_collection(parents, "parents", "node ids"))
 
     @classmethod
     def utility(cls, node_id: str, owner: str, parents: Sequence[str] = (),
                 table: Iterable | None = None) -> "Node":
         return cls(id=node_id, kind=NodeKind.UTILITY, owner=owner,
-                   parents=tuple(_not_a_string(parents, "parents", "node ids")),
-                   table=None if table is None else _flatten_params(table))
+                   parents=_collection(parents, "parents", "node ids"),
+                   table=None if table is None else _flatten_params(table, "table"))
 
     @property
     def is_chance(self) -> bool:
@@ -182,6 +188,16 @@ class Node:
     @property
     def is_utility(self) -> bool:
         return self.kind is NodeKind.UTILITY
+
+
+class _KindIndex(NamedTuple):
+    """A graph's nodes by kind, ascending, and each agent's own (decisions,
+    utilities)."""
+    decisions: tuple[str, ...]
+    decision_set: frozenset[str]
+    utilities: tuple[str, ...]
+    chance_nodes: tuple[str, ...]
+    owned: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
@@ -199,11 +215,13 @@ class Maid:
     @classmethod
     def build(cls, agents: Iterable[str], nodes: Iterable[Node]) -> "Maid":
         table: dict[str, Node] = {}
-        for node in nodes:
+        for node in _collection(nodes, "nodes", "Nodes"):
+            if not isinstance(node, Node):
+                raise MaidError(f"nodes must be Nodes, got a {type(node).__name__}")
             if node.id in table:
                 raise MaidError(f"duplicate node id: {node.id!r}")
             table[node.id] = node
-        return cls(agents=frozenset(_not_a_string(agents, "agents", "agent names")), nodes=table)
+        return cls(agents=_collection(agents, "agents", "agent names", frozenset), nodes=table)
 
     def __repr__(self) -> str:
         return (f"Maid(agents={sorted(self.agents)}, nodes={len(self.nodes)}, "
@@ -245,17 +263,6 @@ class Maid:
     # -- derived structure ----------------------------------------------
 
     @cached_property
-    def _owned_map(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-        # Every agent, with the decisions and the utilities they own, ascending.
-        acc: dict[str, tuple[list[str], list[str]]] = {a: ([], []) for a in self.agents}
-        for side, ids in enumerate((self.decisions, self.utilities)):
-            for n in ids:
-                owned = acc.get(self.nodes[n].owner)
-                if owned is not None:
-                    owned[side].append(n)
-        return {a: (tuple(ds), tuple(us)) for a, (ds, us) in acc.items()}
-
-    @cached_property
     def _parents_map(self) -> dict[str, tuple[str, ...]]:
         # The one adjacency index: every node, with its parents that resolve
         # to nodes, ascending. The other edge indexes are derived from it.
@@ -280,20 +287,31 @@ class Maid:
         return frozenset(self.edges)
 
     @cached_property
-    def decisions(self) -> tuple[str, ...]:
-        return tuple(sorted(n for n, nd in self.nodes.items() if nd.is_decision))
+    def _kinds(self) -> _KindIndex:
+        # One pass over the nodes in id order, comparing kinds by identity:
+        # a node of no NodeKind is in no list, and only agents own nodes.
+        chance, decision, utility = NodeKind.CHANCE, NodeKind.DECISION, NodeKind.UTILITY
+        ds, us, cs = [], [], []
+        owned: dict[str, tuple[list[str], list[str]]] = {a: ([], []) for a in self.agents}
+        for n in sorted(self.nodes):
+            node = self.nodes[n]
+            kind = node.kind
+            if kind is chance:
+                cs.append(n)
+            elif kind is decision or kind is utility:
+                (ds if kind is decision else us).append(n)
+                try:
+                    owned[node.owner][kind is utility].append(n)
+                except (KeyError, TypeError):  # an undeclared or unhashable owner
+                    pass
+        return _KindIndex(tuple(ds), frozenset(ds), tuple(us), tuple(cs),
+                          {a: (tuple(d), tuple(u)) for a, (d, u) in owned.items()})
 
-    @cached_property
-    def _decision_set(self) -> frozenset[str]:
-        return frozenset(self.decisions)
-
-    @cached_property
-    def utilities(self) -> tuple[str, ...]:
-        return tuple(sorted(n for n, nd in self.nodes.items() if nd.is_utility))
-
-    @cached_property
-    def chance_nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(n for n, nd in self.nodes.items() if nd.is_chance))
+    decisions = property(lambda self: self._kinds.decisions)
+    _decision_set = property(lambda self: self._kinds.decision_set)
+    utilities = property(lambda self: self._kinds.utilities)
+    chance_nodes = property(lambda self: self._kinds.chance_nodes)
+    _owned_map = property(lambda self: self._kinds.owned)
 
     @cached_property
     def _kahn_order(self) -> tuple[str, ...]:
@@ -499,9 +517,13 @@ def _check_structure(maid: Maid) -> list[Diagnostic]:
         if node.id != node_id:
             add("node-id", f"node keyed as {node_id!r} reports id {node.id!r}")
 
-        if owner is None and (kind is decision or kind is utility):
+        # A node of no NodeKind gets one finding and none of the rules
+        # that depend on its kind.
+        if kind is not chance and kind is not decision and kind is not utility:
+            add("node-kind", f"kind {kind!r} is not a NodeKind")
+        elif owner is None and kind is not chance:
             add("owner-required", f"{kind.value} node has no owning agent")
-        elif owner is not None and kind is not decision and kind is not utility:
+        elif owner is not None and kind is chance:
             add("owner-forbidden", "chance node must not have an owner")
         if owner is not None and owner not in agents:
             add("owner-declared", f"owner {owner!r} is not a declared agent")
@@ -511,7 +533,7 @@ def _check_structure(maid: Maid) -> list[Diagnostic]:
                 add("domain-size", "domain must list at least two values")
             elif len(set(domain)) != len(domain):
                 add("domain-distinct", "domain values must be distinct")
-        elif domain is not None:
+        elif domain is not None and kind is utility:
             add("domain-forbidden", "utility node must not declare a domain")
 
         if len(set(parents)) != len(parents):
@@ -575,9 +597,9 @@ def convert_decision_to_chance(maid: Maid, decision_id: str) -> Maid:
     k = len(node.domain)
     uniform = tuple(1.0 / k for _ in range(k))
     table = dict(maid.nodes)
-    table[node.id] = Node(id=node.id, kind=NodeKind.CHANCE, domain=node.domain,
-                          parents=(), cpt=uniform)
-    return _edited(maid, table, (node.id,), demoted=node)
+    table[decision_id] = Node(id=node.id, kind=NodeKind.CHANCE, domain=node.domain,
+                              parents=(), cpt=uniform)
+    return _edited(maid, table, (decision_id,), demoted=decision_id)
 
 
 def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
@@ -604,72 +626,59 @@ def _remove_edges(maid: Maid, edges: Iterable[tuple[str, str]]) -> Maid:
 
 
 def _edited(maid: Maid, table: dict[str, Node], edited: Iterable[str],
-            demoted: Node | None = None) -> Maid:
+            demoted: str | None = None) -> Maid:
     """The graph over ``table``, which holds ``maid``'s nodes with new
-    parents for ``edited`` and, if given, the decision ``demoted`` now a
-    chance node. It starts with each index ``maid`` has built that these
-    edits cannot change: the node kinds and owners, adjusted for
-    ``demoted``, and the parents of every node not edited. The rest it
-    derives as a fresh graph would."""
+    parents for ``edited`` and, if given, the decision keyed ``demoted``
+    now a chance node. It starts with each index ``maid`` has built that
+    these edits cannot change: the kind index, in which ``demoted`` moves
+    from the decisions, its owner's included, to the chance nodes, and the
+    parents of every node not edited. The rest it derives as a fresh graph
+    would."""
     new = Maid(agents=maid.agents, nodes=table)
     built, kept = maid.__dict__, new.__dict__
-    for index in ("decisions", "_decision_set", "utilities", "chance_nodes", "_owned_map"):
-        if index in built:
-            kept[index] = built[index]
+    kinds = built.get("_kinds")
+    if kinds is not None:
+        if demoted is not None:
+            def others(ids: tuple[str, ...]) -> tuple[str, ...]:
+                return tuple(n for n in ids if n != demoted)
+            kinds = _KindIndex(others(kinds.decisions), kinds.decision_set - {demoted},
+                               kinds.utilities, tuple(sorted((*kinds.chance_nodes, demoted))),
+                               {a: (others(ds), us) for a, (ds, us) in kinds.owned.items()})
+        kept["_kinds"] = kinds
     if "_parents_map" in built:
         parents = kept["_parents_map"] = dict(built["_parents_map"])
         for n in edited:
             parents[n] = _resolved_parents(table, table[n])
-    if demoted is None:
-        return new
-    d = demoted.id
-    if "decisions" in kept:
-        kept["decisions"] = tuple(n for n in kept["decisions"] if n != d)
-    if "_decision_set" in kept:
-        kept["_decision_set"] = kept["_decision_set"] - {d}
-    if "chance_nodes" in kept:
-        kept["chance_nodes"] = tuple(sorted((*kept["chance_nodes"], d)))
-    owned = kept.get("_owned_map")
-    if owned is not None and demoted.owner in owned:
-        ds, us = owned[demoted.owner]
-        kept["_owned_map"] = {**owned, demoted.owner: (tuple(n for n in ds if n != d), us)}
     return new
 
 
 def _drop_parent(maid: Maid, node: Node, tail: str) -> Node:
-    """``node`` without its first parent ``tail``, tables marginalized as
-    :func:`remove_edge` describes. Parent domains are read from ``maid``;
-    removing edges never changes a domain."""
+    """``node`` without its first parent ``tail``, each table marginalized
+    as :func:`remove_edge` describes. Parent domains are read from
+    ``maid``; removing edges never changes a domain."""
     removed_at = node.parents.index(tail)
     new_parents = node.parents[:removed_at] + node.parents[removed_at + 1:]
 
     cpt, table, synthetic = node.cpt, node.table, node.synthetic_params
     if cpt is not None or table is not None:
         domains = [maid.node(p).domain for p in node.parents]
-        if not all(domains) or (cpt is not None and node.domain is None):
-            cpt = table = None  # cannot average without non-empty domains
-        else:
-            sizes = [len(dom) for dom in domains]
-            width = len(node.domain) if cpt is not None else 1
-            flat = cpt if cpt is not None else table
-            expected = math.prod(sizes) * width
-            if len(flat) != expected:
-                cpt = table = None  # malformed table: invalidate rather than guess
-            else:
-                merged = _marginalize(flat, sizes, removed_at, width)
-                if node.cpt is not None:
-                    cpt = merged
-                else:
-                    table = merged
+        sizes = [len(dom) for dom in domains] if all(domains) else None
+        width = None if node.domain is None else len(node.domain)  # of a cpt row
+        cpt = _marginalize(cpt, sizes, removed_at, width)
+        table = _marginalize(table, sizes, removed_at, 1)
         synthetic = True
     return Node(id=node.id, kind=node.kind, owner=node.owner, domain=node.domain,
                 parents=new_parents, cpt=cpt, table=table, synthetic_params=synthetic)
 
 
-def _marginalize(flat: tuple[float, ...], sizes: list[int], axis: int,
-                 width: int) -> tuple[float, ...]:
-    """``flat`` with parent ``axis`` averaged out: each block of the table
-    holds one run per value of that parent, summed in value order."""
+def _marginalize(flat: tuple[float, ...] | None, sizes: list[int] | None, axis: int,
+                 width: int | None) -> tuple[float, ...] | None:
+    """``flat``, ``width`` entries per row of parents of ``sizes`` values,
+    with parent ``axis`` averaged out: each block holds one run per value
+    of that parent, summed in value order. None, rather than a guess, if
+    there is no table, no ``sizes`` or ``width``, or a table's length is off."""
+    if flat is None or sizes is None or width is None or len(flat) != math.prod(sizes) * width:
+        return None
     n = sizes[axis]
     run = math.prod(sizes[axis + 1:]) * width
     out: list[float] = []

@@ -38,7 +38,7 @@ from .analysis import (
     front_door_query,
 )
 from .core import (Maid, MaidError, _check_effectiveness, _check_maid, _reach,
-                   _require_decision, all_effective, descendants)
+                   _require_decision, descendants)
 
 
 class PatternKind(enum.Enum):
@@ -291,24 +291,18 @@ def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
 
     By default the graph is first simplified to a fixpoint and detectors
     run on the result, so the report reflects patterns that survive
-    elimination and pruning; decisions eliminated along the way get an
-    empty instance list and a False flag. With ``original`` the detectors
-    run on the input graph with every decision considered effective.
+    elimination and pruning; decisions eliminated along the way, chance
+    nodes of the simplified graph, get an empty instance list and a False
+    flag. With ``original`` the detectors run on the input graph. Either
+    way every remaining decision is effective.
     """
     _check_maid(maid)
-    if original:
-        graph, flags = maid, all_effective(maid)
-    else:
-        from .simplify import simplify
+    from .simplify import simplify  # which imports this module
 
-        result = simplify(maid)
-        graph, flags = result.final, dict(result.effectiveness)
-    instances: dict[str, tuple[PatternInstance, ...]] = {}
-    for d in maid.decisions:
-        if not flags.get(d, False) or not graph.nodes[d].is_decision:
-            instances[d] = ()
-            continue
-        instances[d] = tuple(_detect(graph, d, _ALL_KINDS, flags))
+    graph = maid if original else simplify(maid).final
+    flags = {d: graph.nodes[d].is_decision for d in maid.decisions}
+    instances = {d: tuple(_detect(graph, d, _ALL_KINDS, None)) if flags[d] else ()
+                 for d in maid.decisions}
     return PatternReport(instances=instances, effectiveness=flags)
 
 

@@ -79,7 +79,10 @@ class DecisionRule:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        expected = math.prod(len(d) for d in self.parent_domains)
+        try:  # a domain, or a parent domain, with no length
+            expected, width = math.prod(len(d) for d in self.parent_domains), len(self.domain)
+        except TypeError:
+            raise MaidError(f"{self.decision}: domains must be sequences of values") from None
         if not isinstance(self.rows, Sequence):
             raise MaidError(f"{self.decision}: rule rows must be a sequence, "
                             f"got {type(self.rows).__name__}")
@@ -90,9 +93,9 @@ class DecisionRule:
             if not isinstance(row, Sequence):
                 raise MaidError(f"{self.decision}: row {i} is a "
                                 f"{type(row).__name__}, not a sequence")
-            if len(row) != len(self.domain):
+            if len(row) != width:
                 raise MaidError(f"{self.decision}: row {i} has {len(row)} entries, "
-                                f"expected {len(self.domain)}")
+                                f"expected {width}")
             # Written so that NaN fails both comparisons; entries that are
             # not numbers fail with a TypeError.
             try:
@@ -255,9 +258,6 @@ class _JointSpace:
                            if not maid.nodes[n].is_utility)
         self.pos = {n: i for i, n in enumerate(self.order)}
         self.domains = tuple(maid.nodes[n].domain for n in self.order)
-        if None in self.domains:  # after validate, only a node of no NodeKind has none
-            n = self.order[self.domains.index(None)]
-            raise MaidError(f"node {n!r} has kind {maid.nodes[n].kind!r}, not a NodeKind")
         self.n_states = math.prod(len(d) for d in self.domains) if self.order else 1
         if self.n_states > MAX_JOINT_STATES:
             raise ScaleGuardError(f"joint state space has {self.n_states} states "

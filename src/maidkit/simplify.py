@@ -22,12 +22,10 @@ from .core import (
     Maid,
     MaidError,
     ValidationError,
-    _check_effectiveness,
     _check_maid,
     _check_seed,
     _node_set,
     _remove_edges,
-    all_effective,
     convert_decision_to_chance,
     validate,
 )
@@ -37,8 +35,9 @@ from .patterns import _ALL_KINDS, _detect, _direct_effects
 
 @dataclass(frozen=True)
 class PhaseOutcome:
-    """Result of one identification phase: the (possibly reduced) graph, the
-    updated participation flags, and what was demoted along the way."""
+    """Result of one identification phase: the (possibly reduced) graph, a
+    flag per decision of the input graph, True unless it was demoted to a
+    chance node, and what was demoted along the way."""
 
     maid: Maid
     effectiveness: Mapping[str, bool]
@@ -59,7 +58,7 @@ class SimplificationResult:
     """Full account of a simplification run.
 
     ``effectiveness`` keeps one flag for every decision of the original
-    graph; eliminated decisions stay in the mapping with a False flag.
+    graph, False for an eliminated one, a chance node of ``final``.
     ``removed_edges`` lists edges in removal order: the incoming edges of
     each demoted decision, then the pruned information edges, iteration by
     iteration.
@@ -81,50 +80,45 @@ def _ordered(items: Sequence[str], rng: random.Random | None) -> list[str]:
     return out
 
 
-def identification_phase(maid: Maid, effectiveness: Mapping[str, bool],
-                         rng: random.Random | None = None) -> PhaseOutcome:
+def identification_phase(maid: Maid, rng: random.Random | None = None) -> PhaseOutcome:
     """Repeatedly demote pattern-free decisions until a full pass over the
     remaining decisions demotes nothing.
 
-    A demotion clears the decision's flag and converts the node to a
-    parentless uniform chance node in one step, so later pattern checks in
-    the same phase see a consistent graph.
+    A demoted decision is a parentless uniform chance node from then on, so
+    every detection pass runs with each remaining decision effective, and
+    the outcome's flags say which decisions of ``maid`` were not demoted.
 
     The decisions with a direct effect are found up front, by one backward
     search per agent from its utilities, and get no detection pass; a
     detection pass finds a direct effect for no other decision. The set
     holds for the whole phase, and for every phase of a :func:`simplify`
     run, whose search runs once: demotion and retraction remove only edges
-    into decisions, which no decision-free path uses, and the flags do not
-    bear on decision-free paths.
+    into decisions, which no decision-free path uses.
     """
     _check_maid(maid)
-    _check_effectiveness(effectiveness, optional=False)
     if rng is not None:
         _check_seed(rng, rng=True)
-    return _identify(maid, effectiveness, rng, _direct_effects(maid))
+    return _identify(maid, rng, _direct_effects(maid))
 
 
-def _identify(maid: Maid, effectiveness: Mapping[str, bool],
-              rng: random.Random | None, direct: set[str]) -> PhaseOutcome:
+def _identify(maid: Maid, rng: random.Random | None, direct: set[str]) -> PhaseOutcome:
     """:func:`identification_phase`, skipping the decisions in ``direct``."""
-    eff = dict(effectiveness)
+    decisions = maid.decisions
     eliminated: list[str] = []
     removed: list[tuple[str, str]] = []
     while True:
         before = len(eliminated)
         for d in _ordered(maid.decisions, rng):
-            if not eff.get(d, False) or d in direct or \
-                    next(_detect(maid, d, _ALL_KINDS, eff), None) is not None:
+            if d in direct or next(_detect(maid, d, _ALL_KINDS, None), None) is not None:
                 continue
-            eff[d] = False
             removed.extend((p, d) for p in maid.parents(d))
             maid = convert_decision_to_chance(maid, d)
             eliminated.append(d)
         if len(eliminated) == before:
             break
-    return PhaseOutcome(maid=maid, effectiveness=eff, eliminated=tuple(eliminated),
-                        removed_edges=tuple(removed))
+    return PhaseOutcome(maid=maid,
+                        effectiveness={d: maid.nodes[d].is_decision for d in decisions},
+                        eliminated=tuple(eliminated), removed_edges=tuple(removed))
 
 
 def retract_edges(maid: Maid,
@@ -214,7 +208,6 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
         raise ValidationError(diagnostics)
     rng = random.Random(order_seed) if order_seed is not None else None
     original = maid
-    eff: Mapping[str, bool] = all_effective(maid)
     direct = _direct_effects(maid)
     trace: list[IterationRecord] = []
     bound = len(maid.edges) + 2
@@ -222,8 +215,7 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
         if len(trace) == bound:
             raise MaidError("simplification did not reach a fixed point within "
                             "the structural bound")
-        phase = _identify(maid, eff, rng, direct)
-        eff = phase.effectiveness
+        phase = _identify(maid, rng, direct)
         maid, pruned = retract_edges(phase.maid, rng=rng)
         trace.append(IterationRecord(index=len(trace) + 1, eliminated=phase.eliminated,
                                      conversion_removed_edges=phase.removed_edges,
@@ -235,4 +227,5 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
         eliminated=tuple(d for rec in trace for d in rec.eliminated),
         removed_edges=tuple(e for rec in trace
                             for e in rec.conversion_removed_edges + rec.pruned_edges),
-        effectiveness=eff, iterations=len(trace), trace=tuple(trace))
+        effectiveness={d: maid.nodes[d].is_decision for d in original.decisions},
+        iterations=len(trace), trace=tuple(trace))

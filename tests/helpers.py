@@ -431,9 +431,9 @@ def reference_simplify(maid: Maid, order_seed: int | None = None) -> Simplificat
         if iterations > bound:
             raise MaidError("simplification did not reach a fixed point within "
                             "the structural bound")
-        phase = identification_phase(maid, eff, rng=rng)
+        phase = identification_phase(maid, rng=rng)
         maid = phase.maid
-        eff = dict(phase.effectiveness)
+        eff.update((d, False) for d in phase.eliminated)
         maid, pruned = retract_edges(maid, rng=rng)
         trace.append(IterationRecord(index=iterations, eliminated=phase.eliminated,
                                      conversion_removed_edges=phase.removed_edges,
@@ -703,10 +703,13 @@ def reference_validate(maid: Maid) -> list[Diagnostic]:
         if node.id != node_id:
             out.append(Diagnostic(node_id, "node-id", f"node keyed as {node_id!r} reports id {node.id!r}"))
 
+        known = any(node.kind is kind for kind in NodeKind)
+        if not known:
+            out.append(Diagnostic(node_id, "node-kind", f"kind {node.kind!r} is not a NodeKind"))
         needs_owner = node.kind in (NodeKind.DECISION, NodeKind.UTILITY)
-        if needs_owner and node.owner is None:
+        if known and needs_owner and node.owner is None:
             out.append(Diagnostic(node_id, "owner-required", f"{node.kind.value} node has no owning agent"))
-        if not needs_owner and node.owner is not None:
+        if known and not needs_owner and node.owner is not None:
             out.append(Diagnostic(node_id, "owner-forbidden", "chance node must not have an owner"))
         if node.owner is not None and node.owner not in maid.agents:
             out.append(Diagnostic(node_id, "owner-declared", f"owner {node.owner!r} is not a declared agent"))
@@ -717,7 +720,7 @@ def reference_validate(maid: Maid) -> list[Diagnostic]:
                 out.append(Diagnostic(node_id, "domain-size", "domain must list at least two values"))
             elif len(set(node.domain)) != len(node.domain):
                 out.append(Diagnostic(node_id, "domain-distinct", "domain values must be distinct"))
-        elif node.domain is not None:
+        elif node.domain is not None and node.is_utility:
             out.append(Diagnostic(node_id, "domain-forbidden", "utility node must not declare a domain"))
 
         if len(set(node.parents)) != len(node.parents):

@@ -12,8 +12,9 @@ import subprocess
 import sys
 
 import maidkit
-from maidkit import (EdgeMode, MaidError, PathQuery, all_effective, card_game, direct_effect,
-                     find_path, render_maidfile, simplify, uniform_profile)
+from maidkit import (DecisionRule, EdgeMode, Maid, MaidError, Node, PathQuery, all_effective,
+                     card_game, direct_effect, find_path, render_maidfile, simplify,
+                     uniform_profile)
 
 import helpers
 
@@ -125,7 +126,7 @@ def good_calls():
         "find_equilibrium_small": (simplify(g).final, 0, 1e-9),
         "find_path": (g, query, flags),
         "fixture": ("card-game", 2),
-        "identification_phase": (g, flags, random.Random(0)),
+        "identification_phase": (g, random.Random(0)),
         "is_fully_parameterized": (g,),
         "is_motivated_bruteforce": (g, "B", others, 1e-9),
         "joint_probability": (g, profile, assignment),
@@ -151,16 +152,29 @@ def good_calls():
     }
 
 
+def good_constructions():
+    """The public constructors that read their arguments, each with good
+    positional arguments, optional ones included."""
+    b = ("f", "t")
+    return {
+        "Node.chance": (Node.chance, ("x", b, ("y",), [[0.5, 0.5], [0.5, 0.5]])),
+        "Node.decision": (Node.decision, ("d", "a", b, ("x",))),
+        "Node.utility": (Node.utility, ("u", "a", ("d",), [1.0, 2.0])),
+        "Maid.build": (Maid.build, (["a"], [Node.chance("x", b)])),
+        "DecisionRule": (DecisionRule, ("d", ("x",), (b,), b, ((1.0, 0.0), (0.0, 1.0)))),
+    }
+
+
 def test_every_public_function_returns_or_raises_maid_errors():
     # Junk in one argument at a time, the graph argument included (what a
-    # Maid's own constructor accepts is fuzzed by test_raw_nodes.py). Junk
-    # in the graph argument must raise: only the junk graph is a Maid.
-    calls = good_calls()
+    # Maid's own constructor accepts is fuzzed by test_raw_nodes.py), and
+    # in each argument of the constructors that read theirs. Junk in the
+    # graph argument must raise: only the junk graph is a Maid.
+    calls = {name: (getattr(maidkit, name), args) for name, args in good_calls().items()}
     assert set(calls) == {name for name in maidkit.__all__
                           if inspect.isfunction(getattr(maidkit, name))}
     escaped = []
-    for name, args in calls.items():
-        function = getattr(maidkit, name)
+    for name, (function, args) in {**calls, **good_constructions()}.items():
         function(*args)
         for i, arg in enumerate(args):
             typed = isinstance(arg, maidkit.Maid)

@@ -1,4 +1,5 @@
 """Graph model: construction, derived structure, validation, edits."""
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from maidkit import (
     CyclicGraphError,
+    Diagnostic,
     Maid,
     MaidError,
     Node,
@@ -235,6 +237,28 @@ def test_validate_domain_rules():
     assert _single("domain-forbidden", diags)[0].node == "u"
 
 
+def test_validate_node_kind_rule():
+    # A kind that is not a NodeKind, compared by identity so that an
+    # unhashable one is handled too, gets one node-kind finding and no
+    # finding of the rules that depend on the kind. Without a domain such
+    # a node passed unflagged and simplify ran on the graph; with one it
+    # was reported as a utility node declaring a domain.
+    x_kinds = ("chance", None, 3, ["chance"])
+    bare = strip_parameters(card_game(1))
+    for kind in x_kinds:
+        maid = Maid(agents=bare.agents, nodes={**bare.nodes, "x": Node(id="x", kind=kind)})
+        assert validate(maid) == [Diagnostic("x", "node-kind", f"kind {kind!r} is not a NodeKind")]
+        with pytest.raises(ValidationError, match="node-kind"):
+            simplify(maid)
+    card1 = card_game(1)
+    for kind in x_kinds:
+        j = dataclasses.replace(card1.nodes["J"], kind=kind, owner="a")
+        maid = Maid(agents=card1.agents, nodes={**card1.nodes, "J": j})
+        assert validate(maid) == [Diagnostic("J", "node-kind", f"kind {kind!r} is not a NodeKind")]
+    ghost = Maid(agents=frozenset({"p"}), nodes={"y": Node(id="y", kind="decision", owner="q")})
+    assert [d.rule for d in validate(ghost)] == ["node-kind", "owner-declared"]
+
+
 def test_validate_parent_rules():
     maid = Maid.build(agents=["p"], nodes=[
         Node.chance("c", domain=("a", "b")),
@@ -350,6 +374,24 @@ def test_remove_edge_marginalizes_tables(card1):
     # dropping B instead averages across the diagonal's other axis
     out2 = remove_edge(card1, "B", "U_B")
     assert out2.node("U_B").table == pytest.approx((10 / 3, 10 / 3, 10 / 3))
+
+
+def test_remove_edge_averages_each_table_on_its_own():
+    # A chance node carrying a payoff table too (validate flags it): both
+    # tables lose the removed parent's axis. The payoff table was kept with
+    # two entries, stale against the one parent configuration left.
+    b = ("f", "t")
+    maid = Maid.build(["p"], [
+        Node.chance("x", b),
+        Node(id="c", kind=NodeKind.CHANCE, domain=b, parents=("x",),
+             cpt=(0.5, 0.5, 0.5, 0.5), table=(1.0, 2.0))])
+    node = remove_edge(maid, "x", "c").nodes["c"]
+    assert (node.parents, node.cpt, node.table) == ((), (0.5, 0.5), (1.5,))
+    assert node.synthetic_params
+    # A table that cannot be averaged is dropped without the other.
+    bad = dataclasses.replace(maid.nodes["c"], cpt=(0.5, 0.5, 0.5))
+    node = remove_edge(maid.with_node(bad), "x", "c").nodes["c"]
+    assert (node.cpt, node.table) == (None, (1.5,))
 
 
 def test_strip_parameters(card1):

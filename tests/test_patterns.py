@@ -469,7 +469,7 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
             for d in maid.decisions:
                 assert one_pass(d, passes[d]), (i, d)
                 asked.clear()
-                decision_is_effective(maid, d, all_effective(maid))
+                decision_is_effective(maid, d)  # enumerate_patterns passes no flags
                 assert asked == passes[d][:len(asked)], (i, d)
             flags = {d: rng.random() < 0.7 for d in maid.decisions}
             for d in maid.decisions:
@@ -492,7 +492,8 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
 def test_identification_stops_each_pass_at_its_first_instance(monkeypatch):
     # The searches identification makes for a decision it checks are those
     # decision_is_effective makes on the same graph and flags, a prefix of
-    # the full detection pass, and a proper prefix on some decision.
+    # the full detection pass, and a proper prefix on some decision. Each
+    # pass runs with no flags: a demoted decision is a chance node.
     import importlib
 
     import maidkit.patterns as patterns
@@ -511,7 +512,7 @@ def test_identification_stops_each_pass_at_its_first_instance(monkeypatch):
 
     def marking(maid, d, kinds, effectiveness):
         # Marks the pass, with the graph and flags it runs under.
-        asked.append(("pass", maid, d, dict(effectiveness)))
+        asked.append(("pass", maid, d, effectiveness))
         return detect(maid, d, kinds, effectiveness)
 
     monkeypatch.setattr(patterns, "_find_path", recording)
@@ -519,25 +520,24 @@ def test_identification_stops_each_pass_at_its_first_instance(monkeypatch):
     monkeypatch.setattr(simplify_module, "_detect", marking)
     checked = cut_short = 0
     for i, maid in enumerate(_shared_owner_graphs(60)):
-        rng = random.Random(i)
-        for flags in (all_effective(maid), {d: rng.random() < 0.7 for d in maid.decisions}):
+        asked.clear()
+        identification_phase(maid)
+        passes = []
+        for item in asked:
+            if item[0] == "pass":
+                passes.append((item[1:], []))
+            else:
+                passes[-1][1].append(item)
+        for (graph, d, eff), searches in passes:
+            assert eff is None, (i, d)
             asked.clear()
-            identification_phase(maid, flags)
-            passes = []
-            for item in asked:
-                if item[0] == "pass":
-                    passes.append((item[1:], []))
-                else:
-                    passes[-1][1].append(item)
-            for (graph, d, eff), searches in passes:
-                asked.clear()
-                decision_is_effective(graph, d, eff)
-                assert searches == asked, (i, d)
-                asked.clear()
-                list(detect(graph, d, patterns._ALL_KINDS, eff))
-                assert searches == asked[:len(searches)], (i, d)
-                checked += 1
-                cut_short += len(asked) > len(searches)
+            decision_is_effective(graph, d)
+            assert searches == asked, (i, d)
+            asked.clear()
+            list(detect(graph, d, patterns._ALL_KINDS, None))
+            assert searches == asked[:len(searches)], (i, d)
+            checked += 1
+            cut_short += len(asked) > len(searches)
     assert checked and cut_short
 
 
@@ -578,8 +578,6 @@ def test_effectiveness_must_be_a_mapping(pa):
         lambda: find_path(pa, query, 3),
         lambda: check_path(pa, path, query, ["P1"]),
         lambda: check_instance(pa, inst, "P1"),
-        lambda: identification_phase(pa, None),
-        lambda: identification_phase(pa, ["P1"]),
     ]
     for call in calls:
         with pytest.raises(MaidError, match="effectiveness must be a mapping"):

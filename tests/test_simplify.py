@@ -15,7 +15,6 @@ from maidkit import (
     Node,
     NodeKind,
     ValidationError,
-    all_effective,
     card_game,
     identification_phase,
     retract_edges,
@@ -113,18 +112,18 @@ def test_minimal_signaling_trace(sig_min):
 
 
 def test_identification_phase_alone(card1):
-    out = identification_phase(card1, all_effective(card1))
+    out = identification_phase(card1)
     assert not hasattr(out, "changed")  # removed in 0.4.0: it was bool(eliminated)
     assert out.eliminated == ("A",)
     assert out.removed_edges == (("J", "A"),)
     assert out.effectiveness == {"A": False, "B": True, "C": True}
     assert not out.maid.nodes["A"].is_decision
-    idle = identification_phase(out.maid, out.effectiveness)
+    idle = identification_phase(out.maid)
     assert idle.eliminated == ()
 
 
 def test_retract_edges_after_identification(card1):
-    demoted = identification_phase(card1, all_effective(card1)).maid
+    demoted = identification_phase(card1).maid
     _, removed = retract_edges(demoted)
     assert removed == (("J", "C"), ("A", "B"), ("C", "B"))
 
@@ -158,7 +157,7 @@ def test_direct_effects_are_not_checked_again_within_a_phase(monkeypatch):
         return detect(maid, d, *args, **kwargs)
 
     monkeypatch.setattr(simplify_module, "_detect", recording)
-    out = identification_phase(game, all_effective(game))
+    out = identification_phase(game)
     assert out.eliminated == ("A",)
     assert asked == ["A"]
 
@@ -248,7 +247,7 @@ def test_retraction_matches_reference(seed, order_seed, parameterized):
     generate = (helpers.random_parameterized_maid if parameterized
                 else helpers.random_structure_maid)
     maid = generate(random.Random(seed))
-    demoted = identification_phase(maid, all_effective(maid)).maid
+    demoted = identification_phase(maid).maid
     for graph in (maid, demoted):
         assert_retraction_matches_reference(graph, order_seed)
 
@@ -296,7 +295,7 @@ def test_retraction_reads_linearly_many_adjacency_entries(monkeypatch):
     counts = {}
     for n in (100, 400):
         game = card_game(n)
-        identified = identification_phase(game, all_effective(game)).maid
+        identified = identification_phase(game).maid
         reads[0] = 0
         retract_edges(identified)
         counts[n] = reads[0]
@@ -318,7 +317,7 @@ def test_retraction_resolves_each_edited_head_once(monkeypatch):
     monkeypatch.setattr(core_module, "_resolved_parents", counting)
     for n in (10, 100):
         game = card_game(n)
-        identified = identification_phase(game, all_effective(game)).maid
+        identified = identification_phase(game).maid
         resolved.clear()
         _, removed = retract_edges(identified)
         assert len(removed) == 2 * n + 1
@@ -352,12 +351,11 @@ def test_rejects_invalid_input():
 def test_seeds_and_rngs_raise_maid_errors(card1):
     # One check serves a seed and an rng; each escaped as a TypeError or an
     # AttributeError.
-    flags = all_effective(card1)
     calls = [
         (lambda: simplify(card1, order_seed=[1]), "seed must be an int"),
         (lambda: simplify(card1, order_seed="1"), "seed must be an int"),
         (lambda: retract_edges(card1, rng=0), "rng must be a random.Random"),
-        (lambda: identification_phase(card1, flags, rng=0), "rng must be a random.Random"),
+        (lambda: identification_phase(card1, rng=0), "rng must be a random.Random"),
     ]
     for call, message in calls:
         with pytest.raises(MaidError, match=message):
