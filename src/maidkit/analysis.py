@@ -9,7 +9,10 @@ presence of converging arrows somewhere on the path.
 
 Witness paths are simple (no node repeats). Endpoints are exempt from all
 interior rules: membership of an endpoint in the blocking set never blocks
-a path, and an endpoint decision need not be effective.
+a path, and a query that forbids interior decisions may start or end at
+one. The search knows no ineffective decision: such a decision is demoted
+to a chance node (``convert_decision_to_chance``), and a query keeps a
+node off its path with its avoid set.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Maid, MaidError, _check_effectiveness, _check_maid, _id_set, _node_set, _reach
+from .core import Maid, MaidError, _check_maid, _id_set, _node_set, _reach
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -37,6 +40,10 @@ class FirstEdge(enum.Enum):
 
 
 class InteriorDecisions(enum.Enum):
+    """What a path may do at an interior decision. FORBID_ALL closes it
+    there. REQUIRE_EFFECTIVE lets every decision of the graph through: an
+    ineffective one is a chance node."""
+
     FORBID_ALL = "forbid_all"
     REQUIRE_EFFECTIVE = "require_effective"
 
@@ -197,16 +204,15 @@ def _reaches_any(children: Mapping[str, Sequence[str]], parents: Mapping[str, Se
 # -- witness path search ------------------------------------------------------
 
 
-def _step_rule(maid: Maid, query: PathQuery, effectiveness: Mapping[str, bool] | None
-               ) -> Callable[[str, str | None, str], bool]:
+def _step_rule(maid: Maid, query: PathQuery) -> Callable[[str, str | None, str], bool]:
     """The first-edge and interior rules of ``query`` as one predicate,
     which :func:`find_path` and :func:`check_path` both judge paths by.
 
     ``step_ok(node, arrived, leaving)`` says whether a path that entered
     ``node`` by a step in direction ``arrived`` may leave it by a step in
     direction ``leaving``. ``arrived`` is None at the source, where only the
-    first-edge rule applies. A missing ``effectiveness`` map treats every
-    decision as effective.
+    first-edge rule applies. An interior decision closes the path under
+    FORBID_ALL and passes under REQUIRE_EFFECTIVE.
 
     Converging arrows open the path at the nodes of An(blocking set), which
     is computed once per query, at the first converging step asked about.
@@ -222,8 +228,7 @@ def _step_rule(maid: Maid, query: PathQuery, effectiveness: Mapping[str, bool] |
         if arrived is None:
             return (first_edge is FirstEdge.ANY
                     or (leaving == FORWARD) == (first_edge is FirstEdge.OUT_OF_SOURCE))
-        if node in decisions and (forbid_decisions or (
-                effectiveness is not None and not effectiveness.get(node, False))):
+        if forbid_decisions and node in decisions:
             return False
         if arrived == FORWARD and leaving == BACKWARD:
             if opened is None:
@@ -234,13 +239,11 @@ def _step_rule(maid: Maid, query: PathQuery, effectiveness: Mapping[str, bool] |
     return step_ok
 
 
-def find_path(maid: Maid, query: PathQuery,
-              effectiveness: Mapping[str, bool] | None = None) -> Path | None:
+def find_path(maid: Maid, query: PathQuery) -> Path | None:
     """The lexicographically first simple path satisfying ``query``, or None.
 
     Neighbor order is children ascending, then parents ascending, so the
-    witness returned for a given graph and query never changes. A missing
-    ``effectiveness`` map treats every decision as effective.
+    witness returned for a given graph and query never changes.
 
     The search is depth-first with an explicit stack, so no path is too
     long for it. A directed query expands each node at most once and costs
@@ -264,15 +267,13 @@ def find_path(maid: Maid, query: PathQuery,
         raise MaidError(f"query must be a PathQuery, got a {type(query).__name__}") from None
     maid.node(source)
     maid.node(query.target)
-    _check_effectiveness(effectiveness)
     maid.topological_order  # raises CyclicGraphError
-    return _find_path(maid, query, effectiveness)
+    return _find_path(maid, query)
 
 
-def _find_path(maid: Maid, query: PathQuery,
-               effectiveness: Mapping[str, bool] | None) -> Path | None:
+def _find_path(maid: Maid, query: PathQuery) -> Path | None:
     """:func:`find_path` on checked arguments and an acyclic graph."""
-    step_ok = _step_rule(maid, query, effectiveness)
+    step_ok = _step_rule(maid, query)
     if query.edge_mode is EdgeMode.DIRECTED_ONLY:
         return _directed_search(maid, query, step_ok, frozenset((query.target,))).get(query.target)
     return _undirected_search(maid, query, step_ok)
@@ -285,14 +286,13 @@ def decision_free_paths(maid: Maid, x: str, targets: Iterable[str]) -> dict[str,
     _check_maid(maid)
     maid.node(x)
     return _directed_paths(maid, decision_free_query, x,
-                           _node_set(maid, targets, "targets") - {x}, None)
+                           _node_set(maid, targets, "targets") - {x})
 
 
 def _directed_paths(maid: Maid, build: Callable[[str, str], PathQuery], x: str,
-                    targets: frozenset[str], effectiveness: Mapping[str, bool] | None
-                    ) -> dict[str, Path]:
+                    targets: frozenset[str]) -> dict[str, Path]:
     """For each of ``targets`` that has one, the witness
-    ``find_path(maid, build(x, target), effectiveness)`` returns, all from
+    ``find_path(maid, build(x, target))`` returns, all from
     one O(V + E) search, on checked arguments: ``build`` is
     :func:`decision_free_query` or :func:`directed_effective_query`, ``x``
     a node and ``targets`` a set of nodes without it. Neither the rules of
@@ -301,7 +301,7 @@ def _directed_paths(maid: Maid, build: Callable[[str, str], PathQuery], x: str,
         return {}
     maid.topological_order  # raises CyclicGraphError
     query = build(x, next(iter(targets)))
-    return _directed_search(maid, query, _step_rule(maid, query, effectiveness), targets)
+    return _directed_search(maid, query, _step_rule(maid, query), targets)
 
 
 def _directed_search(maid: Maid, query: PathQuery,
@@ -446,8 +446,7 @@ def _live_states(maid: Maid, query: PathQuery,
     return live
 
 
-def check_path(maid: Maid, path: Path, query: PathQuery,
-               effectiveness: Mapping[str, bool] | None = None) -> bool:
+def check_path(maid: Maid, path: Path, query: PathQuery) -> bool:
     """Verify a concrete path against a query without searching.
 
     Checks edge existence, orientation, the avoid set and the collider
@@ -455,13 +454,6 @@ def check_path(maid: Maid, path: Path, query: PathQuery,
     rules :func:`find_path` searches with.
     """
     _check_maid(maid)
-    _check_effectiveness(effectiveness)
-    return _check_path(maid, path, query, effectiveness)
-
-
-def _check_path(maid: Maid, path: Path, query: PathQuery,
-                effectiveness: Mapping[str, bool] | None) -> bool:
-    """:func:`check_path` with ``effectiveness`` checked."""
     try:
         if path.nodes[0] != query.source or path.nodes[-1] != query.target:
             return False
@@ -476,7 +468,7 @@ def _check_path(maid: Maid, path: Path, query: PathQuery,
         return False
     if any(n in query.avoid for n in path.nodes):
         return False
-    step_ok = _step_rule(maid, query, effectiveness)
+    step_ok = _step_rule(maid, query)
     if not all(step_ok(node, arrived, leaving)
                for node, arrived, leaving in zip(path.nodes, (None,) + dirs, dirs)):
         return False

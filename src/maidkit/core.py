@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -81,12 +81,13 @@ def _collection(values: Iterable, what: str, items: str, collect: Callable = tup
     """``values``, a collection of ``items``, through ``collect``. A string
     is refused: it would iterate as its characters, each taken for one of
     the items. So is what ``collect`` cannot take: a value that is not
-    iterable, or an unhashable member of a set."""
+    iterable, an unhashable member of a set, or a member of a dict's items
+    that is not a (key, value) pair."""
     if isinstance(values, str):
         raise MaidError(f"{what} must be a collection of {items}, not the string {values!r}")
     try:
         return collect(values)
-    except TypeError:
+    except (TypeError, ValueError):
         raise MaidError(f"{what} must be a collection of {items}, not {values!r}") from None
 
 
@@ -118,12 +119,24 @@ def _check_seed(seed: object, rng: bool = False) -> None:
         raise MaidError(f"{what}, got {seed!r}")
 
 
-def _check_effectiveness(effectiveness: object) -> None:
-    """Effectiveness flags map decision ids to bools; None stands for every
-    decision effective."""
-    if not (effectiveness is None or isinstance(effectiveness, Mapping)):
-        raise MaidError(f"effectiveness must be a mapping of decision ids to flags, "
-                        f"got a {type(effectiveness).__name__}")
+def _check_effectiveness(maid: "Maid", effectiveness: object) -> None:
+    """``effectiveness`` is None or a mapping that flags every decision of
+    ``maid`` True: a decision that is not effective is a chance node
+    (:func:`convert_decision_to_chance`)."""
+    if effectiveness is not None and not (
+            isinstance(effectiveness, Mapping)
+            and all(effectiveness.get(d, False) for d in maid.decisions)):
+        raise MaidError("effectiveness must be None or a mapping that flags every decision "
+                        f"True (an ineffective decision is a chance node), got {effectiveness!r}")
+
+
+def _hashable(value: object) -> bool:
+    """Can ``value`` be hashed? An unhashable id or agent names nothing."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _flatten_params(values: Iterable, what: str) -> tuple[float, ...]:
@@ -141,10 +154,7 @@ def _flatten_params(values: Iterable, what: str) -> tuple[float, ...]:
 class Node:
     """A single node. ``parents`` is an ordered tuple; parameter tables are
     stored flat in row-major order with the last parent varying fastest.
-
-    ``synthetic_params`` marks tables produced by marginalization rather
-    than supplied by the modeler; it is ignored by equality.
-    """
+    The id must be a string: ids are hashed, sorted and written as names."""
 
     id: str
     kind: NodeKind
@@ -153,7 +163,10 @@ class Node:
     parents: tuple[str, ...] = ()
     cpt: tuple[float, ...] | None = None
     table: tuple[float, ...] | None = None
-    synthetic_params: bool = field(default=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise MaidError(f"a node id must be a string, got {self.id!r}")
 
     @classmethod
     def chance(cls, node_id: str, domain: Sequence[str], parents: Sequence[str] = (),
@@ -525,12 +538,14 @@ def _check_structure(maid: Maid) -> list[Diagnostic]:
             add("owner-required", f"{kind.value} node has no owning agent")
         elif owner is not None and kind is chance:
             add("owner-forbidden", "chance node must not have an owner")
-        if owner is not None and owner not in agents:
+        if owner is not None and not (_hashable(owner) and owner in agents):
             add("owner-declared", f"owner {owner!r} is not a declared agent")
 
         if kind is chance or kind is decision:
             if domain is None or len(domain) < 2:
                 add("domain-size", "domain must list at least two values")
+            elif not all(map(_hashable, domain)):
+                add("domain-hashable", "domain values must be hashable")
             elif len(set(domain)) != len(domain):
                 add("domain-distinct", "domain values must be distinct")
         elif domain is not None and kind is utility:
@@ -604,8 +619,7 @@ def convert_decision_to_chance(maid: Maid, decision_id: str) -> Maid:
 
 def remove_edge(maid: Maid, tail: str, head: str) -> Maid:
     """Delete the edge ``tail -> head``. If the head carries parameters, the
-    removed axis is marginalized out by averaging over the tail's values and
-    the resulting table is marked synthetic."""
+    removed axis is marginalized out by averaging over the tail's values."""
     _check_maid(maid)
     if tail not in maid.node(head).parents:
         maid.node(tail)  # an unknown tail is reported as such
@@ -659,16 +673,15 @@ def _drop_parent(maid: Maid, node: Node, tail: str) -> Node:
     removed_at = node.parents.index(tail)
     new_parents = node.parents[:removed_at] + node.parents[removed_at + 1:]
 
-    cpt, table, synthetic = node.cpt, node.table, node.synthetic_params
+    cpt, table = node.cpt, node.table
     if cpt is not None or table is not None:
         domains = [maid.node(p).domain for p in node.parents]
         sizes = [len(dom) for dom in domains] if all(domains) else None
         width = None if node.domain is None else len(node.domain)  # of a cpt row
         cpt = _marginalize(cpt, sizes, removed_at, width)
         table = _marginalize(table, sizes, removed_at, 1)
-        synthetic = True
     return Node(id=node.id, kind=node.kind, owner=node.owner, domain=node.domain,
-                parents=new_parents, cpt=cpt, table=table, synthetic_params=synthetic)
+                parents=new_parents, cpt=cpt, table=table)
 
 
 def _marginalize(flat: tuple[float, ...] | None, sizes: list[int] | None, axis: int,

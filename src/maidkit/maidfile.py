@@ -190,7 +190,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _require_ident(value: str, what: str) -> str:
-    if not _IDENT_RE.match(value):
+    if not (isinstance(value, str) and _IDENT_RE.match(value)):
         raise MaidError(f"{what} {value!r} cannot be written in this format "
                         f"(names must look like identifiers)")
     return value

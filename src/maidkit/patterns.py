@@ -27,18 +27,18 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .analysis import (
     FORWARD,
     Path,
-    _check_path,
     _directed_paths,
     _find_path,
     _step_rule,
     back_door_query,
+    check_path,
     decision_free_query,
     directed_effective_query,
     effective_query,
     front_door_query,
 )
-from .core import (Maid, MaidError, _check_effectiveness, _check_maid, _reach,
-                   _require_decision, descendants)
+from .core import (Maid, MaidError, _check_effectiveness, _check_maid, _collection,
+                   _hashable, _reach, _require_decision, descendants)
 
 
 class PatternKind(enum.Enum):
@@ -84,8 +84,9 @@ class PatternInstance:
 
 @dataclass(frozen=True)
 class PatternReport:
-    """Instances per decision of the analyzed graph, plus the effectiveness
-    flags the detectors ran under."""
+    """Instances per decision of the analyzed graph, and for each decision
+    whether it is still a decision there (False for one demoted to a
+    chance node)."""
 
     instances: Mapping[str, tuple[PatternInstance, ...]]
     effectiveness: Mapping[str, bool]
@@ -135,8 +136,7 @@ def _pattern(maid: Maid, d: str, kind: PatternKind
     return bindings
 
 
-def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
-            effectiveness: Mapping[str, bool] | None) -> Iterator[PatternInstance]:
+def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...]) -> Iterator[PatternInstance]:
     """Yields each instance at ``d`` of each of ``kinds``, which come in
     :class:`PatternKind` order, as the pass finds it: a caller that stops
     at the first instance has made a prefix of the full pass's searches.
@@ -150,22 +150,23 @@ def _detect(maid: Maid, d: str, kinds: tuple[PatternKind, ...],
     from one directed sweep from n), u' a utility of n's owner, then the
     kind's witnesses; they share one table in which each distinct query is
     built and searched once."""
+    _check_maid(maid)
     _require_decision(maid, d)
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     later_kinds = [kind for kind in kinds if kind is not PatternKind.DIRECT_EFFECT]
     targets = maid._decision_set - {d} if later_kinds else frozenset()
     if PatternKind.DIRECT_EFFECT in kinds:
         targets |= frozenset(own_utilities)
-    from_d = _directed_paths(maid, decision_free_query, d, targets, effectiveness)
+    from_d = _directed_paths(maid, decision_free_query, d, targets)
     yield from (PatternInstance(kind=PatternKind.DIRECT_EFFECT, decision=d, u=u,
                                 witness_paths=(("d_to_u", from_d[u]),))
                 for u in own_utilities if u in from_d)
     downstream = sorted((n, p) for n, p in from_d.items() if n in maid._decision_set)
     if not downstream:
         return
-    search = functools.cache(lambda build, *args: _find_path(maid, build(*args), effectiveness))
+    search = functools.cache(lambda build, *args: _find_path(maid, build(*args)))
     to_own = functools.cache(lambda n: _directed_paths(
-        maid, directed_effective_query, n, frozenset(own_utilities), effectiveness))
+        maid, directed_effective_query, n, frozenset(own_utilities)))
     for kind in later_kinds:
         bindings = _pattern(maid, d, kind)
         for n, d_to_n in downstream:
@@ -204,7 +205,7 @@ def _direct_effects(maid: Maid) -> set[str]:
         if not (own and utilities):
             continue
         if step_ok is None:  # the decision-free rule, judged at interior nodes
-            step_ok = _step_rule(maid, decision_free_query(own[0], utilities[0]), None)
+            step_ok = _step_rule(maid, decision_free_query(own[0], utilities[0]))
         seen = set(utilities)
         stack = list(utilities)
         while stack:
@@ -221,30 +222,19 @@ def _direct_effects(maid: Maid) -> set[str]:
 # -- the four detectors -------------------------------------------------------
 
 
-def _detector(maid: Maid, d: str, kind: PatternKind,
-              effectiveness: Mapping[str, bool] | None) -> list[PatternInstance]:
-    """One detector's instances of ``kind``, after checking its arguments."""
-    _check_maid(maid)
-    _check_effectiveness(effectiveness)
-    return list(_detect(maid, d, (kind,), effectiveness))
-
-
-def direct_effect(maid: Maid, d: str,
-                  effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
+def direct_effect(maid: Maid, d: str) -> list[PatternInstance]:
     """One instance per own utility that ``d`` reaches decision-free."""
-    return _detector(maid, d, PatternKind.DIRECT_EFFECT, effectiveness)
+    return list(_detect(maid, d, (PatternKind.DIRECT_EFFECT,)))
 
 
-def manipulation(maid: Maid, d: str,
-                 effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
+def manipulation(maid: Maid, d: str) -> list[PatternInstance]:
     """Instances (n, u, u') where a downstream decision n carries ``d``'s
     influence to an own utility u, while ``d`` retains a route to n's
     utility u' that bypasses n (the lever it manipulates with)."""
-    return _detector(maid, d, PatternKind.MANIPULATION, effectiveness)
+    return list(_detect(maid, d, (PatternKind.MANIPULATION,)))
 
 
-def signaling(maid: Maid, d: str,
-              effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
+def signaling(maid: Maid, d: str) -> list[PatternInstance]:
     """Instances (n, u, u', a) where an ancestor a of ``d`` carries
     information about n's utility u' that n cannot see directly, and ``d``
     sits on an active route a .. u through which revealing it pays off.
@@ -253,11 +243,10 @@ def signaling(maid: Maid, d: str,
     descendants of ``d`` (what n observes anyway); the a .. u route is
     tested given the parents of ``d`` that are not descendants of a.
     """
-    return _detector(maid, d, PatternKind.SIGNALING, effectiveness)
+    return list(_detect(maid, d, (PatternKind.SIGNALING,)))
 
 
-def reveal_deny(maid: Maid, d: str,
-                effectiveness: Mapping[str, bool] | None = None) -> list[PatternInstance]:
+def reveal_deny(maid: Maid, d: str) -> list[PatternInstance]:
     """Instances (n, u, u') where ``d`` starts a front-door path with
     converging arrows to n's utility u', so acting can open or close an
     information channel n would otherwise rely on.
@@ -267,20 +256,17 @@ def reveal_deny(maid: Maid, d: str,
     node of any front-door path out of ``d`` is itself a descendant of
     ``d``, so no opener could then be in the blocking set.
     """
-    return _detector(maid, d, PatternKind.REVEAL_DENY, effectiveness)
+    return list(_detect(maid, d, (PatternKind.REVEAL_DENY,)))
 
 
 # Every kind, cheapest first: the kinds of one full detection pass.
 _ALL_KINDS = tuple(PatternKind)
 
 
-def decision_is_effective(maid: Maid, d: str,
-                          effectiveness: Mapping[str, bool] | None = None) -> bool:
+def decision_is_effective(maid: Maid, d: str) -> bool:
     """Does any pattern hold for ``d``? The detection pass over every
     kind, cheapest first, up to its first instance."""
-    _check_maid(maid)
-    _check_effectiveness(effectiveness)
-    return next(_detect(maid, d, _ALL_KINDS, effectiveness), None) is not None
+    return next(_detect(maid, d, _ALL_KINDS), None) is not None
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -301,7 +287,7 @@ def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
 
     graph = maid if original else simplify(maid).final
     flags = {d: graph.nodes[d].is_decision for d in maid.decisions}
-    instances = {d: tuple(_detect(graph, d, _ALL_KINDS, None)) if flags[d] else ()
+    instances = {d: tuple(_detect(graph, d, _ALL_KINDS)) if flags[d] else ()
                  for d in maid.decisions}
     return PatternReport(instances=instances, effectiveness=flags)
 
@@ -317,17 +303,21 @@ def check_instance(maid: Maid, instance: PatternInstance,
     bindings, through the same pattern definitions the detectors search,
     and checks the witness with :func:`maidkit.analysis.check_path`,
     without rerunning any search. An instance whose bindings do not fit the
-    pattern (a node the graph does not have, a binding the pattern does not
-    use, a u or u' that is not a utility of the right owner, n equal to the
-    decision, a kind that is not a :class:`PatternKind`) is rejected.
+    pattern (a node the graph does not have, an unhashable binding, a binding
+    the pattern does not use, a u or u' that is not a utility of the right
+    owner, n equal to the decision, a kind that is not a
+    :class:`PatternKind`) is rejected. A ``witness_paths`` that is not a
+    collection of (name, path) pairs raises :class:`~maidkit.core.MaidError`,
+    and so do ``effectiveness`` flags other than None or True for every
+    decision: an ineffective decision is a chance node.
     """
     _check_maid(maid)
     if not isinstance(instance, PatternInstance):
         raise MaidError(f"check_instance needs a PatternInstance, got a {type(instance).__name__}")
-    _check_effectiveness(effectiveness)
-    if not isinstance(instance.kind, PatternKind):
-        return False
+    _check_effectiveness(maid, effectiveness)
     d, u, n, u_prime = instance.decision, instance.u, instance.n, instance.u_prime
+    if not (isinstance(instance.kind, PatternKind) and all(map(_hashable, (d, u, n, u_prime)))):
+        return False
     decision = maid.nodes.get(d)
     if decision is None or not decision.is_decision or not _owns(maid, decision.owner, u):
         return False
@@ -347,11 +337,10 @@ def check_instance(maid: Maid, instance: PatternInstance,
         queries = {"d_to_n": decision_free_query(d, n),
                    "n_to_u": directed_effective_query(n, u),
                    **{name: build(*args) for name, build, args in rest}}
-    witnesses = dict(instance.witness_paths)
+    witnesses = _collection(instance.witness_paths, "witness_paths", "(name, path) pairs", dict)
     if set(witnesses) != set(queries):
         return False
-    return all(_check_path(maid, witnesses[name], query, effectiveness)
-               for name, query in queries.items())
+    return all(check_path(maid, witnesses[name], query) for name, query in queries.items())
 
 
 def _owns(maid: Maid, agent: str | None, u: str | None) -> bool:

@@ -84,9 +84,10 @@ def identification_phase(maid: Maid, rng: random.Random | None = None) -> PhaseO
     """Repeatedly demote pattern-free decisions until a full pass over the
     remaining decisions demotes nothing.
 
-    A demoted decision is a parentless uniform chance node from then on, so
-    every detection pass runs with each remaining decision effective, and
-    the outcome's flags say which decisions of ``maid`` were not demoted.
+    A demoted decision is a parentless uniform chance node from then on,
+    which no later detection pass needs to be told;
+    ``PhaseOutcome.effectiveness`` says which decisions of ``maid`` were
+    not demoted.
 
     The decisions with a direct effect are found up front, by one backward
     search per agent from its utilities, and get no detection pass; a
@@ -109,7 +110,7 @@ def _identify(maid: Maid, rng: random.Random | None, direct: set[str]) -> PhaseO
     while True:
         before = len(eliminated)
         for d in _ordered(maid.decisions, rng):
-            if d in direct or next(_detect(maid, d, _ALL_KINDS, None), None) is not None:
+            if d in direct or next(_detect(maid, d, _ALL_KINDS), None) is not None:
                 continue
             removed.extend((p, d) for p in maid.parents(d))
             maid = convert_decision_to_chance(maid, d)

@@ -104,15 +104,14 @@ JUNK = [("None", None), ("zero", 0), ("minus-one", -1), ("float", 1.5), ("nan", 
 # d_to_n, and n_to_u is one query per (n, u) in the shared table. It runs
 # on the public, checking ``find_path`` and ``decision_free_paths``. With
 # ``first`` it returns at its first instance.
-def reference_detect(maid: Maid, d: str, kinds, effectiveness,
-                     first: bool) -> list[PatternInstance]:
+def reference_detect(maid: Maid, d: str, kinds, first: bool) -> list[PatternInstance]:
     own_utilities = maid.utilities_of(maid.nodes[d].owner)
     out: list[PatternInstance] = []
     downstream = search = None
     for kind in kinds:
         if kind is PatternKind.DIRECT_EFFECT:
             for u in own_utilities:
-                p = find_path(maid, decision_free_query(d, u), effectiveness)
+                p = find_path(maid, decision_free_query(d, u))
                 if p is None:
                     continue
                 out.append(PatternInstance(kind=kind, decision=d, u=u,
@@ -123,7 +122,7 @@ def reference_detect(maid: Maid, d: str, kinds, effectiveness,
         if downstream is None:
             downstream = sorted(decision_free_paths(maid, d, maid._decision_set - {d}).items())
             search = functools.cache(
-                lambda build, *args: find_path(maid, build(*args), effectiveness))
+                lambda build, *args: find_path(maid, build(*args)))
         if not downstream:
             continue
         bindings = _pattern(maid, d, kind)
@@ -385,7 +384,7 @@ def reference_identification_phase(maid: Maid, effectiveness, rng=None) -> Phase
         for d in order:
             if not eff.get(d, False) or d in direct:
                 continue
-            first = next(_detect(maid, d, _ALL_KINDS, eff), None)
+            first = next(_detect(maid, d, _ALL_KINDS), None)
             if first is not None:
                 if first.kind is PatternKind.DIRECT_EFFECT:
                     direct.add(d)
@@ -691,6 +690,14 @@ def reference_parse_maidfile(text: str) -> Maid:
     return _Parser(_tokenize(text)).parse_file()
 
 
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 def reference_validate(maid: Maid) -> list[Diagnostic]:
     """``validate`` as it was before its one-pass rewrite: each rule checked
     on its own, through the node's properties, with every lookup repeated."""
@@ -711,13 +718,16 @@ def reference_validate(maid: Maid) -> list[Diagnostic]:
             out.append(Diagnostic(node_id, "owner-required", f"{node.kind.value} node has no owning agent"))
         if known and not needs_owner and node.owner is not None:
             out.append(Diagnostic(node_id, "owner-forbidden", "chance node must not have an owner"))
-        if node.owner is not None and node.owner not in maid.agents:
+        # An unhashable owner equals no agent.
+        if node.owner is not None and not any(node.owner == a for a in maid.agents):
             out.append(Diagnostic(node_id, "owner-declared", f"owner {node.owner!r} is not a declared agent"))
 
         needs_domain = node.kind in (NodeKind.CHANCE, NodeKind.DECISION)
         if needs_domain:
             if node.domain is None or len(node.domain) < 2:
                 out.append(Diagnostic(node_id, "domain-size", "domain must list at least two values"))
+            elif not all(_hashable(v) for v in node.domain):
+                out.append(Diagnostic(node_id, "domain-hashable", "domain values must be hashable"))
             elif len(set(node.domain)) != len(node.domain):
                 out.append(Diagnostic(node_id, "domain-distinct", "domain values must be distinct"))
         elif node.domain is not None and node.is_utility:

@@ -252,8 +252,8 @@ def test_d_separation_is_symmetric(seed):
 # -- directed and effective path queries ----------------------------------------
 
 
-def _found(maid, query, effectiveness=None) -> bool:
-    return find_path(maid, query, effectiveness) is not None
+def _found(maid, query) -> bool:
+    return find_path(maid, query) is not None
 
 
 def test_directed_decision_free_paths(pa, card1):
@@ -262,17 +262,6 @@ def test_directed_decision_free_paths(pa, card1):
     # every route from A to U_A passes through the decision B
     assert not _found(card1, decision_free_query("A", "U_A"))
     assert _found(card1, decision_free_query("B", "U_A"))
-
-
-def test_directed_effective_paths_respect_flags(pa):
-    assert _found(pa, directed_effective_query("D1", "U_P2"))
-    # with D2 ineffective the route through D2 closes, but the chance
-    # route D1 -> r1 -> P2 -> U_P2 stays open
-    flags = {"P1": True, "P2": True, "D1": True, "D2": False}
-    assert _found(pa, directed_effective_query("D1", "U_P2"), flags)
-    # closing P2 as well cuts the last interior decision
-    flags2 = {"P1": True, "P2": False, "D1": True, "D2": False}
-    assert not _found(pa, directed_effective_query("D1", "U_P2"), flags2)
 
 
 def test_avoid_set_excludes_interior_nodes(pa):
@@ -307,11 +296,9 @@ def test_effective_path_with_blocking(pa, card1):
     assert _found(pa, effective_query("r0", "U_P2", {"r1", "P1"}))
     assert not _found(pa, effective_query("r0", "U_P2", {"r1", "P1", "D1"}))
     assert _found(card1, effective_query("J", "U_A", set()))
-    # with A out of play the route via C keeps J connected to U_A
-    flags = {"A": False, "B": True, "C": True}
-    assert _found(card1, effective_query("J", "U_A", set()), flags)
-    flags2 = {"A": False, "B": True, "C": False}
-    assert not _found(card1, effective_query("J", "U_A", set()), flags2)
+    # with A kept off the path the route via C keeps J connected to U_A
+    assert _found(card1, effective_query("J", "U_A", set())._replace(avoid={"A"}))
+    assert not _found(card1, effective_query("J", "U_A", set())._replace(avoid={"A", "C"}))
 
 
 def test_collider_blocked_descendant_rule(pa):
@@ -411,12 +398,9 @@ def _random_queries(maid, rng):
 def test_find_path_matches_the_reference_search(seed):
     rng = random.Random(seed)
     maid = helpers.random_search_maid(rng, max_nodes=12)
-    flags = {d: rng.random() < 0.6 for d in maid.decisions}
     for _ in range(4):
         for query in _random_queries(maid, rng):
-            for eff in (None, flags):
-                assert find_path(maid, query, eff) == \
-                    helpers.reference_find_path(maid, query, eff), query
+            assert find_path(maid, query) == helpers.reference_find_path(maid, query), query
 
 
 @settings(max_examples=150)
@@ -426,13 +410,10 @@ def test_find_path_matches_the_reference_search_on_dense_dags(seed):
     # the search's dead states and live-state pruning skip the most.
     rng = random.Random(seed)
     maid = helpers.random_search_maid(rng, max_nodes=12, min_nodes=8, density=(0.35, 0.7))
-    flags = {d: rng.random() < 0.6 for d in maid.decisions}
     for _ in range(4):
         # The undirected builders and the query with every field drawn.
         for query in _random_queries(maid, rng)[2:]:
-            for eff in (None, flags):
-                assert find_path(maid, query, eff) == \
-                    helpers.reference_find_path(maid, query, eff), query
+            assert find_path(maid, query) == helpers.reference_find_path(maid, query), query
 
 
 def test_a_failed_state_is_entered_once(monkeypatch):

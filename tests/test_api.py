@@ -1,5 +1,6 @@
 """The public surface: exports, imports and the version."""
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -112,36 +113,36 @@ def good_calls():
         "card_game": (2,),
         "chance_row": (g, "J", ()),
         "check_instance": (g, direct_effect(g, "B")[0], flags),
-        "check_path": (g, find_path(g, query), query, flags),
+        "check_path": (g, find_path(g, query), query),
         "collider_blocked": (g, "B", ("U_B",)),
         "constant_rule": (g, "B", "H"),
         "convert_decision_to_chance": (g, "A"),
         "d_separated": (g, "J", "U_A", ("B",)),
-        "decision_is_effective": (g, "A", flags),
+        "decision_is_effective": (g, "A"),
         "descendants": (g, "J"),
-        "direct_effect": (g, "B", flags),
+        "direct_effect": (g, "B"),
         "enumerate_patterns": (g, True),
         "expected_utility": (g, profile, "a"),
         # The pure profiles of card_game(2) itself are too many to search.
         "find_equilibrium_small": (simplify(g).final, 0, 1e-9),
-        "find_path": (g, query, flags),
+        "find_path": (g, query),
         "fixture": ("card-game", 2),
         "identification_phase": (g, random.Random(0)),
         "is_fully_parameterized": (g,),
         "is_motivated_bruteforce": (g, "B", others, 1e-9),
         "joint_probability": (g, profile, assignment),
         "leaf_metric": (g,),
-        "manipulation": (g, "A", flags),
+        "manipulation": (g, "A"),
         "parent_configs": (g, "U_B"),
         "parse_maidfile": (render_maidfile(g),),
         "principal_agent": (),
         "remove_edge": (g, "J", "A"),
         "render_maidfile": (g,),
         "retract_edges": (g, random.Random(0)),
-        "reveal_deny": (g, "A", flags),
+        "reveal_deny": (g, "A"),
         "rule_from_function": (g, "B", lambda config: config[0]),
         "rule_from_rows": (g, "C_1", [(1.0, 0.0, 0.0)] * 3),
-        "signaling": (g, "A", flags),
+        "signaling": (g, "A"),
         "simplify": (g, 0),
         "strip_parameters": (g,),
         "uniform_profile": (g,),
@@ -165,15 +166,40 @@ def good_constructions():
     }
 
 
+def junk_instance_calls():
+    """``check_instance`` on ``principal_agent()`` and an instance of each
+    pattern kind with one field junk, as zero-argument calls by name."""
+    g = maidkit.principal_agent()
+    instances = maidkit.enumerate_patterns(g, original=True).all_instances()
+    for kind in maidkit.PatternKind:
+        instance = next(i for i in instances if i.kind is kind)
+        for field in dataclasses.fields(instance):
+            for junk_name, junk in helpers.JUNK:
+                if junk is getattr(instance, field.name):  # None in an unused slot
+                    continue
+                bad = dataclasses.replace(instance, **{field.name: junk})
+                yield (f"check_instance {kind.value} {field.name} = {junk_name}",
+                       lambda bad=bad: maidkit.check_instance(g, bad))
+
+
 def test_every_public_function_returns_or_raises_maid_errors():
     # Junk in one argument at a time, the graph argument included (what a
     # Maid's own constructor accepts is fuzzed by test_raw_nodes.py), and
-    # in each argument of the constructors that read theirs. Junk in the
-    # graph argument must raise: only the junk graph is a Maid.
+    # in each argument of the constructors that read theirs, and in each
+    # field of a pattern instance, which check_instance must reject. Junk
+    # in the graph argument must raise: only the junk graph is a Maid.
     calls = {name: (getattr(maidkit, name), args) for name, args in good_calls().items()}
     assert set(calls) == {name for name in maidkit.__all__
                           if inspect.isfunction(getattr(maidkit, name))}
     escaped = []
+    for name, call in junk_instance_calls():
+        try:
+            if call() is not False:
+                escaped.append(f"{name}: accepted")
+        except MaidError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - the finding this test reports
+            escaped.append(f"{name}: {exc!r}")
     for name, (function, args) in {**calls, **good_constructions()}.items():
         function(*args)
         for i, arg in enumerate(args):

@@ -27,6 +27,7 @@ from maidkit import (
     is_fully_parameterized,
     parent_configs,
     remove_edge,
+    render_maidfile,
     simplify,
     strip_parameters,
     utility_value,
@@ -259,6 +260,26 @@ def test_validate_node_kind_rule():
     assert [d.rule for d in validate(ghost)] == ["node-kind", "owner-declared"]
 
 
+def test_raw_node_data_gives_findings_or_maid_errors():
+    # Each escaped as a TypeError: an unhashable owner or domain value from
+    # validate, a node id that is not a string from validate's sort or
+    # Maid.build, a name that is not a string from render_maidfile.
+    b = ("f", "t")
+    maid = Maid.build(["p"], [Node.decision("d", ["p"], b),
+                              Node.chance("x", (["a"], "b"))])
+    assert validate(maid) == [
+        Diagnostic("d", "owner-declared", "owner ['p'] is not a declared agent"),
+        Diagnostic("x", "domain-hashable", "domain values must be hashable")]
+    with pytest.raises(ValidationError):
+        simplify(maid)
+    for make in (lambda: Node.chance(5, b), lambda: Node.decision(["d"], "p", b),
+                 lambda: Node.utility(None, "p"),
+                 lambda: Maid.build(["p"], [Node(id=["x"], kind=NodeKind.CHANCE, domain=b)]),
+                 lambda: render_maidfile(Maid.build(["p"], [Node.decision("d", 5, b)]))):
+        with pytest.raises(MaidError):
+            make()
+
+
 def test_validate_parent_rules():
     maid = Maid.build(agents=["p"], nodes=[
         Node.chance("c", domain=("a", "b")),
@@ -370,7 +391,6 @@ def test_remove_edge_marginalizes_tables(card1):
     node = out.node("U_B")
     assert node.parents == ("B",)
     assert node.table == pytest.approx((10 / 3, 10 / 3, 10 / 3))
-    assert node.synthetic_params
     # dropping B instead averages across the diagonal's other axis
     out2 = remove_edge(card1, "B", "U_B")
     assert out2.node("U_B").table == pytest.approx((10 / 3, 10 / 3, 10 / 3))
@@ -387,7 +407,6 @@ def test_remove_edge_averages_each_table_on_its_own():
              cpt=(0.5, 0.5, 0.5, 0.5), table=(1.0, 2.0))])
     node = remove_edge(maid, "x", "c").nodes["c"]
     assert (node.parents, node.cpt, node.table) == ((), (0.5, 0.5), (1.5,))
-    assert node.synthetic_params
     # A table that cannot be averaged is dropped without the other.
     bad = dataclasses.replace(maid.nodes["c"], cpt=(0.5, 0.5, 0.5))
     node = remove_edge(maid.with_node(bad), "x", "c").nodes["c"]

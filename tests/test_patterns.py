@@ -19,19 +19,17 @@ from maidkit import (
     PatternKind,
     all_effective,
     check_instance,
-    check_path,
     convert_decision_to_chance,
     decision_is_effective,
     direct_effect,
     enumerate_patterns,
-    find_path,
     identification_phase,
     manipulation,
     reveal_deny,
     signaling,
     simplify,
 )
-from maidkit.analysis import InteriorDecisions, decision_free_query
+from maidkit.analysis import InteriorDecisions
 from maidkit.patterns import _detect
 
 import helpers
@@ -232,7 +230,7 @@ def test_first_witness_is_prefix_of_all(pa):
         for d in maid.decisions:
             for detector in ALL_DETECTORS:
                 full = detector(maid, d)
-                first = list(islice(_detect(maid, d, (PatternKind(detector.__name__),), None), 1))
+                first = list(islice(_detect(maid, d, (PatternKind(detector.__name__),)), 1))
                 assert len(first) <= 1
                 assert first == full[:len(first)]
                 assert bool(first) == bool(full)
@@ -275,22 +273,6 @@ def test_detection_on_a_cyclic_graph(detect, own_utility):
     else:
         with pytest.raises(CyclicGraphError):
             detect(maid)
-
-
-def test_effectiveness_flags_mask_interior_decisions(pa):
-    # Flags gate decisions appearing in the interior of a witness path, not
-    # decisions standing at its endpoints (endpoint removal is conversion's
-    # job). With D2 and P2 flagged off, exactly the D1 instances whose
-    # witnesses route through one of them disappear.
-    flags = all_effective(pa)
-    flags["D2"] = False
-    flags["P2"] = False
-    assert keys(manipulation(pa, "D1", flags)) == {
-        ("manipulation", "D1", "U_D2", "D2", "U_D1", ""),
-        ("manipulation", "D1", "U_D2", "P2", "U_P1", ""),
-    }
-    # Both signaling instances needed an a-to-u route through D2 or P2.
-    assert signaling(pa, "D1", flags) == []
 
 
 # -- auditing -------------------------------------------------------------------
@@ -370,11 +352,9 @@ def test_check_instance_rejects_misattributed_decision(pa):
 @given(seed=st.integers(0, 10_000))
 def test_effectiveness_matches_detectors(seed):
     maid = helpers.random_structure_maid(random.Random(seed))
-    flags = all_effective(maid)
     for d in maid.decisions:
-        fired = any(detector(maid, d, flags)
-                    for detector in ALL_DETECTORS)
-        assert decision_is_effective(maid, d, flags) == fired
+        fired = any(detector(maid, d) for detector in ALL_DETECTORS)
+        assert decision_is_effective(maid, d) == fired
 
 
 @settings(max_examples=40)
@@ -428,14 +408,13 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
     asked = []
     search, sweep, detect = patterns._find_path, patterns._directed_paths, patterns._detect
 
-    def recording(maid, query, effectiveness):
-        asked.append(("query", query, None if effectiveness is None
-                      else tuple(sorted(effectiveness.items()))))
-        return search(maid, query, effectiveness)
+    def recording(maid, query):
+        asked.append(("query", query))
+        return search(maid, query)
 
-    def sweeping(maid, build, source, targets, effectiveness):
+    def sweeping(maid, build, source, targets):
         asked.append(("sweep", build.__name__, source))
-        return sweep(maid, build, source, targets, effectiveness)
+        return sweep(maid, build, source, targets)
 
     def marking(maid, d, *args):
         # Marks the decision whose pass makes the searches that follow.
@@ -453,7 +432,6 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
     monkeypatch.setattr(patterns, "_find_path", recording)
     monkeypatch.setattr(patterns, "_directed_paths", sweeping)
     for i, maid in enumerate(_shared_owner_graphs(60)):
-        rng = random.Random(i)
         if detector is enumerate_patterns:
             monkeypatch.setattr(patterns, "_detect", marking)
             asked.clear()
@@ -469,31 +447,24 @@ def test_detector_calls_ask_each_query_once(monkeypatch, detector):
             for d in maid.decisions:
                 assert one_pass(d, passes[d]), (i, d)
                 asked.clear()
-                decision_is_effective(maid, d)  # enumerate_patterns passes no flags
+                decision_is_effective(maid, d)
                 assert asked == passes[d][:len(asked)], (i, d)
-            flags = {d: rng.random() < 0.7 for d in maid.decisions}
-            for d in maid.decisions:
-                asked.clear()
-                decision_is_effective(maid, d, flags)
-                assert one_pass(d, asked), (i, d)
             continue
-        for flags in (all_effective(maid), {d: rng.random() < 0.7 for d in maid.decisions}):
-            for d in maid.decisions:
-                asked.clear()
-                detector(maid, d, flags)
-                every = list(asked)
-                assert one_pass(d, every), (i, d)
-                # Stopping at the first instance asks a prefix of those.
-                asked.clear()
-                next(_detect(maid, d, (PatternKind(detector.__name__),), flags), None)
-                assert asked == every[:len(asked)], (i, d)
+        for d in maid.decisions:
+            asked.clear()
+            detector(maid, d)
+            every = list(asked)
+            assert one_pass(d, every), (i, d)
+            # Stopping at the first instance asks a prefix of those.
+            asked.clear()
+            next(_detect(maid, d, (PatternKind(detector.__name__),)), None)
+            assert asked == every[:len(asked)], (i, d)
 
 
 def test_identification_stops_each_pass_at_its_first_instance(monkeypatch):
     # The searches identification makes for a decision it checks are those
-    # decision_is_effective makes on the same graph and flags, a prefix of
-    # the full detection pass, and a proper prefix on some decision. Each
-    # pass runs with no flags: a demoted decision is a chance node.
+    # decision_is_effective makes on the same graph, a prefix of the full
+    # detection pass, and a proper prefix on some decision.
     import importlib
 
     import maidkit.patterns as patterns
@@ -502,18 +473,18 @@ def test_identification_stops_each_pass_at_its_first_instance(monkeypatch):
     asked = []
     search, sweep, detect = patterns._find_path, patterns._directed_paths, patterns._detect
 
-    def recording(maid, query, effectiveness):
+    def recording(maid, query):
         asked.append(("query", query))
-        return search(maid, query, effectiveness)
+        return search(maid, query)
 
-    def sweeping(maid, build, source, targets, effectiveness):
+    def sweeping(maid, build, source, targets):
         asked.append(("sweep", build.__name__, source, targets))
-        return sweep(maid, build, source, targets, effectiveness)
+        return sweep(maid, build, source, targets)
 
-    def marking(maid, d, kinds, effectiveness):
-        # Marks the pass, with the graph and flags it runs under.
-        asked.append(("pass", maid, d, effectiveness))
-        return detect(maid, d, kinds, effectiveness)
+    def marking(maid, d, kinds):
+        # Marks the pass, with the graph it runs on.
+        asked.append(("pass", maid, d))
+        return detect(maid, d, kinds)
 
     monkeypatch.setattr(patterns, "_find_path", recording)
     monkeypatch.setattr(patterns, "_directed_paths", sweeping)
@@ -528,13 +499,12 @@ def test_identification_stops_each_pass_at_its_first_instance(monkeypatch):
                 passes.append((item[1:], []))
             else:
                 passes[-1][1].append(item)
-        for (graph, d, eff), searches in passes:
-            assert eff is None, (i, d)
+        for (graph, d), searches in passes:
             asked.clear()
             decision_is_effective(graph, d)
             assert searches == asked, (i, d)
             asked.clear()
-            list(detect(graph, d, patterns._ALL_KINDS, None))
+            list(detect(graph, d, patterns._ALL_KINDS))
             assert searches == asked[:len(searches)], (i, d)
             checked += 1
             cut_short += len(asked) > len(searches)
@@ -549,39 +519,33 @@ _KIND_SETS = (*((kind,) for kind in PatternKind), tuple(PatternKind))
 def test_detection_matches_reference_detect(seed, dense):
     # The same instances, witnesses included, as the detection pass that
     # searched each direct effect and each n_to_u alone: every kind alone
-    # and all four, the whole pass and its first instance, under random
-    # effectiveness flags.
+    # and all four, the whole pass and its first instance.
     rng = random.Random(seed)
     if dense:
         maid = helpers.with_payoffs(helpers.random_search_maid(
             rng, max_nodes=12, min_nodes=8, density=(0.35, 0.7)), rng)
     else:
         maid = rng.choice(_shared_owner_graphs(60))
-    flags = rng.choice((None, {d: rng.random() < 0.7 for d in maid.decisions}))
     for d in maid.decisions:
         for kinds in _KIND_SETS:
-            assert list(_detect(maid, d, kinds, flags)) == \
-                helpers.reference_detect(maid, d, kinds, flags, first=False), (d, kinds)
-            assert list(islice(_detect(maid, d, kinds, flags), 1)) == \
-                helpers.reference_detect(maid, d, kinds, flags, first=True), (d, kinds)
+            assert list(_detect(maid, d, kinds)) == \
+                helpers.reference_detect(maid, d, kinds, first=False), (d, kinds)
+            assert list(islice(_detect(maid, d, kinds), 1)) == \
+                helpers.reference_detect(maid, d, kinds, first=True), (d, kinds)
 
 
 def test_effectiveness_must_be_a_mapping(pa):
-    # Each escaped as an AttributeError or a TypeError, or went unchecked.
-    query = decision_free_query("P1", "U_P1")
-    path = find_path(pa, query)
+    # check_instance takes no flags or flags that mark every decision
+    # effective: an ineffective decision is a chance node. A map that
+    # flags one off or leaves one out used to change the verdict, and one
+    # that is no mapping escaped as an AttributeError.
     (inst,) = direct_effect(pa, "P1")
-    calls = [
-        *(functools.partial(detector, pa, "P1", 0) for detector in ALL_DETECTORS),
-        lambda: reveal_deny(pa, "P1", 1.5),
-        lambda: decision_is_effective(pa, "P1", 0),
-        lambda: find_path(pa, query, 3),
-        lambda: check_path(pa, path, query, ["P1"]),
-        lambda: check_instance(pa, inst, "P1"),
-    ]
-    for call in calls:
-        with pytest.raises(MaidError, match="effectiveness must be a mapping"):
-            call()
+    assert check_instance(pa, inst) and check_instance(pa, inst, all_effective(pa))
+    off = {**all_effective(pa), "D2": False}
+    missing = {d: True for d in pa.decisions if d != "D2"}
+    for flags in (off, missing, "P1", 0, ["P1"]):
+        with pytest.raises(MaidError, match="effectiveness must be None or a mapping"):
+            check_instance(pa, inst, flags)
 
 
 def test_check_instance_needs_a_pattern_instance(pa):

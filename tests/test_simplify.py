@@ -236,8 +236,6 @@ def assert_retraction_matches_reference(maid, order_seed):
     assert removed == ref_removed
     # Node equality compares the probability and payoff tables exactly.
     assert final == ref_final
-    assert [n.synthetic_params for n in final.nodes.values()] == \
-        [n.synthetic_params for n in ref_final.nodes.values()]
 
 
 @settings(max_examples=60)
