@@ -83,7 +83,7 @@ from .semantics import (
 from .maidfile import MaidParseError, parse_maidfile, render_maidfile
 from .fixtures import card_game, fixture, principal_agent
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CyclicGraphError", "DecisionRule", "Diagnostic",

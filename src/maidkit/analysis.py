@@ -40,12 +40,11 @@ class FirstEdge(enum.Enum):
 
 
 class InteriorDecisions(enum.Enum):
-    """What a path may do at an interior decision. FORBID_ALL closes it
-    there. REQUIRE_EFFECTIVE lets every decision of the graph through: an
-    ineffective one is a chance node."""
+    """What a path may do at an interior decision: FORBID_ALL closes it
+    there, ALLOW lets it through."""
 
     FORBID_ALL = "forbid_all"
-    REQUIRE_EFFECTIVE = "require_effective"
+    ALLOW = "allow"
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class PathQuery(namedtuple("PathQuery", (
     def __new__(cls, source: str, target: str,
                 edge_mode: EdgeMode = EdgeMode.UNDIRECTED,
                 first_edge: FirstEdge = FirstEdge.ANY,
-                interior_decisions: InteriorDecisions = InteriorDecisions.REQUIRE_EFFECTIVE,
+                interior_decisions: InteriorDecisions = InteriorDecisions.ALLOW,
                 avoid: Iterable[str] = frozenset(), blocking_set: Iterable[str] = frozenset(),
                 require_collider: bool = False) -> "PathQuery":
         if not (isinstance(source, str) and isinstance(target, str)):
@@ -212,7 +211,7 @@ def _step_rule(maid: Maid, query: PathQuery) -> Callable[[str, str | None, str],
     ``node`` by a step in direction ``arrived`` may leave it by a step in
     direction ``leaving``. ``arrived`` is None at the source, where only the
     first-edge rule applies. An interior decision closes the path under
-    FORBID_ALL and passes under REQUIRE_EFFECTIVE.
+    FORBID_ALL and passes under ALLOW.
 
     Converging arrows open the path at the nodes of An(blocking set), which
     is computed once per query, at the first converging step asked about.
@@ -488,27 +487,19 @@ def decision_free_query(x: str, y: str) -> PathQuery:
 
 
 def directed_effective_query(x: str, y: str, avoid: Iterable[str] = frozenset()) -> PathQuery:
-    return PathQuery(source=x, target=y, edge_mode=EdgeMode.DIRECTED_ONLY,
-                     interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     avoid=avoid)
+    return PathQuery(source=x, target=y, edge_mode=EdgeMode.DIRECTED_ONLY, avoid=avoid)
 
 
 def back_door_query(x: str, y: str, w: Iterable[str]) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.UNDIRECTED,
-                     first_edge=FirstEdge.INTO_SOURCE,
-                     interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     blocking_set=w)
+                     first_edge=FirstEdge.INTO_SOURCE, blocking_set=w)
 
 
 def front_door_query(x: str, y: str, w: Iterable[str]) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.UNDIRECTED,
-                     first_edge=FirstEdge.OUT_OF_SOURCE,
-                     interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     blocking_set=w, require_collider=True)
+                     first_edge=FirstEdge.OUT_OF_SOURCE, blocking_set=w, require_collider=True)
 
 
 def effective_query(x: str, y: str, w: Iterable[str] = ()) -> PathQuery:
     return PathQuery(source=x, target=y, edge_mode=EdgeMode.UNDIRECTED,
-                     first_edge=FirstEdge.ANY,
-                     interior_decisions=InteriorDecisions.REQUIRE_EFFECTIVE,
-                     blocking_set=w)
+                     first_edge=FirstEdge.ANY, blocking_set=w)

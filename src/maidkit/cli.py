@@ -85,7 +85,7 @@ def _cmd_patterns(args) -> int:
     for d in sorted(report.instances):
         found = report.instances[d]
         if not found:
-            note = "" if report.effectiveness.get(d, False) else " (eliminated)"
+            note = "" if args.original else " (eliminated)"
             print(f"{d}: no patterns{note}")
             continue
         for inst in found:

@@ -91,6 +91,15 @@ def _collection(values: Iterable, what: str, items: str, collect: Callable = tup
         raise MaidError(f"{what} must be a collection of {items}, not {values!r}") from None
 
 
+def _names(values: Iterable[str], what: str, items: str, collect: Callable = tuple):
+    """``values``, a collection of string ``items``, through ``collect``."""
+    out = _collection(values, what, items, collect)
+    for v in out:
+        if not isinstance(v, str):
+            raise MaidError(f"{what} must be strings, got {v!r}")
+    return out
+
+
 def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
     """``ids`` as a set of node ids."""
     return _collection(ids, what, "node ids", frozenset)
@@ -173,7 +182,7 @@ class Node:
                cpt: Iterable | None = None) -> "Node":
         return cls(id=node_id, kind=NodeKind.CHANCE,
                    domain=_collection(domain, "domain", "values"),
-                   parents=_collection(parents, "parents", "node ids"),
+                   parents=_names(parents, "parents", "node ids"),
                    cpt=None if cpt is None else _flatten_params(cpt, "cpt"))
 
     @classmethod
@@ -181,13 +190,13 @@ class Node:
                  parents: Sequence[str] = ()) -> "Node":
         return cls(id=node_id, kind=NodeKind.DECISION, owner=owner,
                    domain=_collection(domain, "domain", "values"),
-                   parents=_collection(parents, "parents", "node ids"))
+                   parents=_names(parents, "parents", "node ids"))
 
     @classmethod
     def utility(cls, node_id: str, owner: str, parents: Sequence[str] = (),
                 table: Iterable | None = None) -> "Node":
         return cls(id=node_id, kind=NodeKind.UTILITY, owner=owner,
-                   parents=_collection(parents, "parents", "node ids"),
+                   parents=_names(parents, "parents", "node ids"),
                    table=None if table is None else _flatten_params(table, "table"))
 
     @property
@@ -234,7 +243,7 @@ class Maid:
             if node.id in table:
                 raise MaidError(f"duplicate node id: {node.id!r}")
             table[node.id] = node
-        return cls(agents=_collection(agents, "agents", "agent names", frozenset), nodes=table)
+        return cls(agents=_names(agents, "agents", "agent names", frozenset), nodes=table)
 
     def __repr__(self) -> str:
         return (f"Maid(agents={sorted(self.agents)}, nodes={len(self.nodes)}, "

@@ -84,12 +84,10 @@ class PatternInstance:
 
 @dataclass(frozen=True)
 class PatternReport:
-    """Instances per decision of the analyzed graph, and for each decision
-    whether it is still a decision there (False for one demoted to a
-    chance node)."""
+    """Instances per decision of the analyzed graph. A decision that is a
+    chance node of that graph has an empty entry."""
 
     instances: Mapping[str, tuple[PatternInstance, ...]]
-    effectiveness: Mapping[str, bool]
 
     def all_instances(self) -> tuple[PatternInstance, ...]:
         out: list[PatternInstance] = []
@@ -278,18 +276,18 @@ def enumerate_patterns(maid: Maid, original: bool = False) -> PatternReport:
     By default the graph is first simplified to a fixpoint and detectors
     run on the result, so the report reflects patterns that survive
     elimination and pruning; decisions eliminated along the way, chance
-    nodes of the simplified graph, get an empty instance list and a False
-    flag. With ``original`` the detectors run on the input graph. Either
-    way every remaining decision is effective.
+    nodes of the simplified graph, get an empty instance list, and they are
+    the only ones that do: simplification stops where every remaining
+    decision has an instance. With ``original`` the detectors run on the
+    input graph, where a decision may have none.
     """
     _check_maid(maid)
     from .simplify import simplify  # which imports this module
 
     graph = maid if original else simplify(maid).final
-    flags = {d: graph.nodes[d].is_decision for d in maid.decisions}
-    instances = {d: tuple(_detect(graph, d, _ALL_KINDS)) if flags[d] else ()
+    instances = {d: tuple(_detect(graph, d, _ALL_KINDS)) if graph.nodes[d].is_decision else ()
                  for d in maid.decisions}
-    return PatternReport(instances=instances, effectiveness=flags)
+    return PatternReport(instances=instances)
 
 
 # -- instance auditing ----------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     Maid,
@@ -35,12 +35,10 @@ from .patterns import _ALL_KINDS, _detect, _direct_effects
 
 @dataclass(frozen=True)
 class PhaseOutcome:
-    """Result of one identification phase: the (possibly reduced) graph, a
-    flag per decision of the input graph, True unless it was demoted to a
-    chance node, and what was demoted along the way."""
+    """Result of one identification phase: the (possibly reduced) graph and
+    what was demoted to a chance node along the way."""
 
     maid: Maid
-    effectiveness: Mapping[str, bool]
     eliminated: tuple[str, ...]
     removed_edges: tuple[tuple[str, str], ...]
 
@@ -57,8 +55,7 @@ class IterationRecord:
 class SimplificationResult:
     """Full account of a simplification run.
 
-    ``effectiveness`` keeps one flag for every decision of the original
-    graph, False for an eliminated one, a chance node of ``final``.
+    Each decision in ``eliminated`` is a chance node of ``final``.
     ``removed_edges`` lists edges in removal order: the incoming edges of
     each demoted decision, then the pruned information edges, iteration by
     iteration.
@@ -68,7 +65,6 @@ class SimplificationResult:
     final: Maid
     eliminated: tuple[str, ...]
     removed_edges: tuple[tuple[str, str], ...]
-    effectiveness: Mapping[str, bool]
     iterations: int
     trace: tuple[IterationRecord, ...] = field(default=())
 
@@ -85,9 +81,7 @@ def identification_phase(maid: Maid, rng: random.Random | None = None) -> PhaseO
     remaining decisions demotes nothing.
 
     A demoted decision is a parentless uniform chance node from then on,
-    which no later detection pass needs to be told;
-    ``PhaseOutcome.effectiveness`` says which decisions of ``maid`` were
-    not demoted.
+    which no later detection pass needs to be told.
 
     The decisions with a direct effect are found up front, by one backward
     search per agent from its utilities, and get no detection pass; a
@@ -104,7 +98,6 @@ def identification_phase(maid: Maid, rng: random.Random | None = None) -> PhaseO
 
 def _identify(maid: Maid, rng: random.Random | None, direct: set[str]) -> PhaseOutcome:
     """:func:`identification_phase`, skipping the decisions in ``direct``."""
-    decisions = maid.decisions
     eliminated: list[str] = []
     removed: list[tuple[str, str]] = []
     while True:
@@ -117,9 +110,7 @@ def _identify(maid: Maid, rng: random.Random | None, direct: set[str]) -> PhaseO
             eliminated.append(d)
         if len(eliminated) == before:
             break
-    return PhaseOutcome(maid=maid,
-                        effectiveness={d: maid.nodes[d].is_decision for d in decisions},
-                        eliminated=tuple(eliminated), removed_edges=tuple(removed))
+    return PhaseOutcome(maid=maid, eliminated=tuple(eliminated), removed_edges=tuple(removed))
 
 
 def retract_edges(maid: Maid,
@@ -195,8 +186,8 @@ def _retraction_test(maid: Maid, d: str) -> tuple[frozenset[str], frozenset[str]
 
 def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
     """Alternate identification and retraction until neither changes the
-    graph. The final graph, the order of every removal, and the surviving
-    participation flags are all reported.
+    graph. The final graph, the eliminated decisions and the order of every
+    removal are all reported.
 
     ``order_seed`` permutes the per-pass visiting order of decisions and
     edges; the fixed point does not depend on it.
@@ -228,5 +219,4 @@ def simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
         eliminated=tuple(d for rec in trace for d in rec.eliminated),
         removed_edges=tuple(e for rec in trace
                             for e in rec.conversion_removed_edges + rec.pruned_edges),
-        effectiveness={d: maid.nodes[d].is_decision for d in original.decisions},
         iterations=len(trace), trace=tuple(trace))

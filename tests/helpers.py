@@ -43,7 +43,6 @@ from maidkit import (
     PhaseOutcome,
     SimplificationResult,
     ValidationError,
-    all_effective,
     card_game,
     identification_phase,
     remove_edge,
@@ -400,16 +399,15 @@ def reference_identification_phase(maid: Maid, effectiveness, rng=None) -> Phase
             eliminated.append(d)
         if len(eliminated) == before:
             break
-    return PhaseOutcome(maid=maid, effectiveness=eff, eliminated=tuple(eliminated),
-                        removed_edges=tuple(removed))
+    return PhaseOutcome(maid=maid, eliminated=tuple(eliminated), removed_edges=tuple(removed))
 
 
 # The simplification loop whose identification phases each start from an
 # empty direct-effect set, so every phase proves its direct effects again.
 def reference_simplify(maid: Maid, order_seed: int | None = None) -> SimplificationResult:
     """Alternate identification and retraction until neither changes the
-    graph. The final graph, the order of every removal, and the surviving
-    participation flags are all reported.
+    graph. The final graph, the eliminated decisions and the order of every
+    removal are all reported.
 
     ``order_seed`` permutes the per-pass visiting order of decisions and
     edges; the fixed point does not depend on it.
@@ -419,7 +417,6 @@ def reference_simplify(maid: Maid, order_seed: int | None = None) -> Simplificat
         raise ValidationError(diagnostics)
     rng = random.Random(order_seed) if order_seed is not None else None
     original = maid
-    eff: dict[str, bool] = dict(all_effective(maid))
     eliminated_all: list[str] = []
     removed_all: list[tuple[str, str]] = []
     trace: list[IterationRecord] = []
@@ -432,7 +429,6 @@ def reference_simplify(maid: Maid, order_seed: int | None = None) -> Simplificat
                             "the structural bound")
         phase = identification_phase(maid, rng=rng)
         maid = phase.maid
-        eff.update((d, False) for d in phase.eliminated)
         maid, pruned = retract_edges(maid, rng=rng)
         trace.append(IterationRecord(index=iterations, eliminated=phase.eliminated,
                                      conversion_removed_edges=phase.removed_edges,
@@ -445,8 +441,7 @@ def reference_simplify(maid: Maid, order_seed: int | None = None) -> Simplificat
     return SimplificationResult(original=original, final=maid,
                                 eliminated=tuple(eliminated_all),
                                 removed_edges=tuple(removed_all),
-                                effectiveness=eff, iterations=iterations,
-                                trace=tuple(trace))
+                                iterations=iterations, trace=tuple(trace))
 
 
 def reference_find_path(maid: Maid, query: PathQuery,

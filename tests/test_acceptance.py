@@ -102,11 +102,11 @@ def test_04_scan_order_independence():
         maid = helpers.random_structure_maid(random.Random(graph_seed))
         base = simplify(maid)
         base_state = ({n: base.final.nodes[n].kind for n in base.final.nodes},
-                      set(base.final.edge_set), dict(base.effectiveness))
+                      set(base.final.edge_set), set(base.eliminated))
         for _ in range(100):
             other = simplify(maid, order_seed=seed_rng.randrange(10 ** 9))
             state = ({n: other.final.nodes[n].kind for n in other.final.nodes},
-                     set(other.final.edge_set), dict(other.effectiveness))
+                     set(other.final.edge_set), set(other.eliminated))
             if state != base_state:
                 mismatches += 1
     assert mismatches == 0

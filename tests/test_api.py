@@ -45,20 +45,40 @@ def test_version_matches_pyproject():
     assert maidkit.__version__ == version.group(1)
 
 
-def test_benchmark_tracer_targets_resolve(monkeypatch):
-    # A renamed or removed function would turn its trace row into a
-    # "missing" entry that reads 0; every target must name a callable.
-    # The tracer is loaded without writing a bytecode cache next to it.
+def _benchmark_tracer(monkeypatch):
+    """``perfbench/tracer.py`` as a module, loaded without writing a
+    bytecode cache next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # A renamed or removed function would turn its trace row into a
+    # "missing" entry that reads 0; every target must name a callable.
+    tracer = _benchmark_tracer(monkeypatch)
     assert tracer.TARGETS
     for span, module_name, attr in tracer.TARGETS:
         assert module_name.startswith("maidkit."), span
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"
+
+
+def test_benchmark_tracer_classifies_each_query_builder(monkeypatch):
+    # The tracer splits its find_path rows by the rule values of a query:
+    # the edge mode, the first edge, and whether interior decisions are
+    # "forbid_all". Each builder must land in the row named after it.
+    from maidkit import analysis
+    query_kind = _benchmark_tracer(monkeypatch).query_kind
+    w = frozenset({"C"})
+    assert query_kind(analysis.decision_free_query("A", "U_A")) == "decision_free"
+    assert query_kind(analysis.directed_effective_query("A", "U_A")) == "directed_effective"
+    assert query_kind(analysis.back_door_query("A", "U_A", w)) == "back_door"
+    assert query_kind(analysis.front_door_query("A", "U_A", w)) == "front_door"
+    assert query_kind(analysis.effective_query("A", "U_A", w)) == "effective"
 
 
 def test_benchmark_tracer_reads_the_results_it_counts():

@@ -119,6 +119,12 @@ def test_patterns_human_output_marks_eliminated(capsys, card_path):
     assert "A: no patterns (eliminated)" in lines
     assert "B: direct_effect u=U_B" in lines
     assert any(line.startswith("  d_to_u: B -> U_B") for line in lines)
+    # The original game eliminates nothing: A has no pattern there, and no note.
+    code, out, _ = run(capsys, "patterns", card_path, "--original")
+    assert code == 0
+    lines = out.splitlines()
+    assert "A: no patterns" in lines
+    assert "(eliminated)" not in out
 
 
 def test_patterns_rejects_invalid_graph(capsys, tmp_path):

@@ -61,6 +61,21 @@ def test_constructors_refuse_a_string_as_a_collection(build, message):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Node.chance("x", domain=("f", "t"), parents=[["y"]]),
+    lambda: Node.decision("d", owner="p", domain=("f", "t"), parents=("x", 5)),
+    lambda: Node.utility("u", owner="p", parents=(None,)),
+    lambda: Maid.build(agents=[5, "p"], nodes=[]),
+    lambda: Maid.build(agents=["p", None], nodes=[]),
+], ids=["list-parent", "int-parent", "none-parent", "int-agent", "none-agent"])
+def test_constructors_refuse_names_that_are_not_strings(build):
+    # Each used to be accepted and then escape as a TypeError: an
+    # unhashable parent from validate's set of parents, an agent of another
+    # type from repr and render_maidfile, which sort the agents.
+    with pytest.raises(MaidError, match="must be strings"):
+        build()
+
+
 def test_build_rejects_duplicate_ids():
     with pytest.raises(MaidError, match="duplicate"):
         Maid.build(agents=["p"], nodes=[

@@ -59,12 +59,13 @@ def _edges(edges) -> str:
     return ",".join(f"{a}>{b}" for a, b in edges)
 
 
-def _report(report) -> str:
+def _report(report, eliminated=()) -> str:
+    # A decision's flag is 1 unless simplification eliminated it.
     parts = []
     for inst in report.all_instances():
         witnesses = ";".join(f"{name}={path}" for name, path in inst.witness_paths)
         parts.append(f"{'/'.join(inst.key())}[{witnesses}]")
-    flags = ",".join(f"{d}={int(v)}" for d, v in sorted(report.effectiveness.items()))
+    flags = ",".join(f"{d}={int(d not in eliminated)}" for d in sorted(report.instances))
     return f"flags={flags} instances={' '.join(parts)}"
 
 
@@ -78,7 +79,7 @@ def golden_line(maid) -> str:
         f"removed={_edges(result.removed_edges)}",
         f"iterations={result.iterations}",
         f"trace={trace}",
-        f"simplified: {_report(enumerate_patterns(maid))}",
+        f"simplified: {_report(enumerate_patterns(maid), result.eliminated)}",
         f"original: {_report(enumerate_patterns(maid, original=True))}",
     ])
 

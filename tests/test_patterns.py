@@ -18,6 +18,7 @@ from maidkit import (
     NotADecisionError,
     PatternKind,
     all_effective,
+    card_game,
     check_instance,
     convert_decision_to_chance,
     decision_is_effective,
@@ -25,6 +26,7 @@ from maidkit import (
     enumerate_patterns,
     identification_phase,
     manipulation,
+    principal_agent,
     reveal_deny,
     signaling,
     simplify,
@@ -86,7 +88,7 @@ def test_principal_agent_full_report(pa):
     assert set(report.instances) == {"P1", "P2", "D1", "D2"}
     for d, expected in PA_EXPECTED.items():
         assert keys(report.instances[d]) == expected
-    assert report.effectiveness == {"P1": True, "P2": True, "D1": True, "D2": True}
+    assert all(report.instances.values())
 
 
 def test_principal_agent_signature_instances(pa):
@@ -169,7 +171,7 @@ def test_card_game_default_report_reflects_simplification(card1):
     # the simplified one.
     assert set(report.instances) == {"A", "B", "C"}
     assert report.instances["A"] == ()
-    assert report.effectiveness == {"A": False, "B": True, "C": True}
+    assert simplify(card1).eliminated == ("A",)
     assert keys(report.instances["B"]) == {("direct_effect", "B", "U_B", "", "", "")}
     assert keys(report.instances["C"]) == {("direct_effect", "C", "U_C", "", "", "")}
 
@@ -201,7 +203,6 @@ def test_minimal_signaling_collapses_after_pruning(sig_min):
     assert result.removed_edges == (("t", "d_A"), ("d_A", "d_B"))
     report = enumerate_patterns(sig_min)
     assert report.instances["d_A"] == ()
-    assert report.effectiveness["d_A"] is False
 
 
 def test_cascade_patterns(cascade):
@@ -373,12 +374,35 @@ def test_default_report_instances_audit_against_simplified(seed):
     maid = helpers.random_structure_maid(random.Random(seed))
     result = simplify(maid)
     report = enumerate_patterns(maid)
-    flags = dict(result.effectiveness)
+    flags = all_effective(result.final)
     for d, insts in report.instances.items():
-        if not flags.get(d, False):
+        if d in result.eliminated:
             assert insts == ()
         for inst in insts:
             assert check_instance(result.final, inst, flags)
+
+
+def _simplified_report_graphs():
+    """Card games, the principal-agent game and each random family of the
+    test helpers on fixed seeds."""
+    yield from (card_game(n) for n in range(1, 10))
+    yield principal_agent()
+    families = (helpers.random_structure_maid, helpers.random_parameterized_maid,
+                lambda rng: helpers.with_payoffs(helpers.random_search_maid(rng), rng),
+                helpers.two_decision_game, helpers.pennies_with_chance)
+    for family in families:
+        yield from (family(random.Random(seed)) for seed in range(60))
+
+
+def test_simplified_report_is_empty_exactly_at_eliminated_decisions():
+    # Simplification stops only where every remaining decision has a
+    # pattern instance, so an empty entry of the simplified report marks an
+    # eliminated decision; the CLI's "(eliminated)" note relies on this.
+    for maid in _simplified_report_graphs():
+        eliminated = set(simplify(maid).eliminated)
+        report = enumerate_patterns(maid)
+        assert set(report.instances) == set(maid.decisions)
+        assert {d for d, insts in report.instances.items() if not insts} == eliminated
 
 
 def _shared_owner_graphs(count):

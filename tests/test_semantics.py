@@ -511,8 +511,7 @@ def test_unsound_reduction_is_caught(card1):
         convert_decision_to_chance(card1, "A"), "B")
     claim = SimplificationResult(
         original=card1, final=tampered, eliminated=("A", "B"),
-        removed_edges=(("J", "A"), ("A", "B"), ("C", "B")),
-        effectiveness={"A": False, "B": False, "C": True}, iterations=1)
+        removed_edges=(("J", "A"), ("A", "B"), ("C", "B")), iterations=1)
     report = verify_simplification(card1, claim, seed=0)
     assert report.status == "fail" and not report.passed
     assert report.gaps["b"] == pytest.approx(10 / 3)

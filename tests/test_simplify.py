@@ -36,7 +36,7 @@ def test_card_game_outcome(card1):
     assert result.eliminated == ("A",)
     assert result.removed_edges == (("J", "A"), ("J", "C"), ("A", "B"), ("C", "B"))
     assert result.iterations == 2
-    assert result.effectiveness == {"A": False, "B": True, "C": True}
+    assert result.final.decisions == ("B", "C")
     assert result.final.edges == (("B", "U_A"), ("B", "U_B"), ("B", "U_C"),
                                   ("C", "U_C"), ("J", "U_B"))
     assert result.original is card1
@@ -79,7 +79,6 @@ def test_principal_agent_is_already_minimal(pa):
     assert result.eliminated == ()
     assert result.removed_edges == ()
     assert result.iterations == 1
-    assert all(result.effectiveness.values())
 
 
 def test_cascade_eliminates_in_dependency_order(cascade):
@@ -116,7 +115,7 @@ def test_identification_phase_alone(card1):
     assert not hasattr(out, "changed")  # removed in 0.4.0: it was bool(eliminated)
     assert out.eliminated == ("A",)
     assert out.removed_edges == (("J", "A"),)
-    assert out.effectiveness == {"A": False, "B": True, "C": True}
+    assert out.maid.decisions == ("B", "C")
     assert not out.maid.nodes["A"].is_decision
     idle = identification_phase(out.maid)
     assert idle.eliminated == ()
@@ -186,7 +185,6 @@ def assert_simplify_matches_reference(maid, order_seed):
     assert result.final == ref.final
     assert result.eliminated == ref.eliminated
     assert result.removed_edges == ref.removed_edges
-    assert result.effectiveness == ref.effectiveness
     assert result.iterations == ref.iterations
     assert result.trace == ref.trace
 
@@ -368,16 +366,14 @@ def test_result_invariants(seed):
     result = simplify(maid)
     assert validate(result.final) == []
     assert set(result.final.edge_set) == set(maid.edge_set) - set(result.removed_edges)
-    assert set(result.effectiveness) == set(maid.decisions)
+    assert set(result.eliminated) <= set(maid.decisions)
     for d in maid.decisions:
         node = result.final.nodes[d]
         if d in result.eliminated:
             assert node.kind is NodeKind.CHANCE
             assert node.parents == ()
-            assert result.effectiveness[d] is False
         else:
             assert node.is_decision
-            assert result.effectiveness[d] is True
     # Every iteration before the last makes progress; the last confirms the
     # fixed point, and the safety bound never trips.
     *working, idle = result.trace
@@ -406,7 +402,6 @@ def test_scan_order_does_not_change_outcome(seed, order_seed):
     assert shuffled.final == base.final
     assert sorted(shuffled.eliminated) == sorted(base.eliminated)
     assert set(shuffled.removed_edges) == set(base.removed_edges)
-    assert shuffled.effectiveness == base.effectiveness
 
 
 def test_scan_order_on_fixtures(card1, pa, cascade, sig_min):
@@ -417,4 +412,3 @@ def test_scan_order_on_fixtures(card1, pa, cascade, sig_min):
             assert r.final == base.final
             assert sorted(r.eliminated) == sorted(base.eliminated)
             assert set(r.removed_edges) == set(base.removed_edges)
-            assert r.effectiveness == base.effectiveness
