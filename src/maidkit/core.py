@@ -100,6 +100,13 @@ def _names(values: Iterable[str], what: str, items: str, collect: Callable = tup
     return out
 
 
+def _name(value: str, what: str) -> str:
+    """``value``, which must be a string naming ``what``."""
+    if not isinstance(value, str):
+        raise MaidError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _id_set(ids: Iterable[str], what: str) -> frozenset[str]:
     """``ids`` as a set of node ids."""
     return _collection(ids, what, "node ids", frozenset)
@@ -188,14 +195,14 @@ class Node:
     @classmethod
     def decision(cls, node_id: str, owner: str, domain: Sequence[str],
                  parents: Sequence[str] = ()) -> "Node":
-        return cls(id=node_id, kind=NodeKind.DECISION, owner=owner,
+        return cls(id=node_id, kind=NodeKind.DECISION, owner=_name(owner, "owner"),
                    domain=_collection(domain, "domain", "values"),
                    parents=_names(parents, "parents", "node ids"))
 
     @classmethod
     def utility(cls, node_id: str, owner: str, parents: Sequence[str] = (),
                 table: Iterable | None = None) -> "Node":
-        return cls(id=node_id, kind=NodeKind.UTILITY, owner=owner,
+        return cls(id=node_id, kind=NodeKind.UTILITY, owner=_name(owner, "owner"),
                    parents=_names(parents, "parents", "node ids"),
                    table=None if table is None else _flatten_params(table, "table"))
 
@@ -286,23 +293,26 @@ class Maid:
 
     @cached_property
     def _parents_map(self) -> dict[str, tuple[str, ...]]:
-        # The one adjacency index: every node, with its parents that resolve
-        # to nodes, ascending. The other edge indexes are derived from it.
-        return {node_id: _resolved_parents(self.nodes, node)
-                for node_id, node in self.nodes.items()}
+        # The one adjacency index: every node, in id order, with its parents
+        # that resolve to nodes, ascending. The other edge indexes are
+        # derived from it.
+        nodes = self.nodes
+        return {n: _resolved_parents(nodes, nodes[n]) for n in sorted(nodes)}
 
     @cached_property
     def _children_map(self) -> dict[str, tuple[str, ...]]:
+        # One walk over the parents map, which is in id order, so each list
+        # comes out ascending.
         acc: dict[str, list[str]] = {}
         for node_id, parents in self._parents_map.items():
             for p in parents:
                 acc.setdefault(p, []).append(node_id)
-        return {k: tuple(sorted(v)) for k, v in acc.items()}
+        return {k: tuple(v) for k, v in acc.items()}
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted((p, node_id) for node_id, parents in self._parents_map.items()
-                            for p in parents))
+        children = self._children_map
+        return tuple([(p, c) for p in sorted(children) for c in children[p]])
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[str, str]]:
@@ -313,10 +323,11 @@ class Maid:
         # One pass over the nodes in id order, comparing kinds by identity:
         # a node of no NodeKind is in no list, and only agents own nodes.
         chance, decision, utility = NodeKind.CHANCE, NodeKind.DECISION, NodeKind.UTILITY
+        nodes = self.nodes
         ds, us, cs = [], [], []
         owned: dict[str, tuple[list[str], list[str]]] = {a: ([], []) for a in self.agents}
-        for n in sorted(self.nodes):
-            node = self.nodes[n]
+        for n in sorted(nodes):
+            node = nodes[n]
             kind = node.kind
             if kind is chance:
                 cs.append(n)
@@ -341,17 +352,26 @@ class Maid:
         # reproducible. Unresolved parent references are skipped here and
         # reported by validate() instead. Nodes on or below a directed cycle
         # never become ready, so on a cyclic graph the order leaves them out.
-        indeg = {n: len(parents) for n, parents in self._parents_map.items()}
-        ready = [n for n, d in indeg.items() if d == 0]
+        ready: list[str] = []
+        indeg: dict[str, int] = {}
+        for n, parents in self._parents_map.items():
+            if parents:
+                indeg[n] = len(parents)
+            else:
+                ready.append(n)
         heapq.heapify(ready)
+        children = self._children_map.get
+        push, pop = heapq.heappush, heapq.heappop
         order: list[str] = []
         while ready:
-            n = heapq.heappop(ready)
+            n = pop(ready)
             order.append(n)
-            for c in self._children_map.get(n, ()):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
+            for c in children(n, ()):
+                left = indeg[c] - 1
+                if left:
+                    indeg[c] = left
+                else:
+                    push(ready, c)
         return tuple(order)
 
     @cached_property
@@ -374,8 +394,15 @@ class Maid:
 
 
 def _resolved_parents(nodes: Mapping[str, Node], node: Node) -> tuple[str, ...]:
-    """``node``'s entry in ``Maid._parents_map`` over the node table ``nodes``."""
-    return tuple(sorted(p for p in node.parents if p in nodes))
+    """``node``'s entry in ``Maid._parents_map`` over the node table ``nodes``:
+    its parents that resolve to nodes, ascending, a repeated parent once
+    per listing. A parent tuple of at most one node is its own entry."""
+    parents = node.parents
+    if type(parents) is not tuple or len(parents) > 1:
+        return tuple(sorted(filter(nodes.__contains__, parents)))
+    if parents and parents[0] not in nodes:
+        return ()
+    return parents
 
 
 def _require_decision(maid: Maid, node_id: str) -> Node:
@@ -523,17 +550,28 @@ def validate(maid: Maid) -> list[Diagnostic]:
 
 
 def _check_structure(maid: Maid) -> list[Diagnostic]:
-    """Every structural finding about ``maid``, in :func:`validate`'s order."""
+    """Every structural finding about ``maid``, in :func:`validate`'s order.
+
+    Per node, in id order, the findings keep this order: ``node-id``
+    (empty, then mis-keyed); ``node-kind``, ``owner-required`` or
+    ``owner-forbidden``; ``owner-declared``; ``domain-size``,
+    ``domain-hashable``, ``domain-distinct`` or ``domain-forbidden``;
+    ``parents-distinct``; ``parent-resolves`` for each unresolved parent,
+    then ``utility-sink`` for each parent that is a utility, in list order;
+    ``params-kind``; then the table rules (``cpt-arity``, per row
+    ``cpt-finite``, ``cpt-nonnegative`` and ``cpt-normalized``;
+    ``table-arity`` or ``table-finite``). ``acyclic`` comes last."""
     out: list[Diagnostic] = []
     nodes, agents = maid.nodes, maid.agents
+    parents_map = maid._parents_map  # in id order
+    utilities = frozenset(maid.utilities)
     chance, decision, utility = NodeKind.CHANCE, NodeKind.DECISION, NodeKind.UTILITY
     def add(rule: str, message: str) -> None:  # a finding about the node the loop is on
         out.append(Diagnostic(node_id, rule, message))
 
-    for node_id in sorted(nodes):
+    for node_id, resolved in parents_map.items():
         node = nodes[node_id]
-        kind, owner, domain, parents, cpt, table = (
-            node.kind, node.owner, node.domain, node.parents, node.cpt, node.table)
+        kind, owner, domain, parents = node.kind, node.owner, node.domain, node.parents
         if not node_id:
             add("node-id", "node id must be non-empty")
         if node.id != node_id:
@@ -541,45 +579,61 @@ def _check_structure(maid: Maid) -> list[Diagnostic]:
 
         # A node of no NodeKind gets one finding and none of the rules
         # that depend on its kind.
-        if kind is not chance and kind is not decision and kind is not utility:
+        if kind is chance:
+            if owner is not None:
+                add("owner-forbidden", "chance node must not have an owner")
+        elif kind is decision or kind is utility:
+            if owner is None:
+                add("owner-required", f"{kind.value} node has no owning agent")
+        else:
             add("node-kind", f"kind {kind!r} is not a NodeKind")
-        elif owner is None and kind is not chance:
-            add("owner-required", f"{kind.value} node has no owning agent")
-        elif owner is not None and kind is chance:
-            add("owner-forbidden", "chance node must not have an owner")
-        if owner is not None and not (_hashable(owner) and owner in agents):
-            add("owner-declared", f"owner {owner!r} is not a declared agent")
+        if owner is not None:
+            try:
+                declared = owner in agents
+            except TypeError:  # an unhashable owner names no agent
+                declared = False
+            if not declared:
+                add("owner-declared", f"owner {owner!r} is not a declared agent")
 
         if kind is chance or kind is decision:
             if domain is None or len(domain) < 2:
                 add("domain-size", "domain must list at least two values")
-            elif not all(map(_hashable, domain)):
-                add("domain-hashable", "domain values must be hashable")
-            elif len(set(domain)) != len(domain):
-                add("domain-distinct", "domain values must be distinct")
+            else:
+                try:
+                    if len(set(domain)) != len(domain):
+                        add("domain-distinct", "domain values must be distinct")
+                except TypeError:  # an unhashable value
+                    add("domain-hashable", "domain values must be hashable")
         elif domain is not None and kind is utility:
             add("domain-forbidden", "utility node must not declare a domain")
 
-        if len(set(parents)) != len(parents):
-            add("parents-distinct", "parent list contains duplicates")
-        resolved = list(map(nodes.get, parents))  # None where a parent is not a node
-        for p, pnode in zip(parents, resolved):
-            if pnode is None:
-                add("parent-resolves", f"parent {p!r} is not a node")
-        for p, pnode in zip(parents, resolved):
-            if pnode is not None and pnode.kind is utility:
-                add("utility-sink", f"utility node {p!r} is not a sink")
+        if parents:
+            if len(parents) > 1 and len(set(parents)) != len(parents):
+                add("parents-distinct", "parent list contains duplicates")
+            if len(resolved) != len(parents) or not utilities.isdisjoint(resolved):
+                for p in parents:
+                    if p not in nodes:
+                        add("parent-resolves", f"parent {p!r} is not a node")
+                for p in parents:
+                    if p in utilities:
+                        add("utility-sink", f"utility node {p!r} is not a sink")
 
-        if kind is decision and (cpt is not None or table is not None):
+        cpt, table = node.cpt, node.table
+        if cpt is None and table is None:
+            continue
+        if kind is decision:
             add("params-kind", "decision node must not carry parameters")
-        if kind is chance and table is not None:
+        elif kind is chance and table is not None:
             add("params-kind", "chance node must not carry a payoff table")
-        if kind is utility and cpt is not None:
+        elif kind is utility and cpt is not None:
             add("params-kind", "utility node must not carry a probability table")
 
-        if cpt is None and table is None or not all(resolved) or None in [pn.domain for pn in resolved]:
-            continue  # no table, or no parent domains to size it by
-        rows = math.prod(len(pn.domain) for pn in resolved)
+        if len(resolved) != len(parents):
+            continue  # no parent domains to size the table by
+        domains = [nodes[p].domain for p in parents]
+        if None in domains:
+            continue
+        rows = math.prod(map(len, domains))
         if cpt is not None and kind is chance and domain:
             k = len(domain)
             if len(cpt) != rows * k:
@@ -600,8 +654,8 @@ def _check_structure(maid: Maid) -> list[Diagnostic]:
             elif not all(map(math.isfinite, table)):
                 add("table-finite", "payoffs must be finite reals")
 
-    if len(maid._kahn_order) != len(maid.nodes):
-        cyclic = sorted(maid.nodes.keys() - set(maid._kahn_order))
+    if len(maid._kahn_order) != len(nodes):
+        cyclic = sorted(nodes.keys() - set(maid._kahn_order))
         out.append(Diagnostic(None, "acyclic",
                               f"graph contains a directed cycle among {{{', '.join(cyclic)}}}"))
     return out

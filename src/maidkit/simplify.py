@@ -133,8 +133,8 @@ def retract_edges(maid: Maid,
     _check_maid(maid)
     if rng is not None:
         _check_seed(rng, rng=True)
-    decision_order = [n for n in maid.topological_order
-                      if maid.nodes[n].is_decision]
+    decisions = maid._decision_set
+    decision_order = [n for n in maid.topological_order if n in decisions]
     info_edges = [(p, d) for d in decision_order for p in maid.parents(d)]
     if not info_edges:
         return maid, ()
@@ -144,7 +144,6 @@ def retract_edges(maid: Maid,
     disabled = set(info_edges)
     parents = dict(maid._parents_map)
     children = dict(maid._children_map)
-    decisions = maid._decision_set
     for p in {p for d in decision_order for p in parents[d]}:
         children[p] = [c for c in children[p] if c not in decisions]
     for d in decision_order:

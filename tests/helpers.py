@@ -10,9 +10,11 @@ detection pass on every decision it checks, which ``identification_phase``
 must agree with,
 the token-at-a-time maidfile parser that ``parse_maidfile`` must agree
 with, the rule-at-a-time structure check that ``validate`` must agree
-with, the state-at-a-time joint-space sweep that the numeric layer's
-enumerated table must agree with, the equilibrium search that runs every
-best-response round, which ``find_equilibrium_small`` must agree with,
+with, the graph's indexes computed from their definitions, which the
+builders on ``Maid`` must agree with, the state-at-a-time joint-space
+sweep that the numeric layer's enumerated table must agree with, the
+equilibrium search that runs every best-response round, which
+``find_equilibrium_small`` must agree with,
 the verification that sweeps again for every best response, which
 ``verify_simplification`` must agree with,
 small hand-built games, and samplers for strategy profiles. The
@@ -777,6 +779,50 @@ def reference_validate(maid: Maid) -> list[Diagnostic]:
         out.append(Diagnostic(None, "acyclic",
                               f"graph contains a directed cycle among {{{', '.join(cyclic)}}}"))
     return out
+
+
+def reference_indexes(maid: Maid) -> dict[str, object]:
+    """Every index ``Maid`` derives from its node table, by attribute name,
+    computed from the definitions with no shared code:
+
+    - parents: each node's parents that are nodes, ascending, a parent
+      listed twice kept twice (``("x", "x", "y")``);
+    - children: for each node with a child, every node listing it as a
+      parent, once per listing, ascending;
+    - edges: every (parent, child) pair, once per listing, ascending;
+    - Kahn order: again and again the least id not yet placed whose
+      parents that are nodes are all placed; a node on or below a directed
+      cycle is never placed;
+    - kinds: each kind's ids (compared by identity) in id order, and each
+      declared agent's own decisions and utilities, in id order.
+    """
+    ids = sorted(maid.nodes)
+    parents = {n: tuple(p for p in sorted(maid.nodes[n].parents) if p in maid.nodes)
+               for n in ids}
+    children = {p: tuple(n for n in ids for q in parents[n] if q == p) for p in ids}
+    children = {p: c for p, c in children.items() if c}
+    order: list[str] = []
+    while True:
+        ready = [n for n in ids if n not in order and all(p in order for p in parents[n])]
+        if not ready:
+            break
+        order.append(min(ready))
+
+    def of_kind(kind, agent=None):
+        return tuple(n for n in ids if maid.nodes[n].kind is kind
+                     and (agent is None or maid.nodes[n].owner == agent))
+
+    decisions = of_kind(NodeKind.DECISION)
+    owned = {a: (of_kind(NodeKind.DECISION, a), of_kind(NodeKind.UTILITY, a))
+             for a in maid.agents}
+    return {
+        "_parents_map": parents,
+        "_children_map": children,
+        "edges": tuple(sorted((p, n) for n in ids for p in parents[n])),
+        "_kahn_order": tuple(order),
+        "_kinds": (decisions, frozenset(decisions), of_kind(NodeKind.UTILITY),
+                   of_kind(NodeKind.CHANCE), owned),
+    }
 
 
 class DSepOracle:

@@ -76,6 +76,19 @@ def test_constructors_refuse_names_that_are_not_strings(build):
         build()
 
 
+@pytest.mark.parametrize("owner", [5, None, ["p"]], ids=["int", "none", "list"])
+@pytest.mark.parametrize("build", [
+    lambda owner: Node.decision("d", owner, ("f", "t")),
+    lambda owner: Node.utility("u", owner),
+], ids=["decision", "utility"])
+def test_constructors_refuse_an_owner_that_is_not_a_string(build, owner):
+    # Each used to be accepted and reported by validate as an undeclared
+    # owner, or to escape from render_maidfile's name check; a raw Node
+    # still reaches that finding.
+    with pytest.raises(MaidError, match="owner must be a string"):
+        build(owner)
+
+
 def test_build_rejects_duplicate_ids():
     with pytest.raises(MaidError, match="duplicate"):
         Maid.build(agents=["p"], nodes=[
@@ -280,7 +293,7 @@ def test_raw_node_data_gives_findings_or_maid_errors():
     # validate, a node id that is not a string from validate's sort or
     # Maid.build, a name that is not a string from render_maidfile.
     b = ("f", "t")
-    maid = Maid.build(["p"], [Node.decision("d", ["p"], b),
+    maid = Maid.build(["p"], [Node(id="d", kind=NodeKind.DECISION, owner=["p"], domain=b),
                               Node.chance("x", (["a"], "b"))])
     assert validate(maid) == [
         Diagnostic("d", "owner-declared", "owner ['p'] is not a declared agent"),
@@ -290,7 +303,8 @@ def test_raw_node_data_gives_findings_or_maid_errors():
     for make in (lambda: Node.chance(5, b), lambda: Node.decision(["d"], "p", b),
                  lambda: Node.utility(None, "p"),
                  lambda: Maid.build(["p"], [Node(id=["x"], kind=NodeKind.CHANCE, domain=b)]),
-                 lambda: render_maidfile(Maid.build(["p"], [Node.decision("d", 5, b)]))):
+                 lambda: render_maidfile(Maid.build(["p"], [
+                     Node(id="d", kind=NodeKind.DECISION, owner=5, domain=b)]))):
         with pytest.raises(MaidError):
             make()
 

@@ -1,12 +1,16 @@
 """Parsing and rendering of the plain-text graph format."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import os
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from maidkit import (
@@ -19,6 +23,7 @@ from maidkit import (
     render_maidfile,
     validate,
 )
+from maidkit import cli
 
 import helpers
 
@@ -217,12 +222,9 @@ def _parse_outcome(parse, text):
         return str(exc), exc.line, exc.col
 
 
-@settings(max_examples=300)
-@given(text=_FUZZ_SOURCES, data=st.data())
-def test_parse_matches_reference_on_mutated_files(text, data):
-    # Insert and delete short runs of characters, then maybe truncate: the
-    # same graph or the same error at the same place, and no other
-    # exception from either parser.
+def _mutated(text, data):
+    """``text`` with short runs of characters inserted and deleted, then
+    maybe truncated."""
     for _ in range(data.draw(st.integers(1, 6), label="edits")):
         pos = data.draw(st.integers(0, len(text)), label="position")
         if data.draw(st.booleans(), label="insert"):
@@ -232,5 +234,42 @@ def test_parse_matches_reference_on_mutated_files(text, data):
             text = text[:pos] + text[pos + data.draw(st.integers(1, 3), label="cut"):]
     if data.draw(st.booleans(), label="truncate"):
         text = text[:data.draw(st.integers(0, len(text)), label="length")]
+    return text
+
+
+@settings(max_examples=300)
+@given(text=_FUZZ_SOURCES, data=st.data())
+def test_parse_matches_reference_on_mutated_files(text, data):
+    # The same graph or the same error at the same place, and no other
+    # exception from either parser.
+    text = _mutated(text, data)
     assert (_parse_outcome(parse_maidfile, text)
             == _parse_outcome(helpers.reference_parse_maidfile, text))
+
+
+# -- the outer boundary ---------------------------------------------------------------
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+@given(text=_FUZZ_SOURCES, data=st.data())
+def test_cli_handles_every_mutated_file_that_parses(text, data):
+    # Whatever graph a damaged file still describes, each subcommand that
+    # reads one ends in an exit code of its contract and a one-line
+    # error, never an internal error. About one mutated file in twelve
+    # parses.
+    text = _mutated(text, data)
+    try:
+        parse_maidfile(text)
+    except MaidParseError:
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.maid")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["validate", path], ["simplify", path], ["patterns", path],
+                     ["verify", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), argv
+            assert "error: internal error:" not in err.getvalue(), (argv, err.getvalue())

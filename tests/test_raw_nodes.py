@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maidkit import (
@@ -24,6 +24,7 @@ from maidkit import (
     PatternKind,
     all_effective,
     ancestors,
+    card_game,
     chance_row,
     check_instance,
     constant_rule,
@@ -42,6 +43,7 @@ from maidkit import (
     leaf_metric,
     manipulation,
     parent_configs,
+    principal_agent,
     remove_edge,
     render_maidfile,
     retract_edges,
@@ -268,6 +270,25 @@ def assert_indexes_as_built_fresh(edited):
     fresh = Maid(agents=edited.agents, nodes=dict(edited.nodes))
     for index in INDEXES:
         assert getattr(edited, index) == getattr(fresh, index), index
+    assert_indexes_match_reference(edited)
+
+
+def assert_indexes_match_reference(maid):
+    for index, expected in helpers.reference_indexes(maid).items():
+        assert getattr(maid, index) == expected, index
+
+
+@settings(max_examples=300)
+@given(maid=any_maids() | odd_maids())
+@example(maid=card_game(5))
+@example(maid=principal_agent())
+@example(maid=helpers.decision_chain(40))
+@example(maid=helpers.blocked_dense_dag(6))
+def test_indexes_match_their_definitions(maid):
+    # Each index, built fresh, against the reference built from its
+    # definition: repeated parents kept, lists ascending, the Kahn order
+    # with lexicographic ties and without nodes on or below a cycle.
+    assert_indexes_match_reference(maid)
 
 
 @settings(max_examples=300)
