@@ -248,13 +248,19 @@ def find_path(maid: Maid, query: PathQuery) -> Path | None:
     long for it. A directed query expands each node at most once and costs
     O(V + E). An undirected query searches states (node, arrival direction,
     collider seen), and never enters again a state whose search failed
-    without running into a node of the path above it. Once it has tried 2E
-    moves and has to back up, it marks the states from which some walk
-    obeying the query reaches the target, in one O(V + E) pass backward
-    from the target, and then steps only into those; a query no walk
-    satisfies costs O(V + E). Neither bounds a query that some walk
-    satisfies but few simple paths do: a state whose search fails on the
-    path's own nodes is searched again after each prefix that reaches it.
+    without running into a node of the path above it. Converging arrows
+    open only at An(blocking set), which is closed under parents, so a
+    query that requires them never steps forward onto a node outside that
+    set before its first collider: the prefix could only go on forward and
+    never meet one. A front-door query whose source has no child in
+    An(blocking set) thus fails after the one O(V + E) pass that finds the
+    set. Once the search has tried 2E moves and has to back up, it marks
+    the states from which some walk obeying the query reaches the target,
+    in one O(V + E) pass backward from the target, and then steps only
+    into those; a query no walk satisfies costs O(V + E). None of these
+    rules bounds a query that some walk satisfies but few simple paths do:
+    a state whose search fails on the path's own nodes is searched again
+    after each prefix that reaches it.
 
     Raises :class:`~maidkit.core.CyclicGraphError` on a graph with a
     directed cycle, where expanding a node once would not be exact.
@@ -350,11 +356,11 @@ def _undirected_search(maid: Maid, query: PathQuery,
     parents = maid._parents_map
     target, avoid = query.target, query.avoid
 
-    def moves(node: str, arrived: str | None) -> Iterator[tuple[str, str]]:
+    def moves(node: str, arrived: str | None, backward_ok: bool) -> Iterator[tuple[str, str]]:
         # The step rule depends on the state alone, so it is judged once per
         # direction a state may leave by, not once per move.
         forward = children.get(node, ()) if step_ok(node, arrived, FORWARD) else ()
-        backward = parents[node] if step_ok(node, arrived, BACKWARD) else ()
+        backward = parents[node] if backward_ok else ()
         return chain(zip(forward, repeat(FORWARD)), zip(backward, repeat(BACKWARD)))
 
     # The path's nodes in order, each with its depth.
@@ -365,17 +371,18 @@ def _undirected_search(maid: Maid, query: PathQuery,
     # low: the shallowest depth of a path node that a move in the current
     # frame's subtree ran into (lows: the outer frames'). A frame failing
     # with low no less than its own depth met no node of its prefix, and
-    # every other skip (step rule, avoid set, dead or not live state)
-    # depends on the state alone: it fails after any prefix, so its state
-    # is dead. Otherwise low passes up: the parent's subtree also left the
-    # continuations through that node untried.
+    # every other skip (step rule, avoid set, dead or not live state, a
+    # state that can never meet a collider) depends on the state alone: it
+    # fails after any prefix, so its state is dead. Otherwise low passes
+    # up: the parent's subtree also left the continuations through that
+    # node untried.
     low, lows = 0, []
     dead: set[tuple[str, str, bool]] = set()
     live: set[tuple[str, str, bool]] | None = None
     # The live states cost a pass over every edge, so they are marked only
     # once the search has tried as many moves as the graph has edge ends.
     moves_before_pruning = 2 * len(maid.edges)
-    stack = [moves(query.source, None)]
+    stack = [moves(query.source, None, step_ok(query.source, None, BACKWARD))]
     while stack:
         _, arrived, seen_before = frames[-1]
         for nxt, leaving in stack[-1]:
@@ -392,10 +399,18 @@ def _undirected_search(maid: Maid, query: PathQuery,
             if (nxt in avoid or nxt == target or state in dead
                     or live is not None and state not in live):
                 continue
+            # Converging arrows open only at An(blocking set), which is
+            # closed under parents. A path that steps forward onto a node
+            # where they stay closed before its first collider can only go
+            # on forward, to such nodes again, and never meets one.
+            backward_ok = step_ok(nxt, leaving, BACKWARD)
+            if not (seen or backward_ok or leaving == BACKWARD):
+                dead.add(state)
+                continue
             lows.append(low)
             low = on_path[nxt] = len(on_path)
             frames.append(state)
-            stack.append(moves(nxt, leaving))
+            stack.append(moves(nxt, leaving, backward_ok))
             break
         else:
             stack.pop()

@@ -188,7 +188,7 @@ class Node:
     def chance(cls, node_id: str, domain: Sequence[str], parents: Sequence[str] = (),
                cpt: Iterable | None = None) -> "Node":
         return cls(id=node_id, kind=NodeKind.CHANCE,
-                   domain=_collection(domain, "domain", "values"),
+                   domain=_names(domain, "domain", "values"),
                    parents=_names(parents, "parents", "node ids"),
                    cpt=None if cpt is None else _flatten_params(cpt, "cpt"))
 
@@ -196,7 +196,7 @@ class Node:
     def decision(cls, node_id: str, owner: str, domain: Sequence[str],
                  parents: Sequence[str] = ()) -> "Node":
         return cls(id=node_id, kind=NodeKind.DECISION, owner=_name(owner, "owner"),
-                   domain=_collection(domain, "domain", "values"),
+                   domain=_names(domain, "domain", "values"),
                    parents=_names(parents, "parents", "node ids"))
 
     @classmethod
@@ -297,7 +297,7 @@ class Maid:
         # that resolve to nodes, ascending. The other edge indexes are
         # derived from it.
         nodes = self.nodes
-        return {n: _resolved_parents(nodes, nodes[n]) for n in sorted(nodes)}
+        return {n: _resolved_parents(nodes, nodes[n]) for n in _sorted_ids(nodes)}
 
     @cached_property
     def _children_map(self) -> dict[str, tuple[str, ...]]:
@@ -326,7 +326,7 @@ class Maid:
         nodes = self.nodes
         ds, us, cs = [], [], []
         owned: dict[str, tuple[list[str], list[str]]] = {a: ([], []) for a in self.agents}
-        for n in sorted(nodes):
+        for n in _sorted_ids(nodes):
             node = nodes[n]
             kind = node.kind
             if kind is chance:
@@ -391,6 +391,17 @@ class Maid:
         table = dict(self.nodes)
         table[node.id] = node
         return Maid(agents=self.agents, nodes=table)
+
+
+def _sorted_ids(nodes: Mapping[str, Node]) -> list[str]:
+    """The keys of the node table ``nodes``, ascending. Only a raw
+    ``Maid(...)`` can key a node by something other than a string, and
+    keys of more than one type do not sort."""
+    try:
+        return sorted(nodes)
+    except TypeError:
+        key = next(k for k in nodes if not isinstance(k, str))
+        raise MaidError(f"node ids must be strings, got the key {key!r}") from None
 
 
 def _resolved_parents(nodes: Mapping[str, Node], node: Node) -> tuple[str, ...]:

@@ -67,11 +67,17 @@ def test_constructors_refuse_a_string_as_a_collection(build, message):
     lambda: Node.utility("u", owner="p", parents=(None,)),
     lambda: Maid.build(agents=[5, "p"], nodes=[]),
     lambda: Maid.build(agents=["p", None], nodes=[]),
-], ids=["list-parent", "int-parent", "none-parent", "int-agent", "none-agent"])
+    lambda: Node.chance("x", domain=(0, 1)),
+    lambda: Node.decision("d", owner="p", domain=("f", None)),
+    lambda: Node.chance("x", domain=(["f"], "t")),
+], ids=["list-parent", "int-parent", "none-parent", "int-agent", "none-agent",
+        "int-domain", "none-domain", "list-domain"])
 def test_constructors_refuse_names_that_are_not_strings(build):
     # Each used to be accepted and then escape as a TypeError: an
     # unhashable parent from validate's set of parents, an agent of another
-    # type from repr and render_maidfile, which sort the agents.
+    # type from repr and render_maidfile, which sort the agents. A domain
+    # value that is not a string could not be written to a maidfile; an
+    # unhashable one escaped from validate's set of values.
     with pytest.raises(MaidError, match="must be strings"):
         build()
 
@@ -294,7 +300,7 @@ def test_raw_node_data_gives_findings_or_maid_errors():
     # Maid.build, a name that is not a string from render_maidfile.
     b = ("f", "t")
     maid = Maid.build(["p"], [Node(id="d", kind=NodeKind.DECISION, owner=["p"], domain=b),
-                              Node.chance("x", (["a"], "b"))])
+                              Node(id="x", kind=NodeKind.CHANCE, domain=(["a"], "b"))])
     assert validate(maid) == [
         Diagnostic("d", "owner-declared", "owner ['p'] is not a declared agent"),
         Diagnostic("x", "domain-hashable", "domain values must be hashable")]
@@ -307,6 +313,20 @@ def test_raw_node_data_gives_findings_or_maid_errors():
                      Node(id="d", kind=NodeKind.DECISION, owner=5, domain=b)]))):
         with pytest.raises(MaidError):
             make()
+
+
+def test_node_keys_that_do_not_sort_give_maid_errors():
+    # A raw Maid can key a node by something other than a string. Keys of
+    # two types do not sort, and every index is built in id order: each of
+    # these raised TypeError from the sort.
+    b = ("f", "t")
+    maid = Maid(agents=frozenset({"p"}), nodes={
+        5: Node.chance("x", b), "y": Node.chance("y", b, parents=("x",))})
+    for call in (lambda: validate(maid), lambda: maid.decisions,
+                 lambda: descendants(maid, "y"), lambda: simplify(maid),
+                 lambda: render_maidfile(maid)):
+        with pytest.raises(MaidError, match="node ids must be strings, got the key 5"):
+            call()
 
 
 def test_validate_parent_rules():
