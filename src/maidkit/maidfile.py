@@ -35,14 +35,18 @@ import re
 
 from .core import Maid, MaidError, Node, NodeKind, _check_maid
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# Written so that no two ways split a number: the scanner backtracks over
+# items that fail, and an ambiguous pattern does so in quadratic time.
+_NUMBER = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # One match per token: the whitespace and comments in front of it, then the
 # token's text. Every position matches something, so one findall lexes the
 # whole text and ends in the empty text of the end of input.
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     \s*(?:\#[^\n]*\s*)*
-    ( [A-Za-z_][A-Za-z0-9_]*                   # identifier
-    | [{};]
-    | -?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?   # number
+    ( {_IDENT}
+    | [{{}};]
+    | {_NUMBER}
     | \Z                                       # end of input
     | .)                                       # a character no token takes
 """, re.VERBOSE | re.DOTALL)
@@ -61,6 +65,20 @@ _LISTS = {"domain": ("ident", 1, "a domain value"),
           "cpt": ("number", 1, "a probability"),
           "table": ("number", 1, "a payoff")}
 _CLAUSES = ("agent", *_LISTS)
+
+# The layout render_maidfile writes, one match per declaration: whitespace
+# only between tokens, no comments, and a node's clauses in _CLAUSES order,
+# each at most once. The groups are an agent declaration's name, or a
+# node's kind, name and clause texts. An item ends at whitespace or ';',
+# which no token can hold, so backtracking never splits one and each item
+# is the very token the lexer's maximal munch reads.
+_ITEMS = {"ident": _IDENT, "number": _NUMBER}
+_DECL_RE = re.compile(
+    rf"\s*(?:agent\s+({_IDENT})\s*;"
+    rf"|({'|'.join(_KINDS)})\s+({_IDENT})\s*\{{(?:\s*agent\s+({_IDENT})\s*;)?"
+    + "".join(rf"(?:\s*{clause}((?:\s+{_ITEMS[kind]}){{{minimum},}})\s*;)?"
+              for clause, (kind, minimum, _) in _LISTS.items())
+    + r"\s*\})")
 
 
 class MaidParseError(MaidError):
@@ -173,20 +191,59 @@ class _Parser:
         return tuple(map(float, values)) if kind == "number" else tuple(values)
 
 
+def _scan(text: str) -> Maid | None:
+    """The graph of a text that is all declarations in the canonical
+    layout, one match each, or None: text left over or a repeated agent or
+    node is left to the token parser. Each match is anchored where the last
+    one ended, so the scan stops at the first text it cannot read instead
+    of searching on through it, which is quadratic in a whitespace run."""
+    if "#" in text:
+        # A comment is never in the layout. Stop here rather than after
+        # scanning up to it, which may be the whole file.
+        return None
+    agents: list[str] = []
+    nodes: dict[str, Node] = {}
+    end = 0
+    match = _DECL_RE.match
+    while m := match(text, end):
+        end = m.end()
+        agent, kind, name, owner, domain, parents, cpt, table = m.groups()
+        if agent is not None:
+            if agent in agents:
+                return None
+            agents.append(agent)
+        elif name in nodes:
+            return None
+        else:
+            nodes[name] = Node(name, _KINDS[kind], owner,
+                               domain and tuple(domain.split()),
+                               tuple(parents.split()) if parents else (),
+                               cpt and tuple(map(float, cpt.split())),
+                               table and tuple(map(float, table.split())))
+    if text[end:].strip():
+        return None
+    return Maid.build(agents=agents, nodes=nodes.values())
+
+
 def parse_maidfile(text: str) -> Maid:
     """Parse maidfile text into a graph. Raises :class:`MaidParseError` on
     bad syntax or duplicate declarations; semantic problems are reported by
-    :func:`maidkit.core.validate` instead."""
+    :func:`maidkit.core.validate` instead.
+
+    Text in the layout :func:`render_maidfile` writes is read one
+    declaration per regex match; any other text, and every error, is read
+    token by token. The graph or the error does not depend on which."""
     if not isinstance(text, str):
         raise MaidError(f"maidfile text must be a str, not {type(text).__name__}")
-    return _Parser(text).parse_file()
+    maid = _scan(text)
+    return _Parser(text).parse_file() if maid is None else maid
 
 
 def _format_number(v: float) -> str:
     return repr(float(v))
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(_IDENT + r"\Z")
 
 
 def _require_ident(value: str, what: str) -> str:
@@ -201,8 +258,9 @@ def render_maidfile(maid: Maid) -> str:
     two-space indents. Parsing the output reproduces the graph exactly.
 
     Agents, node ids, parent names and domain values must lex as
-    identifiers, and each node kind must be a :class:`NodeKind`; anything
-    else would not survive a round trip and is rejected up front."""
+    identifiers, each node must be keyed by its own id, and each node kind
+    must be a :class:`NodeKind`; anything else would not survive a round
+    trip and is rejected up front."""
     _check_maid(maid)
     lines: list[str] = []
     for agent in sorted(maid.agents):
@@ -212,6 +270,9 @@ def render_maidfile(maid: Maid) -> str:
     first = True
     for node_id in maid.topological_order:
         node = maid.nodes[node_id]
+        if node.id != node_id:
+            raise MaidError(f"node keyed as {node_id!r} reports id {node.id!r}, "
+                            f"so its text would declare another node")
         if not first:
             lines.append("")
         first = False
@@ -220,15 +281,15 @@ def render_maidfile(maid: Maid) -> str:
         lines.append(f"{node.kind.value} {_require_ident(node.id, 'node')} {{")
         if node.owner is not None:
             lines.append(f"  agent {_require_ident(node.owner, 'agent')};")
-        if node.domain is not None:
-            values = " ".join(_require_ident(v, "domain value") for v in node.domain)
-            lines.append(f"  domain {values};")
-        if node.parents:
-            parents = " ".join(_require_ident(p, "parent") for p in node.parents)
-            lines.append(f"  parents {parents};")
-        if node.cpt is not None:
-            lines.append(f"  cpt {' '.join(_format_number(v) for v in node.cpt)};")
-        if node.table is not None:
-            lines.append(f"  table {' '.join(_format_number(v) for v in node.table)};")
+        # The list clauses, each named for the field it writes, in _LISTS
+        # order, which is the order _DECL_RE reads. A run that may be empty
+        # (parents) is left out when it is.
+        for clause, (kind, minimum, what) in _LISTS.items():
+            values = getattr(node, clause)
+            if values is None or not (values or minimum):
+                continue
+            items = (map(_format_number, values) if kind == "number"
+                     else [_require_ident(v, what[2:]) for v in values])
+            lines.append(f"  {clause} {' '.join(items)};")
         lines.append("}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -6,7 +6,9 @@ import dataclasses
 import io
 import os
 import random
+import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,10 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from maidkit import (
+    Maid,
     MaidError,
     MaidParseError,
+    Node,
     NodeKind,
     card_game,
     parse_maidfile,
@@ -23,7 +27,7 @@ from maidkit import (
     render_maidfile,
     validate,
 )
-from maidkit import cli
+from maidkit import cli, maidfile
 
 import helpers
 
@@ -164,7 +168,7 @@ def test_render_rejects_unwritable_names():
     # An unresolved parent is written by name, so its name must lex too.
     m = Maid.build(agents=["z"],
                    nodes=[Node.chance("x", domain=("f", "t"), parents=("a-b",))])
-    with pytest.raises(MaidError, match="parent 'a-b' cannot be written"):
+    with pytest.raises(MaidError, match="parent name 'a-b' cannot be written"):
         render_maidfile(m)
     # A kind that is not a NodeKind has no keyword; each escaped as an
     # AttributeError.
@@ -172,6 +176,18 @@ def test_render_rejects_unwritable_names():
     for kind in ("chance", None, 3):
         m = Maid(agents=frozenset({"z"}), nodes={"x": dataclasses.replace(x, kind=kind)})
         with pytest.raises(MaidError, match=f"node 'x' has kind {kind!r}, not a NodeKind"):
+            render_maidfile(m)
+
+
+def test_render_refuses_a_node_keyed_by_another_id():
+    # Written by its id, the node would declare another node, and the
+    # text would parse into a different graph, here one in which y's
+    # parent x resolves.
+    b = ("f", "t")
+    x, y = Node.chance("x", b), Node.chance("y", b, parents=("x",))
+    for nodes, key in (({"a": x, "y": y}, "'a'"), ({5: x, 6: y}, "5")):
+        m = Maid(agents=frozenset({"p"}), nodes=nodes)
+        with pytest.raises(MaidError, match=f"node keyed as {key} reports id 'x'"):
             render_maidfile(m)
 
 
@@ -196,6 +212,66 @@ def test_round_trip_parameterized(seed):
     text = render_maidfile(m)
     assert parse_maidfile(text) == m
     assert render_maidfile(parse_maidfile(text)) == text
+
+
+def _scaled_payoffs(m, rng):
+    """``m`` with each payoff table scaled by a power of ten, so that its
+    text holds negative numbers and numbers with exponents."""
+    return Maid.build(agents=m.agents, nodes=[
+        dataclasses.replace(n, table=tuple(v * 10.0 ** rng.randint(-30, 30) for v in n.table))
+        if n.table else n for n in m.nodes.values()])
+
+
+def test_scanner_reads_every_rendered_file(monkeypatch, card1, pa, cascade, pennies, sig_min):
+    # Every text render_maidfile writes is read one declaration per match:
+    # the token parser is never built. A silent fall-through to it would
+    # keep every result and lose the speed.
+    games = Path(__file__).resolve().parent.parent / "games"
+    texts = [render_maidfile(m) for m in (card1, pa, cascade, pennies, sig_min)]
+    texts += [path.read_text() for path in sorted(games.glob("*.maid"))]
+    texts += [render_maidfile(card_game(n)) for n in range(1, 10)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        texts.append(render_maidfile(helpers.random_structure_maid(rng)))
+        texts.append(render_maidfile(_scaled_payoffs(helpers.random_parameterized_maid(rng), rng)))
+    numbers = " ".join(re.findall(r"(?:cpt|table) ([^;]*);", "".join(texts))).split()
+    assert any(v.startswith("-") for v in numbers)
+    assert any("e-" in v for v in numbers) and any("e+" in v for v in numbers)
+
+    expected = [helpers.reference_parse_maidfile(text) for text in texts]
+
+    def no_token_parser(text):
+        raise AssertionError(f"read token by token:\n{text}")
+
+    monkeypatch.setattr(maidfile, "_Parser", no_token_parser)
+    assert [parse_maidfile(text) for text in texts] == expected
+
+
+@pytest.mark.parametrize("text", [
+    "@" + " " * 50_000,
+    "agent p;" + " " * 50_000 + "@",
+    "agent p; chance x { domain a" + " " * 50_000 + "x }",
+    "agent p; chance x { domain a; cpt " + "1" * 50_000 + "x; }",
+    "agent p; chance x { domain a; cpt " + "1" * 25_000 + "." + "1" * 25_000 + "x; }",
+], ids=["lead", "tail", "items", "digits", "decimal"])
+def test_scanner_gives_up_on_long_runs_in_linear_time(text):
+    # A search past the first unreadable text, or a number pattern with two
+    # ways to split a digit run, makes the scanner quadratic here: minutes
+    # instead of milliseconds before the token parser takes over.
+    start = time.perf_counter()
+    assert (_parse_outcome(parse_maidfile, text)
+            == _parse_outcome(helpers.reference_parse_maidfile, text))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_patterns_keep_to_python_3_10_syntax():
+    # Possessive quantifiers and atomic groups are Python 3.11 syntax; on
+    # 3.10 a pattern holding one fails to compile, and maidkit to import.
+    patterns = [v for v in vars(maidfile).values() if isinstance(v, re.Pattern)]
+    assert maidfile._DECL_RE in patterns
+    for pattern in patterns:
+        for syntax in ("*+", "++", "?+", "}+", "(?>"):
+            assert syntax not in pattern.pattern, (pattern.pattern, syntax)
 
 
 # -- agreement with the reference parser -------------------------------------------
@@ -237,12 +313,73 @@ def _mutated(text, data):
     return text
 
 
-@settings(max_examples=300)
+# Whitespace the lexer skips, two non-ASCII kinds included, comments, and
+# number-like literals the lexer splits (1.5.5, 1e), reads as one number
+# (-.5, 1e999, an Arabic-Indic digit) or as a name (nan, inf).
+_SPACES = st.just("\r\n") | st.text(" \t\n\r\x0b\x0c\u00a0\u2003", min_size=1, max_size=3)
+_COMMENTS = ("#\n", "# a; b {}\r\n", "#\u2003x")
+_LITERALS = ("1.5.5", "1e", "-.5", "1e999", "nan", "inf", "\u0663")
+
+
+def _relaid(text, data):
+    """``text`` with whole declarations and clauses repeated or reordered,
+    a literal put in place of a number, and laid out anew: the same
+    whitespace in front of every token, or none around punctuation, with
+    comments in some gaps."""
+    decls, decl, run = [], [], []
+    for token in re.findall(r"[{};]|[^\s{};]+", text):
+        run.append(token)
+        if token in "{};":
+            decl.append(run)
+            run = []
+            if token == "}" or decl[0][-1] != "{":
+                decls.append(decl)
+                decl = []
+    decls += [d for d in (decl + [run] if run else decl,) if d]
+    for _ in range(data.draw(st.integers(0, 3), label="moves") if decls else 0):
+        i = data.draw(st.integers(0, len(decls) - 1), label="declaration")
+        decl = decls[i]
+        move = data.draw(st.sampled_from(["repeat", "reorder", "clause"]), label="move")
+        if move == "repeat":
+            decls.insert(data.draw(st.integers(0, len(decls)), label="at"), decl)
+        elif len(decl) > 2:
+            middle = decl[1:-1]
+            if move == "reorder":
+                middle = data.draw(st.permutations(middle), label="order")
+            else:
+                j = data.draw(st.integers(0, len(middle) - 1), label="clause")
+                middle = middle[:j + 1] + middle[j:]
+            decls[i] = [decl[0], *middle, decl[-1]]
+    tokens = [t for decl in decls for run in decl for t in run]
+    numbers = [k for k, t in enumerate(tokens) if t[0] in "-.0123456789"]
+    if numbers and data.draw(st.booleans(), label="literal"):
+        k = data.draw(st.sampled_from(numbers), label="number")
+        tokens[k] = data.draw(st.sampled_from(_LITERALS), label="text")
+
+    space = data.draw(_SPACES, label="space")
+    tight = data.draw(st.booleans(), label="tight")
+    gaps = ["" if tight and (k == 0 or tokens[k - 1] in "{};" or t in "{};") else space
+            for k, t in enumerate(tokens)] + [space]
+    for _ in range(data.draw(st.integers(0, 2), label="comments")):
+        k = data.draw(st.integers(0, len(gaps) - 1), label="gap")
+        gaps[k] += data.draw(st.sampled_from(_COMMENTS), label="comment")
+    return "".join(map(str.__add__, gaps, tokens)) + gaps[-1]
+
+
+@settings(max_examples=900)
 @given(text=_FUZZ_SOURCES, data=st.data())
 def test_parse_matches_reference_on_mutated_files(text, data):
     # The same graph or the same error at the same place, and no other
-    # exception from either parser.
-    text = _mutated(text, data)
+    # exception from either parser. A third of the draws are edited
+    # renderings, a third relaid ones, which are read one declaration per
+    # match when they keep the canonical clause order and no comment, and a
+    # third relaid then edited.
+    layout = data.draw(st.sampled_from(["edited", "relaid", "relaid and edited"]),
+                       label="layout")
+    if layout != "edited":
+        text = _relaid(text, data)
+    if layout != "relaid":
+        text = _mutated(text, data)
     assert (_parse_outcome(parse_maidfile, text)
             == _parse_outcome(helpers.reference_parse_maidfile, text))
 
