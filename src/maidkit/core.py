@@ -683,12 +683,20 @@ def convert_decision_to_chance(maid: Maid, decision_id: str) -> Maid:
     node = _require_decision(maid, decision_id)
     if node.domain is None:
         raise MaidError(f"{decision_id}: no domain")
-    k = len(node.domain)
-    uniform = tuple(1.0 / k for _ in range(k))
     table = dict(maid.nodes)
-    table[decision_id] = Node(id=node.id, kind=NodeKind.CHANCE, domain=node.domain,
-                              parents=(), cpt=uniform)
+    table[decision_id] = _as_chance(node)
     return _edited(maid, table, (decision_id,), demoted=decision_id)
+
+
+def _uniform_row(k: int) -> tuple[float, ...]:
+    return tuple(1.0 / k for _ in range(k))
+
+
+def _as_chance(decision: Node) -> Node:
+    """What :func:`convert_decision_to_chance` puts in the place of
+    ``decision``, which has a domain."""
+    return Node(id=decision.id, kind=NodeKind.CHANCE, domain=decision.domain,
+                parents=(), cpt=_uniform_row(len(decision.domain)))
 
 
 def remove_edge(maid: Maid, tail: str, head: str) -> Maid:

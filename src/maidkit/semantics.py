@@ -16,13 +16,18 @@ also keeps the response cells of each sweep under (agent, deviating
 decisions, the flat tables of every other decision), all that the sweep
 reads: at most one cells table per sweep made, none larger than the states
 it visited, and all of it goes with the space when the public call returns.
-``verify_simplification`` searches an unchanged game on the space of the
-original, so its replay reads the cells of the search's last round.
+``verify_simplification`` builds one space, the original's, and searches
+the simplified game on it: each sweep reads the simplified rules lifted
+over the original parents, eliminated decisions playing uniformly, and the
+cells are folded back onto the simplified rows. Its replay then reads the
+cells of the search's last round for every agent whose decisions all
+survived.
 
 Decision rules are tables in the same layout as node parameters: one
 distribution per parent configuration, last parent varying fastest. A
 profile is checked once on entry and then read as flat tables, rows one
-after another; the search builds rules only for the profile it returns.
+after another; the search builds rules only for the profile it returns,
+and ``verify_simplification`` only for the extended profile it reports.
 """
 from __future__ import annotations
 
@@ -31,18 +36,21 @@ import math
 import operator
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Maid,
     MaidError,
+    Node,
     PROB_TOL,
     ValidationError,
+    _as_chance,
     _check_maid,
     _check_seed,
     _config_index,
     _require_decision,
+    _uniform_row,
     chance_row,
     is_fully_parameterized,
     parent_domains,
@@ -146,8 +154,7 @@ def _table_rule(d: str, shape: _RuleShape, table: Sequence[float]) -> DecisionRu
 def uniform_rule(maid: Maid, d: str) -> DecisionRule:
     _check_maid(maid)
     parents, pdoms, domain = _rule_shape(maid, d)
-    k = len(domain)
-    row = tuple(1.0 / k for _ in range(k))
+    row = _uniform_row(len(domain))
     return DecisionRule(d, parents, pdoms, domain, tuple(row for _ in range(_n_rows(pdoms))))
 
 
@@ -438,16 +445,37 @@ def _pure_profiles(shapes: Mapping[str, _RuleShape],
             for joint in itertools.product(*choices))
 
 
+def _fold(cells: dict, decisions: tuple[str, ...], codes: Mapping[str, Sequence[int]]) -> dict:
+    """``cells``, keyed by codes on the space's parents, keyed instead by
+    codes on the searched game's parents: each decision's code read through
+    its map in ``codes``, the cells that meet added up. ``cells`` itself
+    when no decision in ``decisions`` has a map."""
+    maps = [codes.get(d) for d in decisions]
+    if all(m is None for m in maps):
+        return cells
+    folded: dict = {}
+    for key, s in cells.items():
+        key = tuple(c if m is None else m[c] for c, m in zip(key, maps))
+        folded[key] = folded.get(key, 0.0) + s
+    return folded
+
+
 def _best_pure_response(maid: Maid, space: _JointSpace,
-                        tables: Mapping[str, Sequence[float]], agent: str
+                        tables: Mapping[str, Sequence[float]], agent: str,
+                        lifted: Mapping[str, Sequence[float]],
+                        codes: Mapping[str, Sequence[int]]
                         ) -> tuple[float, float, Callable[[], dict[str, Sequence[float]]]]:
     """The value of one agent's incumbent tables, the value of their best
     joint pure deviation holding everyone else fixed, and a function that
     builds that deviation's tables, which only a best-response round needs.
     Ties keep the incumbent tables; a lone decision keeps its incumbent's
-    most likely action in parent configurations that have zero probability."""
+    most likely action in parent configurations that have zero probability.
+
+    ``space`` is the joint space of ``maid`` or of a game that ``maid``
+    simplifies; ``lifted`` holds the tables of every decision of that
+    game, with ``maid``'s read through ``codes`` (see :func:`_code_maps`)."""
     decisions = maid.decisions_of(agent)
-    cells = _response_cells(space, tables, decisions, agent)
+    cells = _fold(_response_cells(space, lifted, decisions, agent), decisions, codes)
     current = _profile_value_from_cells(cells, decisions, tables)
     if len(decisions) == 1:
         d = decisions[0]
@@ -496,7 +524,7 @@ def _gap(maid: Maid, space: _JointSpace, tables: Mapping[str, Sequence[float]],
          agent: str) -> float:
     """One agent's best-response gap on a space already built. Finite
     payoffs can still give an infinite gap, which is an error."""
-    current, best, _ = _best_pure_response(maid, space, tables, agent)
+    current, best, _ = _best_pure_response(maid, space, tables, agent, tables, {})
     gap = best - current
     if not math.isfinite(gap):
         raise MaidError(f"best-response gap of agent {agent!r} is not finite")
@@ -533,25 +561,63 @@ def find_equilibrium_small(maid: Maid, seed: int = 0,
     _check_maid(maid)
     _check_tol(tol)
     _check_seed(seed)
-    return _find_equilibrium(maid, _JointSpace(maid), seed, tol)
+    tables = _find_equilibrium(maid, maid, _JointSpace(maid), seed, tol)
+    return None if tables is None else _rules(maid, tables)
 
 
-def _find_equilibrium(maid: Maid, space: _JointSpace, seed: int,
-                      tol: float) -> dict[str, DecisionRule] | None:
-    """:func:`find_equilibrium_small` on checked arguments and the joint
-    space of ``maid``."""
-    shapes = {d: _rule_shape(maid, d) for d in maid.decisions}
+def _rules(maid: Maid, tables: Mapping[str, Sequence[float]]) -> dict[str, DecisionRule]:
+    return {d: _table_rule(d, _rule_shape(maid, d), tables[d]) for d in maid.decisions}
+
+
+def _code_maps(original: Maid, game: Maid) -> dict[str, list[int]]:
+    """For each decision that ``game`` keeps with fewer parents than it has
+    in ``original``: the code ``row * k + action`` in ``game`` of every code
+    in ``original``, in code order. A table of ``game`` read through the map
+    is its rule over the original parents, constant across the dropped ones."""
+    maps = {}
+    for d in game.decisions:
+        parents, pdoms, domain = _rule_shape(original, d)
+        kept = game.nodes[d].parents
+        if kept != parents:
+            rows = [0]  # the row in game of each original row, last parent fastest
+            for p, dom in zip(parents, pdoms):
+                n = len(dom)
+                rows = [r * n + v if p in kept else r for r in rows for v in range(n)]
+            k = len(domain)
+            maps[d] = [r * k + a for r in rows for a in range(k)]
+    return maps
+
+
+def _find_equilibrium(original: Maid, game: Maid, space: _JointSpace, seed: int,
+                      tol: float) -> dict[str, list[float]] | None:
+    """:func:`find_equilibrium_small` of ``game`` on checked arguments and
+    the joint space of ``original``, which is ``game`` or a game that
+    :func:`_check_simplification` found ``game`` simplifies.
+
+    The search keeps ``game``'s tables and sweeps them lifted over the
+    original parents, each demoted decision playing uniformly: the joint
+    distribution of ``game``. It returns the lifted tables of every decision
+    of ``original``, or None."""
+    codes = _code_maps(original, game)
+    shapes = {d: _rule_shape(game, d) for d in game.decisions}
     candidates = _pure_profiles(shapes, "pure profile space")
-    agents = sorted({maid.nodes[d].owner for d in maid.decisions})
+    agents = sorted({game.nodes[d].owner for d in game.decisions})
     rng = random.Random(seed)
+    demoted = {}
+    for d in original.decisions:
+        if d not in shapes:
+            _, pdoms, domain = _rule_shape(original, d)
+            demoted[d] = list(_uniform_row(len(domain))) * _n_rows(pdoms)
 
-    def as_rules(tables):
-        return {d: _table_rule(d, shape, tables[d]) for d, shape in shapes.items()}
+    def lift(tables):
+        return {d: list(map(table.__getitem__, codes[d])) if d in codes else table
+                for d, table in tables.items()}
 
     profile: dict[str, Sequence[float]] = {}
     for d, (_, pdoms, domain) in shapes.items():
         picks = [rng.randrange(len(domain)) for _ in range(_n_rows(pdoms))]
         profile[d] = _pure_table(len(domain), picks)
+    lifted = {**demoted, **lift(profile)}
 
     # A round is a function of the profile it starts from (agent order, tol,
     # space and tie rule are fixed; the rng only draws the start), so once a
@@ -565,20 +631,24 @@ def _find_equilibrium(maid: Maid, space: _JointSpace, seed: int,
         starts.add(start)
         changed = False
         for agent in agents:
-            current, best, deviation = _best_pure_response(maid, space, profile, agent)
+            current, best, deviation = _best_pure_response(game, space, profile, agent,
+                                                           lifted, codes)
             if best > current + tol:
-                profile.update(deviation())
+                moved = deviation()
+                profile.update(moved)
+                lifted.update(lift(moved))
                 changed = True
         if not changed:
-            return as_rules(profile)
+            return lifted
 
-    def stable(candidate, agent):
-        current, best, _ = _best_pure_response(maid, space, candidate, agent)
+    def stable(candidate, lifted, agent):
+        current, best, _ = _best_pure_response(game, space, candidate, agent, lifted, codes)
         return best - current <= tol
 
     for candidate in candidates:
-        if all(stable(candidate, agent) for agent in agents):
-            return as_rules(candidate)
+        lifted = {**demoted, **lift(candidate)}
+        if all(stable(candidate, lifted, agent) for agent in agents):
+            return lifted
     return None
 
 
@@ -647,21 +717,37 @@ class VerificationReport:
         return self.status == "pass"
 
 
-def _lift_rule(original: Maid, d: str, rule: DecisionRule) -> DecisionRule:
-    """Reindex a rule over a reduced parent list onto the original parent
-    list; the rule's behavior is constant across dropped parents."""
-    parents, pdoms, domain = _rule_shape(original, d)
-    if rule.domain != domain:
-        raise MaidError(f"{d}: domain changed between graphs")
-    if rule.parents == parents and rule.parent_domains == pdoms:
-        return rule
-    keep = [i for i, p in enumerate(parents) if p in rule.parents]
-    if tuple(parents[i] for i in keep) != rule.parents:
-        raise MaidError(f"{d}: simplified parents are not a subsequence of the "
-                        f"original parents")
-    rows = tuple(rule.row_for(tuple(config[i] for i in keep))
-                 for config in itertools.product(*pdoms))
-    return DecisionRule(d, parents, pdoms, domain, rows)
+def _check_simplification(original: Maid, final: Maid) -> None:
+    """Raise unless ``final`` is ``original`` with information edges into
+    decisions removed and decisions demoted by
+    :func:`convert_decision_to_chance`: a game the search can play on
+    ``original``'s joint space."""
+    def fault(what: str) -> MaidError:
+        return MaidError(f"result.final is not a simplification of the game: {what}")
+
+    if final.agents != original.agents:
+        raise fault("its agents differ")
+    for n in final.nodes:
+        if n not in original.nodes:
+            raise fault(f"node {n!r} is not in the game")
+    for n, node in original.nodes.items():
+        new = final.nodes.get(n)
+        if new is None:
+            raise fault(f"node {n!r} is missing")
+        if new != node and not (node.is_decision and _prunes(node, new)):
+            raise fault(f"node {n!r} changed other than by losing information "
+                        f"edges or becoming a uniform chance node")
+
+
+def _prunes(decision: Node, new: object) -> bool:
+    """Is ``new`` ``decision`` demoted as :func:`convert_decision_to_chance`
+    does, or with some of its parents removed and the rest in order?"""
+    if new == _as_chance(decision):
+        return True
+    if not (isinstance(new, Node) and isinstance(new.parents, tuple)):
+        return False
+    rest = iter(decision.parents)
+    return new == replace(decision, parents=new.parents) and all(p in rest for p in new.parents)
 
 
 def verify_simplification(maid: Maid, result, seed: int = 0,
@@ -670,8 +756,12 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     original game (eliminated decisions become uniform, surviving rules are
     lifted over their original parent lists), and measure every agent's
     best-response gap in the original game. ``result`` must be the
-    simplification of ``maid``: it needs ``original`` and ``final``, and
-    ``result.original == maid``."""
+    simplification of ``maid``: it needs ``original`` and ``final``,
+    ``result.original == maid``, and ``result.final`` must be ``maid`` with
+    information edges into decisions removed and decisions demoted to
+    uniform chance nodes as :func:`convert_decision_to_chance` does. Such a
+    final is the original under the extended profile, so the search plays
+    it on the one joint space this call builds, the original's."""
     _check_maid(maid)
     _check_tol(tol)
     _check_seed(seed)
@@ -684,17 +774,17 @@ def verify_simplification(maid: Maid, result, seed: int = 0,
     if not isinstance(final, Maid):
         raise MaidError(f"result.final must be a Maid, got a {type(final).__name__}")
     space = _JointSpace(maid)  # an invalid original fails before the search starts
-    # An unchanged game is searched on the same space, so the replay's best
-    # responses are the ones the search's last round or check already swept.
-    eq = _find_equilibrium(final, space if final == maid else _JointSpace(final), seed, tol)
-    if eq is None:
+    _check_simplification(maid, final)
+    diagnostics = validate(final)
+    if diagnostics:
+        raise ValidationError(diagnostics)
+    tables = _find_equilibrium(maid, final, space, seed, tol)
+    if tables is None:
         return VerificationReport(status="inconclusive", gaps={}, equilibrium=None,
                                   detail="the simplified game has no pure-strategy "
                                          "equilibrium to extend")
-    extended = {d: _lift_rule(maid, d, eq[d]) if d in eq else uniform_rule(maid, d)
-                for d in maid.decisions}
+    extended = _rules(maid, tables)
     agents = sorted({maid.nodes[d].owner for d in maid.decisions})
-    tables = _check_profile(maid, extended)
     gaps = {agent: _gap(maid, space, tables, agent) for agent in agents}
     failing = ", ".join(f"{a} by {g:.6g}" for a, g in gaps.items() if g > tol)
     if failing:
